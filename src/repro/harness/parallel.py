@@ -90,11 +90,6 @@ def fork_context() -> multiprocessing.context.BaseContext | None:
         return None
 
 
-# Backwards-compatible private aliases (pre-shard callers import these).
-_configured_processes = configured_processes
-_fork_context = fork_context
-
-
 def run_sweep(
     tasks: Sequence[Callable[[], T]],
     *,
@@ -117,7 +112,7 @@ def run_sweep(
     if not tasks:
         return []
 
-    env_processes = _configured_processes()
+    env_processes = configured_processes()
     if env_processes == 0:
         parallel = False
     if parallel is None:
@@ -333,7 +328,7 @@ def _run_pool(
 ) -> list[T] | None:
     """Map the tasks over a fork pool; None when no pool can be made."""
     global _TASKS
-    context = _fork_context()
+    context = fork_context()
     if context is None:
         return None
     if _TASKS is not None:

@@ -143,7 +143,7 @@ class ExplorationReport:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """One DFS stack entry: a world and its not-yet-taken branches."""
 
@@ -151,15 +151,6 @@ class _Frame:
     candidates: list[Action]
     index: int
     sleep: set[Action]
-
-
-def _sleep_mask(actions: list[Action], sleep) -> int:
-    """Pack ``sleep ∩ actions`` as a bitmask over the canonical order."""
-    mask = 0
-    for i, action in enumerate(actions):
-        if action in sleep:
-            mask |= 1 << i
-    return mask
 
 
 class _SearchCore:
@@ -211,112 +202,143 @@ class _SearchCore:
         so only those links are scanned, not the whole queue map.
         """
         report = self.report
-        stale = [p for p in world.pending_wakes if world.nodes[p].awake]
-        if stale:
-            world.drop_wakes(stale)
-            report.compressed_steps += len(stale)
+        pending = world.pending_wakes
+        if pending:
+            nodes = world.nodes
+            stale = [p for p in pending if nodes[p].awake]
+            if stale:
+                world.drop_wakes(stale)
+                report.compressed_steps += len(stale)
         queues = world.queues
         if not self.compress or not queues:
             return
         if action is None:
-            work = deque(sorted(queues))
+            links = list(queues)
         else:
             d = action[1] if action[0] == "wake" else action[1][1]
-            work = deque(
-                link for link in sorted(queues) if d in link
-            )
-        while work:
-            link = work.popleft()
-            if not queues.get(link):
-                continue
-            # The world's memoised local-transition table answers the
-            # inertness question directly: a delivery is inert iff its
-            # effect is (unchanged receiver hash, no sends, no leader
-            # declarations).  A non-inert head (including one that would
-            # declare a second leader) is left enabled and explored as a
-            # real branch.
-            new_fp, sends, declared = world.peek_transition(link)
-            if not sends and not declared and new_fp == world.node_hash(link[1]):
-                world.pop_head(link)
+            links = [link for link in queues if d in link]
+        # An inert pop changes nothing but its own channel's head, so inert
+        # pops commute: each link drains in place, in any order.
+        peek, pop_head = world.peek_transition, world.pop_head
+        for link in links:
+            receiver_fp = world.node_hash(link[1])
+            while True:
+                # The world's memoised local-transition table answers the
+                # inertness question directly: a delivery is inert iff its
+                # effect is (unchanged receiver hash, no sends, no leader
+                # declarations).  A non-inert head (including one that
+                # would declare a second leader) is left enabled and
+                # explored as a real branch.
+                new_fp, sends, declared = peek(link)
+                if sends or declared or new_fp != receiver_fp:
+                    break
+                pop_head(link)
                 report.compressed_steps += 1
-                # an inert pop changes nothing but this channel's head
-                work.append(link)
+                if link not in queues:
+                    break
 
     # -- memoisation ---------------------------------------------------------
 
-    def _key(self, world: LockStepWorld) -> int:
-        if self.prune_symmetric:
-            return hash(canonical_state(world, self.group))
-        return world.fingerprint()
-
     def arrive(
-        self, world: LockStepWorld, sleep, action: Action | None = None
+        self,
+        world: LockStepWorld,
+        sleep: set[Action],
+        action: Action | None = None,
     ) -> _Frame | None:
         """Memoise ``world``; return a frame if its subtree needs work.
 
         ``action`` is the transition that produced ``world`` (None for the
         root), which bounds the compression scan to the links it touched.
+        The returned frame takes ownership of the ``sleep`` set.
         """
         if self.por:
             self._compress_state(world, action)
-        key = self._key(world)
-        stored = self.visited.get(key)
+        if self.prune_symmetric:
+            key = hash(canonical_state(world, self.group))
+        else:
+            key = world.fingerprint()
+        visited = self.visited
+        stored = visited.get(key)
+        if stored == 0:
+            return None  # a revisit that every branch already covered
         actions = world.enabled_actions()
+        # One pass builds the sleep mask (sleep ∩ actions, packed over the
+        # canonical order) and the candidates: the non-sleeping actions,
+        # restricted on a revisit to those the stored mask slept.
+        mask = 0
+        if stored is None and not sleep:
+            candidates = actions
+        else:
+            allowed = -1 if stored is None else stored
+            candidates = []
+            bit = 1
+            for enabled in actions:
+                if enabled in sleep:
+                    mask |= bit
+                elif allowed & bit:
+                    candidates.append(enabled)
+                bit <<= 1
         if stored is not None:
-            mask = _sleep_mask(actions, sleep)
-            todo = stored & ~mask
-            if not todo:
+            if not candidates:
                 return None
-            self.visited.put(key, stored & mask)
-            candidates = [
-                action for i, action in enumerate(actions) if todo >> i & 1
-            ]
-            return _Frame(world, candidates, 0, set(sleep))
+            visited.put(key, stored & mask)
+            return _Frame(world, candidates, 0, sleep)
         report = self.report
         report.states_explored += 1
         if self.group is not None and not self.prune_symmetric:
             self.canonical_seen.add(hash(canonical_state(world, self.group)))
         if not actions:
-            self.visited.put(key, 0)
+            visited.put(key, 0)
             self.terminal_fps.add(key)
             _check_terminal(world, self.protocol, report)
             return None
-        self.visited.put(key, _sleep_mask(actions, sleep))
-        candidates = [action for action in actions if action not in sleep]
-        return _Frame(world, candidates, 0, set(sleep))
+        visited.put(key, mask)
+        if not candidates:
+            return None
+        return _Frame(world, candidates, 0, sleep)
 
     # -- the DFS loop --------------------------------------------------------
 
     def run(self, frame: _Frame | None) -> None:
         """Drive the DFS from one arrived frame to exhaustion or budget."""
         report = self.report
+        visited = self.visited
+        max_states = self.max_states
+        por = self.por
+        arrive = self.arrive
         stack: list[_Frame] = [frame] if frame is not None else []
         while stack:
             frame = stack[-1]
-            if frame.index >= len(frame.candidates):
-                stack.pop()
-                continue
-            action = frame.candidates[frame.index]
-            frame.index += 1
-            last = frame.index >= len(frame.candidates)
+            candidates = frame.candidates
+            index = frame.index
+            action = candidates[index]
+            index += 1
+            last = index == len(candidates)
             if last:
                 stack.pop()
                 child = frame.world  # safe: this frame takes no more branches
             else:
+                frame.index = index
                 child = frame.world.branch()
-            if self.por:
-                child_sleep = frozenset(
+            sleep = frame.sleep
+            if sleep:
+                # Sleeping actions independent of ``action`` (a different
+                # actor; see :func:`~repro.verification.world.independent`)
+                # stay asleep in the child.
+                d = action[1] if action[0] == "wake" else action[1][1]
+                child_sleep = {
                     slept
-                    for slept in frame.sleep
-                    if independent(action, slept)
-                )
-                frame.sleep.add(action)
+                    for slept in sleep
+                    if (slept[1] if slept[0] == "wake" else slept[1][1]) != d
+                }
             else:
-                child_sleep = frozenset()
+                child_sleep = set()
+            if por and not last:
+                sleep.add(action)
             child.apply(action)
             report.transitions += 1
-            child_frame = self.arrive(child, child_sleep, action)
-            if len(self.visited) > self.max_states:
+            child_frame = arrive(child, child_sleep, action)
+            if len(visited) > max_states:
                 report.complete = False
                 return
             if child_frame is not None:
@@ -395,7 +417,7 @@ def explore_protocol(
 
     workers = int(workers) if workers else 1
     if workers <= 1:
-        core.run(core.arrive(root, frozenset()))
+        core.run(core.arrive(root, set()))
         report.terminal_states = len(core.terminal_fps)
         _finish_report(report, core)
         return report
@@ -428,7 +450,7 @@ def _explore_parallel(
     report = core.report
     report.workers = workers
     frontier: deque[_Frame] = deque()
-    first = core.arrive(root, frozenset())
+    first = core.arrive(root, set())
     if first is not None:
         frontier.append(first)
     target = _STRATA_PER_WORKER * workers
@@ -443,11 +465,11 @@ def _explore_parallel(
             last = i == len(frame.candidates) - 1
             child = world if last else world.branch()
             if core.por:
-                child_sleep = frozenset(
+                child_sleep = {
                     slept for slept in sleep if independent(action, slept)
-                )
+                }
             else:
-                child_sleep = frozenset()
+                child_sleep = set()
             child.apply(action)
             report.transitions += 1
             child_frame = core.arrive(child, child_sleep, action)

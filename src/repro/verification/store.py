@@ -86,14 +86,19 @@ class FingerprintTable:
 
     def get(self, fingerprint: int) -> int | None:
         """The stored sleep mask, or None when the state is unvisited."""
-        key = self._normalize(fingerprint)
-        index = self._slot(key)
-        if self._keys[index] == _EMPTY:
-            return None
-        value = self._values[index]
-        if value == -1:
-            return self._overflow[key]
-        return value
+        # Runs once per explored transition, so the probe is inlined.
+        key = fingerprint if fingerprint != _EMPTY else _ZERO_ALIAS
+        keys = self._keys
+        mask = self._mask
+        index = key & mask
+        while True:
+            present = keys[index]
+            if present == key:
+                value = self._values[index]
+                return self._overflow[key] if value == -1 else value
+            if present == _EMPTY:
+                return None
+            index = (index + 1) & mask
 
     def put(self, fingerprint: int, mask: int) -> None:
         """Insert or overwrite one entry."""

@@ -19,15 +19,19 @@ Three things make the world cheap enough to explore at N=6:
 
 **Persistent nodes and memoised local transitions.**
 :meth:`LockStepWorld.branch` copies only the container skeleton (node
-list, queue dict, fingerprint caches); node objects and queued messages
-are shared between branches and treated as immutable values.  A node's
-``receive``/``wake`` is a pure function of its own structural state plus
-the arriving ``(port, message)``, so its effect — new state, sends,
-leader declarations — is memoised per ``(position, state hash, port,
-message hash)`` (:meth:`LockStepWorld._local_transition`).  The vast
-majority of transitions an exhaustive search takes are *repeats* of a
-local transition seen on another interleaving; those replace the actor's
-node entry with a shared representative object by pointer and replay the
+list, queue and hash-column dicts, node hashes); node objects and queued
+messages are shared between branches and treated as immutable values.  A
+node's ``receive``/``wake`` is a pure function of its own structural state
+plus the arriving message and the link it came over, so its effect — new
+state, sends, leader declarations — is memoised in two tables shared by
+every branch: deliveries under ``(dst, state hash, src, message hash)``,
+spontaneous wake-ups under ``(position, state hash)``.  Keys of the two
+tables can never alias, and a delivery hit needs neither the port wiring
+nor the message object.  A memoised effect stores its sends already
+resolved to ``(link, message, message hash)``.  The vast majority of
+transitions an exhaustive search takes are *repeats* of a local
+transition seen on another interleaving; those replace the actor's node
+entry with a shared representative object by pointer and replay the
 captured sends, running no protocol code, copying nothing and re-freezing
 nothing.  Only the first occurrence of each local transition pays for a
 node clone, the receive call and re-freezing — everything else is a dict
@@ -36,13 +40,16 @@ hit.
 **Structural fingerprints, hash-compacted to one machine word.**  Node and
 message state is *frozen* into nested tuples of plain values
 (:func:`freeze_value`) and hashed with Python's tuple hash — no pickling
-anywhere on the hot path.  Each node and each non-empty channel carries a
-cached 64-bit hash; applying an action invalidates only the hashes it
-touched, and per-message hashes are memoised globally (messages are
-immutable and heavily shared between branches).  The world fingerprint is
-a single ``int`` that fits an 8-byte table slot (see
-:mod:`repro.verification.store`) instead of a 16-byte digest object plus a
-set entry.  Hash compaction trades a vanishing collision probability
+anywhere on the hot path.  Each node carries a cached 64-bit hash, and
+each non-empty channel carries a *hash column*: the tuple of its queued
+messages' structural hashes, kept next to the message tuple (see
+:attr:`LockStepWorld.hashes`).  A channel's fingerprint component is the
+tuple hash of its column, so enqueues, head pops and replayed sends
+rehash a channel without touching its messages; :func:`message_hash`
+runs only when a memo miss captures a transition's sends.  The world
+fingerprint is a single ``int`` that fits an 8-byte table slot (see
+:mod:`repro.verification.store`) instead of a 16-byte digest object plus
+a set entry.  Hash compaction trades a vanishing collision probability
 (Stern–Dill: ~``|S|²/2⁶⁴``, under 10⁻⁹ for the ~10⁶-state searches run
 here) for roughly 5× less resident memory per visited state.  Fork-started
 workers inherit the interpreter's hash seed, so fingerprints are
@@ -73,6 +80,10 @@ from repro.topology.complete import CompleteTopology
 #: or — in fault-budgeted fuzzing worlds only — ``("drop", (src, dst))``.
 Action = tuple[str, Any]
 
+#: A memoised transition effect: ``(new node hash, sends, leader
+#: declarations)``, each send resolved to ``(link, message, message hash)``.
+_Effect = tuple[int, tuple[tuple[tuple[int, int], Message, int], ...], int]
+
 
 def actor(action: Action) -> int:
     """The position whose node an action steps.
@@ -96,6 +107,31 @@ def independent(a: Action, b: Action) -> bool:
     head of a non-empty FIFO queue.
     """
     return actor(a) != actor(b)
+
+
+class _Interned(dict):
+    """``arg -> (kind, arg)`` action tuples, each built once per process.
+
+    :meth:`LockStepWorld.enabled_actions` hands out these shared tuples, so
+    the explorer's sleep-set tests compare actions by identity first.  An
+    entry is a pure function of its key, so sharing the tables between
+    worlds and callers cannot couple them.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, arg: Any) -> Action:
+        action = self[arg] = (self.kind, arg)
+        return action
+
+
+_WAKE_ACTIONS = _Interned("wake")
+_DELIVER_ACTIONS = _Interned("deliver")
+_DROP_ACTIONS = _Interned("drop")
 
 
 # -- structural freezing -----------------------------------------------------
@@ -277,9 +313,10 @@ def freeze_value(value: Any, relabel: Relabeling = _IDENTITY, field: str = ""):
 
 
 #: Global per-message structural-hash memo.  Messages are immutable frozen
-#: dataclasses shared across branches, so the memo hits constantly; keys
-#: compare by value *and* class (dataclass ``__eq__`` rejects other types),
-#: so distinct message types never alias.
+#: dataclasses shared across branches; keys compare by value *and* class
+#: (dataclass ``__eq__`` rejects other types), so distinct message types
+#: never alias.  Only captured sends consult it: queued messages carry
+#: their hashes in the world's hash column.
 _MESSAGE_HASH: dict[Message, int] = {}
 
 
@@ -328,7 +365,7 @@ class _CaptureContext(NodeContext):
 
     Sends and leader declarations are captured instead of applied, so the
     world can memoise the transition's effect (see
-    :meth:`LockStepWorld._local_transition`) and replay it — including the
+    :meth:`LockStepWorld._run_transition`) and replay it — including the
     audit and declaration ordering — without re-running the node code.
     """
 
@@ -435,6 +472,9 @@ class LockStepWorld:
         #: Per-channel FIFO contents as immutable tuples, keyed (src, dst);
         #: absent key == empty channel.
         self.queues: dict[tuple[int, int], tuple[Message, ...]] = {}
+        #: The hash column: per channel, the :func:`message_hash` of each
+        #: queued message, position for position with ``queues``.
+        self.hashes: dict[tuple[int, int], tuple[int, ...]] = {}
         self.pending_wakes: frozenset[int] = frozenset(base_positions)
         self.leaders: tuple[int, ...] = ()
         self.steps = 0
@@ -442,19 +482,19 @@ class LockStepWorld:
         self._node_fp: list[int] = [
             hash(self.node_state(p)) for p in range(topology.n)
         ]
-        self._queue_fp: dict[tuple[int, int], int] = {}
-        # Local-transition memo and state-hash -> representative node map,
-        # shared by reference across every branch of this world (pure
-        # deterministic data; see ``_local_transition``).
-        self._trans: dict = {}
+        # Local-transition memos and the state-hash -> representative node
+        # map, shared by reference across every branch of this world (pure
+        # deterministic data; see ``_run_transition``).
+        self._wake_memo: dict = {}
+        self._deliver_memo: dict = {}
         self._reps: dict[int, Node] = {
             fp: node for fp, node in zip(self._node_fp, self.nodes)
         }
         # Zobrist-style incremental world fingerprint: the XOR of one
-        # salted hash per component (node state, channel content, pending
-        # wake-up).  Every mutation folds the old component out and the
-        # new one in, so ``fingerprint()`` is O(1) instead of rebuilding
-        # and sorting the whole configuration at every arrival.
+        # salted hash per component (node state, channel hash column,
+        # pending wake-up).  Every mutation folds the old component out
+        # and the new one in, so ``fingerprint()`` is O(1) instead of
+        # rebuilding and sorting the whole configuration at every arrival.
         fp = 0
         for p, node_fp in enumerate(self._node_fp):
             fp ^= hash((1, p, node_fp))
@@ -472,24 +512,25 @@ class LockStepWorld:
         representative, never mutates in place), so a branch is O(N)
         pointer copies — no copy-on-write bookkeeping is needed, and two
         sibling branches can never observe each other's steps.  The
-        transition memo and representative map are shared by reference:
-        they are pure functions of (state, port, message), so every branch
+        transition memos and representative map are shared by reference:
+        they are pure functions of (state, link, message), so every branch
         of a campaign feeds the same caches.
         """
         child = object.__new__(LockStepWorld)
         child.topology = self.topology
         child.fault_budget = self.fault_budget
         child.dropped = self.dropped
-        child.nodes = list(self.nodes)
-        child.queues = dict(self.queues)
+        child.nodes = self.nodes.copy()
+        child.queues = self.queues.copy()
+        child.hashes = self.hashes.copy()
         child.pending_wakes = self.pending_wakes
         child.leaders = self.leaders
         child.steps = self.steps
         child.messages_sent = self.messages_sent
-        child._node_fp = list(self._node_fp)
-        child._queue_fp = dict(self._queue_fp)
+        child._node_fp = self._node_fp.copy()
         child._fp = self._fp
-        child._trans = self._trans
+        child._wake_memo = self._wake_memo
+        child._deliver_memo = self._deliver_memo
         child._reps = self._reps
         return child
 
@@ -497,20 +538,24 @@ class LockStepWorld:
 
     def enqueue(self, position: int, port: int, message: Message) -> None:
         """Append a message to the channel behind ``position``'s ``port``."""
-        message_bits(message, self.topology.n)  # O(log N) audit, as in sim
-        far = self.topology.neighbor(position, port)
-        link = (position, far)
-        queue = self.queues.get(link, ()) + (message,)
-        self.queues[link] = queue
-        # Chain the new message's memoised hash onto the old queue hash —
-        # O(1) per enqueue instead of re-serialising the whole queue.
-        old = self._queue_fp.get(link)
-        new = hash((old if old is not None else 0, message_hash(message)))
-        self._queue_fp[link] = new
-        if old is not None:
-            self._fp ^= hash((2, link, old))
-        self._fp ^= hash((2, link, new))
+        link = (position, self.topology.neighbor(position, port))
+        self._push(link, message, message_hash(message))
         self.messages_sent += 1
+
+    def _push(
+        self, link: tuple[int, int], message: Message, message_fp: int
+    ) -> None:
+        """Append one message and its hash to a channel's two columns."""
+        message_bits(message, self.topology.n)  # O(log N) audit, as in sim
+        old = self.hashes.get(link)
+        if old is None:
+            self.queues[link] = (message,)
+            new = self.hashes[link] = (message_fp,)
+            self._fp ^= hash((2, link, new))
+        else:
+            self.queues[link] += (message,)
+            new = self.hashes[link] = old + (message_fp,)
+            self._fp ^= hash((2, link, old)) ^ hash((2, link, new))
 
     def on_leader(self, position: int) -> None:
         """Record a leader declaration; raise on the second distinct one."""
@@ -522,37 +567,39 @@ class LockStepWorld:
     def enabled_actions(self) -> list[Action]:
         """Every choice the adversary has in this configuration, in a
         canonical deterministic order (wake-ups, then channel deliveries,
-        then — while the fault budget lasts — channel-head drops)."""
-        actions: list[Action] = [
-            ("wake", position) for position in sorted(self.pending_wakes)
-        ]
-        links = sorted(self.queues)
-        actions.extend(("deliver", link) for link in links)
-        if self.fault_budget > 0:
-            actions.extend(("drop", link) for link in links)
+        then — while the fault budget lasts — channel-head drops).
+
+        The action tuples are interned, so equal actions are one object."""
+        wakes = self.pending_wakes
+        actions = (
+            list(map(_WAKE_ACTIONS.__getitem__, sorted(wakes))) if wakes else []
+        )
+        if self.queues:
+            links = sorted(self.queues)
+            actions += map(_DELIVER_ACTIONS.__getitem__, links)
+            if self.fault_budget > 0:
+                actions += map(_DROP_ACTIONS.__getitem__, links)
         return actions
 
     def peek_message(self, link: tuple[int, int]) -> Message:
         """Head-of-line message of a channel (for narration; no mutation)."""
         return self.queues[link][0]
 
-    def _pop_queue(self, link: tuple[int, int]) -> Message:
+    def _pop_queue(self, link: tuple[int, int]) -> tuple[Message, int]:
+        """Remove a channel's head; return it with its message hash."""
         queue = self.queues[link]
-        message, rest = queue[0], queue[1:]
-        self._fp ^= hash((2, link, self._queue_fp[link]))
-        if rest:
-            self.queues[link] = rest
-            # Head pops cannot be chained incrementally; rehash the (short)
-            # remainder from the memoised per-message hashes.
-            fp = 0
-            for m in rest:
-                fp = hash((fp, message_hash(m)))
-            self._queue_fp[link] = fp
-            self._fp ^= hash((2, link, fp))
+        hashes = self.hashes[link]
+        fp = self._fp ^ hash((2, link, hashes))
+        if len(hashes) > 1:
+            rest = hashes[1:]
+            self.queues[link] = queue[1:]
+            self.hashes[link] = rest
+            fp ^= hash((2, link, rest))
         else:
             del self.queues[link]
-            del self._queue_fp[link]
-        return message
+            del self.hashes[link]
+        self._fp = fp
+        return queue[0], hashes[0]
 
     def pop_head(self, link: tuple[int, int]) -> None:
         """Consume a channel head **without** running the receiver.
@@ -577,48 +624,53 @@ class LockStepWorld:
         self.pending_wakes = self.pending_wakes - frozenset(positions)
         self.steps += len(positions)
 
-    def _local_transition(
+    def _run_transition(
         self, position: int, port: int, message: Message | None
-    ) -> tuple[int, tuple[tuple[int, Message], ...], int]:
-        """The memoised effect of one node transition.
+    ) -> _Effect:
+        """Run one node transition in isolation and capture its effect.
 
         A node's ``receive`` (and ``wake``) is a pure function of its own
         structural state plus the arriving ``(port, message)`` — contexts
         expose only constants, and no protocol reads the clock — so the
-        effect ``(new state hash, sends, leader declarations)`` is cached
-        per ``(position, state hash, port, message hash)`` and shared by
-        every branch of the campaign.  ``port < 0`` encodes a spontaneous
-        wake-up.  On a miss the transition runs once, in isolation, on a
-        clone wired to a :class:`_CaptureContext`; the clone then becomes
-        the shared representative object for its new state hash, so cache
-        hits replace the actor's node by pointer — no copy, no protocol
-        code, no re-freezing.
+        effect ``(new state hash, sends, leader declarations)`` is what
+        the callers memoise and every branch of the campaign shares.
+        ``port < 0`` encodes a spontaneous wake-up.  The transition runs
+        once, on a clone wired to a :class:`_CaptureContext`; the clone
+        then becomes the shared representative object for its new state
+        hash, so memo hits replace the actor's node by pointer — no copy,
+        no protocol code, no re-freezing.  Sends come back resolved to
+        ``(link, message, message hash)``, ready to replay.
         """
-        fp = self._node_fp[position]
-        key = (
-            (position, fp)
-            if port < 0
-            else (position, fp, port, message_hash(message))
+        ctx = _CaptureContext(self.topology, position)
+        clone = _clone_node(self.nodes[position], ctx)
+        if port < 0:
+            clone.wake(spontaneous=True)
+        else:
+            clone.receive(port, message)
+        new_fp = hash(_freeze_node(clone))
+        if new_fp not in self._reps:
+            self._reps[new_fp] = clone
+        neighbor = self.topology.neighbor
+        sends = tuple(
+            ((position, neighbor(position, out)), sent, message_hash(sent))
+            for out, sent in ctx.sends
         )
-        entry = self._trans.get(key)
+        return new_fp, sends, ctx.declared
+
+    def _delivery(
+        self, src: int, dst: int, message: Message, message_fp: int
+    ) -> _Effect:
+        """The memoised effect of delivering ``message`` over ``(src, dst)``."""
+        key = (dst, self._node_fp[dst], src, message_fp)
+        entry = self._deliver_memo.get(key)
         if entry is None:
-            ctx = _CaptureContext(self.topology, position)
-            clone = _clone_node(self.nodes[position], ctx)
-            if port < 0:
-                clone.wake(spontaneous=True)
-            else:
-                clone.receive(port, message)
-            new_fp = hash(_freeze_node(clone))
-            if new_fp not in self._reps:
-                self._reps[new_fp] = clone
-            entry = self._trans[key] = (new_fp, tuple(ctx.sends), ctx.declared)
+            port = self.topology.port_to(dst, src)
+            entry = self._deliver_memo[key] = self._run_transition(
+                dst, port, message
+            )
         return entry
 
-    def _install(
-        self,
-        position: int,
-        entry: tuple[int, tuple[tuple[int, Message], ...], int],
-    ) -> None:
+    def _install(self, position: int, entry: _Effect) -> None:
         """Apply a memoised transition effect to this world."""
         new_fp, sends, declared = entry
         old_fp = self._node_fp[position]
@@ -626,8 +678,11 @@ class LockStepWorld:
             self.nodes[position] = self._reps[new_fp]
             self._node_fp[position] = new_fp
             self._fp ^= hash((1, position, old_fp)) ^ hash((1, position, new_fp))
-        for port, message in sends:
-            self.enqueue(position, port, message)
+        if sends:
+            push = self._push
+            for link, message, message_fp in sends:
+                push(link, message, message_fp)
+            self.messages_sent += len(sends)
         for _ in range(declared):
             self.on_leader(position)
 
@@ -636,31 +691,31 @@ class LockStepWorld:
         (fault-budgeted worlds) destroy a channel head."""
         kind, arg = action
         self.steps += 1
-        if kind == "wake":
+        if kind == "deliver":
+            message, message_fp = self._pop_queue(arg)
+            entry = self._delivery(arg[0], arg[1], message, message_fp)
+            self._install(arg[1], entry)
+        elif kind == "wake":
             self._fp ^= hash((3, arg))
             self.pending_wakes = self.pending_wakes - {arg}
-            self._install(arg, self._local_transition(arg, -1, None))
-            return
-        if kind == "drop":
+            key = (arg, self._node_fp[arg])
+            entry = self._wake_memo.get(key)
+            if entry is None:
+                entry = self._wake_memo[key] = self._run_transition(arg, -1, None)
+            self._install(arg, entry)
+        else:  # "drop"
             self._pop_queue(arg)
             self.dropped += 1
             self.fault_budget -= 1
-            return
-        src, dst = arg
-        message = self._pop_queue(arg)
-        port = self.topology.port_to(dst, src)
-        self._install(dst, self._local_transition(dst, port, message))
 
-    def peek_transition(
-        self, link: tuple[int, int]
-    ) -> tuple[int, tuple[tuple[int, Message], ...], int]:
+    def peek_transition(self, link: tuple[int, int]) -> _Effect:
         """The effect delivering ``link``'s head would have, without taking
         the step.  A delivery is *inert* exactly when the returned entry is
         ``(current node hash, no sends, no declarations)`` — the test the
         explorer's compression layer runs per channel head."""
-        src, dst = link
-        message = self.queues[link][0]
-        return self._local_transition(dst, self.topology.port_to(dst, src), message)
+        return self._delivery(
+            link[0], link[1], self.queues[link][0], self.hashes[link][0]
+        )
 
     # -- identity -------------------------------------------------------------
 

@@ -5,8 +5,8 @@ equivalent gate the acceptance criteria ask for: the workflow must parse,
 every job must be well-formed (runner, steps, pinned actions), and the
 commands CI runs must be the exact commands the repo documents — the
 tier-1 invocation, the self-hosted linter, the smoke markers from
-``pyproject.toml``, the curated matrix cross-check, and the merge-base
-BENCH trend gate.  Skips cleanly when PyYAML is absent.
+``pyproject.toml``, the curated matrix cross-check, the merge-base
+BENCH trend gate and the end-to-end benchmark's self-test.  Skips cleanly when PyYAML is absent.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class TestWorkflowShape:
     def test_expected_jobs_exist(self, jobs):
         assert set(jobs) == {
             "tests", "tests-no-numpy", "lint", "smoke", "matrix",
-            "bench-trends",
+            "bench-trends", "bench-smoke",
         }
 
     def test_every_job_has_a_runner_and_steps(self, jobs):
@@ -263,6 +263,12 @@ class TestCommands:
             "python -m repro trends --baseline ci_baseline --current ."
             in lines
         )
+
+    def test_bench_smoke_runs_the_benchmark_self_test(self, jobs):
+        """The benchmark's spans wrap checker and simulator methods by
+        name; its self-test is the gate that notices a rename."""
+        lines = [line.strip() for line in _run_lines(jobs["bench-smoke"])]
+        assert "python -m pytest benchmarks/e2e -q" in lines
 
 
 class TestNightly:

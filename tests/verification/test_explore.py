@@ -171,6 +171,55 @@ class TestExplorerCatchesViolations:
         assert not report.complete
 
 
+def _pinned_instances():
+    from repro.protocols.sense.protocol_b import ProtocolB
+
+    sense = complete_with_sense_of_direction
+    return {
+        "A@5": (ProtocolA(), sense(5), None),
+        "B@4": (ProtocolB(), sense(4), None),
+        "C@4": (ProtocolC(), sense(4), None),
+        "E@3": (ProtocolE(), complete_without_sense(3, seed=0), None),
+        "G2@4": (ProtocolG(k=2), complete_without_sense(4, seed=0), (0, 1)),
+        "FT1@4": (
+            FaultTolerantElection(1),
+            complete_without_sense(4, seed=0),
+            (0, 1),
+        ),
+    }
+
+
+#: (states, transitions, terminal states, compressed steps,
+#: |quiescent_outcomes|) of the default POR search.  Any change to the
+#: world's memo keys, channel hashing or the DFS that alters the explored
+#: graph moves at least one of these.
+_PINNED_GRAPHS = {
+    "A@5": (10248, 16995, 56, 2673, 17),
+    "B@4": (2361, 2893, 66, 599, 28),
+    "C@4": (647, 709, 29, 115, 18),
+    "E@3": (149, 160, 13, 36, 10),
+    "G2@4": (2726, 4330, 32, 549, 6),
+    "FT1@4": (5687, 9595, 74, 2, 15),
+}
+
+
+class TestPinnedGraphs:
+    """The explored graph is pinned exactly, not just its verdict."""
+
+    @pytest.mark.parametrize("instance", sorted(_PINNED_GRAPHS))
+    def test_explored_graph_is_pinned(self, instance):
+        protocol, topology, base = _pinned_instances()[instance]
+        report = explore_protocol(protocol, topology, base_positions=base)
+        assert report.complete
+        assert (
+            report.states_explored,
+            report.transitions,
+            report.terminal_states,
+            report.compressed_steps,
+            len(report.quiescent_outcomes),
+        ) == _PINNED_GRAPHS[instance]
+
+
 class TestDeterminism:
     def test_exploration_is_reproducible(self):
         a = explore_protocol(ProtocolA(), complete_with_sense_of_direction(3))

@@ -8,6 +8,10 @@ to every sibling.  Property-tested here with seeded random walks over
 every registered protocol — two siblings step divergently and each
 other's frozen state must stay byte-identical — plus the fuzzer's
 template pattern (many branches of one never-stepped template world).
+A second property checks the incrementally maintained hashes: after
+random walks that mix adversary actions with the explorer's bookkeeping
+steps, every channel's hash column and the world fingerprint must equal a
+from-scratch recomputation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.topology.complete import (
     complete_with_sense_of_direction,
     complete_without_sense,
 )
-from repro.verification.world import LockStepWorld
+from repro.verification.world import LockStepWorld, message_hash
 from tests.verification.conftest import deterministic_protocols
 
 _POWER_OF_TWO_ONLY = {"B", "C"}
@@ -103,3 +107,65 @@ def test_branch_shares_but_never_mutates_node_objects():
     assert child.nodes[0] is not before
     assert not before.awake
     assert child.nodes[0].awake
+
+
+def _fingerprint_from_scratch(world: LockStepWorld) -> int:
+    """The world fingerprint rebuilt from node states and queued messages."""
+    fp = 0
+    for position in range(world.topology.n):
+        fp ^= hash((1, position, hash(world.node_state(position))))
+    for link, queue in world.queues.items():
+        fp ^= hash((2, link, tuple(message_hash(m) for m in queue)))
+    for position in world.pending_wakes:
+        fp ^= hash((3, position))
+    return fp
+
+
+def _assert_consistent(world: LockStepWorld) -> None:
+    assert world.hashes.keys() == world.queues.keys()
+    for link, queue in world.queues.items():
+        assert queue, link  # an empty channel has no entry
+        assert world.hashes[link] == tuple(message_hash(m) for m in queue)
+    for position in range(world.topology.n):
+        assert world.node_hash(position) == hash(world.node_state(position))
+    assert world.fingerprint() == _fingerprint_from_scratch(world)
+
+
+def _mixed_walk(world: LockStepWorld, rng: random.Random, steps: int) -> None:
+    """Adversary actions (drops included) mixed with the explorer-only
+    ``pop_head`` and ``drop_wakes`` bookkeeping steps."""
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15 and world.queues:
+            world.pop_head(rng.choice(sorted(world.queues)))
+            continue
+        if roll < 0.25 and world.pending_wakes:
+            pending = sorted(world.pending_wakes)
+            world.drop_wakes(rng.sample(pending, rng.randint(1, len(pending))))
+            continue
+        actions = world.enabled_actions()
+        if not actions:
+            return
+        try:
+            world.apply(actions[rng.randrange(len(actions))])
+        except ProtocolViolation:  # lost messages may break safety
+            return
+
+
+@pytest.mark.parametrize("name", deterministic_protocols(), ids=str)
+def test_incremental_hashes_match_a_from_scratch_recomputation(name):
+    protocol, topology = _instance(name)
+    rng = random.Random(f"consistency:{name}")
+    for _ in range(6):
+        world = LockStepWorld(
+            protocol, topology, tuple(range(topology.n)),
+            fault_budget=rng.randrange(0, 4),
+        )
+        _assert_consistent(world)
+        _mixed_walk(world, rng, rng.randrange(5, 30))
+        _assert_consistent(world)
+        # a branch inherits the columns and keeps them in step on its own
+        child = world.branch()
+        _mixed_walk(child, rng, rng.randrange(5, 30))
+        _assert_consistent(child)
+        _assert_consistent(world)
