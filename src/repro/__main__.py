@@ -5,7 +5,6 @@ Subcommands::
     python -m repro list
     python -m repro run --protocol C --n 64 [--no-sense] [--seed 7]
     python -m repro run --protocol C --n 4096 --shards 8 [--shard-workers 0]
-    python -m repro run --protocol C --n 4096 --shards 8 --engine vector
     python -m repro replay --protocol A --n 8 [--messages]
     python -m repro scenario --protocol G --name chain --n 64
     python -m repro report [--quick] [--output EXPERIMENTS.md]
@@ -63,7 +62,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_sharded_election(
             cls(), topology, seed=args.seed,
             shards=args.shards, workers=args.shard_workers,
-            engine=args.engine,
         )
     else:
         result = run_election(cls(), topology, seed=args.seed)
@@ -254,12 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with --shards: 0 forces in-process shards, any positive "
         "value forces one forked worker per shard (default: auto, "
         "honouring REPRO_PARALLEL)",
-    )
-    run_parser.add_argument(
-        "--engine", choices=("interp", "vector"), default=None,
-        help="with --shards: per-window delivery engine (default: vector, "
-        "the batched engine — digest-identical to interp, numpy-"
-        "accelerated when numpy is importable)",
     )
 
     replay_parser = sub.add_parser(

@@ -24,8 +24,7 @@ through seven phases and folds every verdict into a single
    abandoned: the PR 5 overlay masks the faults completely.
 5. **Sharded-kernel digest contract** — a fixed set of small cells
    (benign and lossy) runs on both the serial kernel and the sharded
-   kernel (:mod:`repro.sim.shard`) at two shard counts and on both
-   delivery engines (``interp`` and the default ``vector``), and every
+   kernel (:mod:`repro.sim.shard`) at several shard counts, and every
    deterministic result field must agree exactly.  This is the
    sharded/serial equivalence promise of docs/performance.md, enforced
    on every ``check --all``.
@@ -271,18 +270,15 @@ def _contract_task(protocol_name: str) -> dict[str, Any]:
     }
 
 
-#: Phase-5 cells: (protocol, n, shard count, lossy?, engine).  Small on
-#: purpose — the exhaustive digest matrix lives in tests/sim/test_shard.py;
-#: this is the always-on cross-runtime smoke.  The vector engine carries
-#: most cells (it is the default); one interp cell stays to pin the
-#: engines against each other through the serial digest.
-SHARD_CELLS: tuple[tuple[str, int, int, bool, str], ...] = (
-    ("C", 64, 2, False, "interp"),
-    ("C", 64, 2, False, "vector"),
-    ("C", 64, 3, False, "vector"),
-    ("B", 32, 2, False, "vector"),
-    ("G", 32, 4, False, "vector"),
-    ("E", 32, 2, True, "vector"),
+#: Phase-5 cells: (protocol, n, shard count, lossy?).  Small on purpose —
+#: the exhaustive digest matrix lives in tests/sim/test_shard.py; this is
+#: the always-on cross-runtime smoke.
+SHARD_CELLS: tuple[tuple[str, int, int, bool], ...] = (
+    ("C", 64, 2, False),
+    ("C", 64, 3, False),
+    ("B", 32, 2, False),
+    ("G", 32, 4, False),
+    ("E", 32, 2, True),
 )
 
 
@@ -320,7 +316,7 @@ def _result_fields(result: Any) -> tuple:
 
 
 def _shard_task(
-    protocol_name: str, n: int, shards: int, lossy: bool, engine: str
+    protocol_name: str, n: int, shards: int, lossy: bool
 ) -> dict[str, Any]:
     """One serial-vs-sharded digest comparison (runs inside the fork pool)."""
     from repro.core.protocol import protocol_class
@@ -353,7 +349,7 @@ def _shard_task(
     serial = run_election(protocol, topology, **kwargs)
     protocol, topology, kwargs = config()
     sharded = run_sharded_election(
-        protocol, topology, shards=shards, workers=0, engine=engine, **kwargs
+        protocol, topology, shards=shards, workers=0, **kwargs
     )
     return {
         "equal": _result_fields(serial) == _result_fields(sharded),
@@ -485,21 +481,15 @@ def check_all(
     # -- phase 5: the sharded-kernel digest contract -----------------------
     shard_results = run_sweep(
         [
-            lambda p=p, n=n, k=k, f=f, e=e: _shard_task(p, n, k, f, e)
-            for p, n, k, f, e in SHARD_CELLS
+            lambda p=p, n=n, k=k, f=f: _shard_task(p, n, k, f)
+            for p, n, k, f in SHARD_CELLS
         ],
         parallel=parallel,
     )
-    for (protocol, n, shards, lossy, engine), outcome in zip(
+    for (protocol, n, shards, lossy), outcome in zip(
         SHARD_CELLS, shard_results
     ):
-        # The interp cell keeps the historical unsuffixed label; vector
-        # cells are suffixed so the report names the engine under test.
-        label = (
-            f"{protocol}@{n}/shards{shards}"
-            + ("+lossy" if lossy else "")
-            + (f"+{engine}" if engine != "interp" else "")
-        )
+        label = f"{protocol}@{n}/shards{shards}" + ("+lossy" if lossy else "")
         report.shard[label] = outcome
     diverged = [
         label for label, r in report.shard.items() if not r["equal"]

@@ -155,8 +155,8 @@ class SendPath:
     path), and the zero-cost-off fault hook — ending in a single
     :meth:`_dispatch_send` call that each runtime binds to its own
     delivery machinery: the serial :class:`Network` schedules a heap
-    entry, the sharded kernel buffers a packed record at the window
-    barrier, and the vectorized engine appends to its columnar batch.
+    entry, and the sharded kernel buffers a packed record at the window
+    barrier.
     Deduplicating the pipeline here is what keeps the runtimes
     byte-identical: there is exactly one definition of what a send does.
 

@@ -17,6 +17,14 @@ runs them under **conservative time-window synchronization**:
   destination shards as **packed integer/float arrays** (the fast lane;
   nested or tuple-carrying messages ride a pickled slow lane).
 
+Each shard runs one window engine (:class:`_Shard`).  Sends of flat
+messages whose fields are declared ``int`` or ``bool`` go through a
+per-class compiled, fused send function; every other send takes the
+:class:`~repro.sim.network.SendPath` pipeline shared with the serial
+kernel.  A window's incoming fast-lane records are decoded
+in one pass that builds messages with compiled per-``(type_id, tagword)``
+constructors.  Dispatch stays strictly per-event in global merge order.
+
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
 (``tests/sim/determinism_cases.fingerprint``).  The serial kernel's total
@@ -56,6 +64,7 @@ overrun the serial budget k×.
 
 from __future__ import annotations
 
+import builtins
 import heapq
 import os
 import random
@@ -79,7 +88,6 @@ from repro.core.messages import (
     TYPE_TAG_BITS,
     Message,
     _word_bits,
-    message_bits,
 )
 from repro.core.node import Node, NodeContext
 from repro.core.protocol import ElectionProtocol
@@ -117,23 +125,12 @@ _CRASH_BASE = -(2 << TIEBREAK_SHIFT)
 #: 2-bit field tags in the packed fast lane.
 _TAG_INT, _TAG_TRUE, _TAG_FALSE, _TAG_NONE = 0, 1, 2, 3
 #: Fast-lane integer-array slots per record before the message fields.
-_REC_HEAD = 9
+_REC_HEAD = 8
+#: Builders are keyed by ``tagword << _KIND_SHIFT | type_id`` (type ids
+#: count message classes, far below 2**16).
+_KIND_SHIFT = 16
 #: Largest magnitude packed verbatim; wider ints take the slow lane.
 _INT_LIMIT = 1 << 62
-
-#: The engines a shard can run its window loop on (see ``_shard_class``).
-ENGINES = ("interp", "vector")
-
-# numpy is an optional accelerator for the vector engine's columnar decode;
-# the pure-Python batch loop below it is byte-identical.  ``REPRO_NO_NUMPY``
-# (any non-empty value) forces the fallback — the CI no-numpy leg and the
-# fallback-equality tests use it; tests may also monkeypatch ``_np``.
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +147,14 @@ class MessageCodec:
     as ``(type_id, tagword, int fields...)`` inside one ``array('q')``;
     everything else (overlay envelopes with nested messages, tuple fields)
     is relayed object-wise on the slow lane with identical semantics.
+
+    Both directions are compiled rather than interpreted (SNIPPETS.md
+    Snippet 3, migen, is the grounding: compile the hot interpretation
+    away): one packer per message class, and one constructor per
+    ``(type_id, tagword)`` with the tag-constant fields baked in as
+    literals, reading the int fields straight out of a packed record.
+    Both are built on first use, so a forked worker compiles only what its
+    protocol sends.
 
     The registry is built once in the coordinator **before** forking, so
     every worker inherits the same ``type_id`` assignment; ids are an
@@ -172,33 +177,74 @@ class MessageCodec:
         self._field_names = [
             tuple(f.name for f in _dataclass_fields(cls)) for cls in classes
         ]
+        #: :meth:`unpack`'s memo, by ``(type_id, tagword, int fields)``.
         self._cache: dict[tuple, Message] = {}
+        #: Message class -> ``(type_id, compiled packer)``; None if the
+        #: class can never ride the fast lane.
+        self._packers: dict[type, tuple[int, Any] | None] = {}
+        #: ``tagword << _KIND_SHIFT | type_id`` -> compiled builder.
+        self._builders: dict[int, Any] = {}
+
+    def packer(self, cls: type) -> tuple[int, Any] | None:
+        """``(type_id, compiled packer)`` for ``cls``, or None (slow lane)."""
+        try:
+            return self._packers[cls]
+        except KeyError:
+            pass
+        type_id = self._type_ids.get(cls)
+        fn = (
+            _compile_packer(self._field_names[type_id])
+            if type_id is not None
+            else None
+        )
+        entry = self._packers[cls] = (type_id, fn) if fn is not None else None
+        return entry
 
     def pack(self, message: Message) -> tuple[int, int, list[int]] | None:
         """``(type_id, tagword, int fields)``, or None for the slow lane."""
-        type_id = self._type_ids.get(type(message))
-        if type_id is None:
+        entry = self.packer(type(message))
+        if entry is None:
             return None
-        names = self._field_names[type_id]
-        if len(names) > 30:  # tagword is 2 bits per field in one int
+        packed = entry[1](message)
+        if packed is None:
             return None
-        tags = 0
-        ints: list[int] = []
-        shift = 0
-        for name in names:
-            value = getattr(message, name)
-            if value is None:
-                tags |= _TAG_NONE << shift
-            elif value is True:
-                tags |= _TAG_TRUE << shift
-            elif value is False:
-                tags |= _TAG_FALSE << shift
-            elif type(value) is int and -_INT_LIMIT < value < _INT_LIMIT:
-                ints.append(value)
-            else:
-                return None
-            shift += 2
-        return type_id, tags, ints
+        return entry[0], packed[0], packed[1]
+
+    def builder(self, type_id: int, tags: int):
+        """The compiled constructor for one ``(type_id, tagword)``.
+
+        ``build(f, o)`` makes the message whose int fields are ``f[o]``,
+        ``f[o + 1]``, ... — a packed record's fields sit at ``o = offset +
+        _REC_HEAD`` of its ``ints`` array.  A kind without int fields has
+        one value, so its builder hands out one shared (immutable)
+        instance, as the serial kernel does for a broadcast.
+        """
+        key = tags << _KIND_SHIFT | type_id
+        fn = self._builders.get(key)
+        if fn is None:
+            values = []
+            next_int = 0
+            for i in range(len(self._field_names[type_id])):
+                tag = (tags >> (2 * i)) & 3
+                if tag == _TAG_INT:
+                    values.append(f"f[o + {next_int}]" if next_int else "f[o]")
+                    next_int += 1
+                elif tag == _TAG_TRUE:
+                    values.append("True")
+                elif tag == _TAG_FALSE:
+                    values.append("False")
+                else:
+                    values.append("None")
+            call = f"_cls({', '.join(values)})"
+            source = (
+                f"def _build(f, o, _cls=_cls):\n    return {call}"
+                if next_int
+                else f"def _build(f, o, _m={call}):\n    return _m"
+            )
+            namespace: dict[str, Any] = {"_cls": self._classes[type_id]}
+            exec(source, namespace)  # noqa: S102 - trusted codegen
+            fn = self._builders[key] = namespace["_build"]
+        return fn
 
     def unpack(self, type_id: int, tags: int, ints: tuple[int, ...]) -> Message:
         """Rebuild (and memoise) the message for a packed record.
@@ -208,50 +254,20 @@ class MessageCodec:
         the sender's single object to every recipient of a broadcast.
         """
         key = (type_id, tags, ints)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        names = self._field_names[type_id]
-        values: list[Any] = []
-        next_int = iter(ints).__next__
-        shift = 0
-        for _ in names:
-            tag = (tags >> shift) & 3
-            if tag == _TAG_INT:
-                values.append(next_int())
-            elif tag == _TAG_TRUE:
-                values.append(True)
-            elif tag == _TAG_FALSE:
-                values.append(False)
-            else:
-                values.append(None)
-            shift += 2
-        message = self._classes[type_id](*values)
-        if len(self._cache) < 4096:
-            self._cache[key] = message
+        message = self._cache.get(key)
+        if message is None:
+            message = self.builder(type_id, tags)(ints, 0)
+            if len(self._cache) < 4096:
+                self._cache[key] = message
         return message
 
-    def vector_tables(self) -> "_VectorTables":
-        """The compiled per-type helpers the vector engine dispatches with.
 
-        Built lazily (forked workers compile their own copy from the
-        inherited registry — function objects would not survive a pickle
-        anyway) and cached on the codec.
-        """
-        tables = getattr(self, "_vector_tables", None)
-        if tables is None:
-            tables = self._vector_tables = _VectorTables(self)
-        return tables
-
-
-def _compile_packer(cls: type, names: tuple[str, ...]):
+def _compile_packer(names: tuple[str, ...]):
     """Exec-compile one class's pack function (None: always slow lane).
 
-    The generated function unrolls :meth:`MessageCodec.pack`'s field loop
-    into straight-line attribute reads with literal tag shifts — same
-    verdicts, same ``(tags, ints)`` for every input, no per-field loop or
-    ``getattr`` dispatch.  SNIPPETS.md Snippet 3 (migen) is the grounding:
-    compile the state machine's hot interpretation away.
+    The generated function is straight-line attribute reads with literal
+    tag shifts, returning ``(tagword, int fields)`` or None when a field
+    falls outside the flat envelope.
     """
     if len(names) > 30:  # tagword is 2 bits per field in one int
         return None
@@ -285,101 +301,62 @@ def _compile_packer(cls: type, names: tuple[str, ...]):
     return namespace["_pack"]
 
 
-class _VectorTables:
-    """Compiled per-type helpers shared by every :class:`_VectorShard`.
-
-    ``pack_fns`` maps message classes to ``(type_id, compiled packer)``;
-    ``builders`` compiles, per ``(type_id, tagword)``, a constructor call
-    with the tag-constant fields (None/True/False) baked in as literals so
-    decode only feeds it the int fields; ``bits`` memoises the O(log N)
-    audit per ``(type_id, tagword)`` — for a *flat* message the bit count
-    depends on the field values only through the tagword.
-    """
-
-    __slots__ = ("classes", "field_names", "pack_fns", "builders", "bits")
-
-    def __init__(self, codec: MessageCodec) -> None:
-        self.classes = codec._classes
-        self.field_names = codec._field_names
-        self.pack_fns: dict[type, tuple[int, Any]] = {}
-        for type_id, (cls, names) in enumerate(
-            zip(codec._classes, codec._field_names)
-        ):
-            fn = _compile_packer(cls, names)
-            if fn is not None:
-                self.pack_fns[cls] = (type_id, fn)
-        self.builders: dict[tuple[int, int], Any] = {}
-        self.bits: dict[tuple[int, int], int] = {}
-
-    def builder(self, type_id: int, tags: int):
-        """The compiled ``fields -> message`` constructor for one tagword."""
-        key = (type_id, tags)
-        fn = self.builders.get(key)
-        if fn is None:
-            values = []
-            next_int = 0
-            for i in range(len(self.field_names[type_id])):
-                tag = (tags >> (2 * i)) & 3
-                if tag == _TAG_INT:
-                    values.append(f"f[{next_int}]")
-                    next_int += 1
-                elif tag == _TAG_TRUE:
-                    values.append("True")
-                elif tag == _TAG_FALSE:
-                    values.append("False")
-                else:
-                    values.append("None")
-            source = f"def _build(f, _cls=_cls):\n    return _cls({', '.join(values)})"
-            namespace: dict[str, Any] = {"_cls": self.classes[type_id]}
-            exec(source, namespace)  # noqa: S102 - trusted codegen
-            fn = self.builders[key] = namespace["_build"]
-        return fn
-
-
-def _compile_send(shard: "_VectorShard", cls: type):
+def _compile_send(shard: "_Shard", cls: type):
     """Compile the fully-fused fast-path send for one message class.
 
-    The vector engine's deepest application of the compile-don't-interpret
-    idea: for an all-int flat message the *entire* send pipeline — port
-    check, O(log N) bit audit, per-type tally, wiring lookup, FIFO clamp
-    and record packing — reduces to straight-line code whose per-run
-    constants (``n``, shard count, port count, constant latency, the
-    audited bit size, the packed record head) are baked in as literals.
-    One compiled frame per send replaces five interpreted ones.
+    For a flat message whose fields are declared ``int`` or ``bool`` the
+    *entire* send pipeline — port check, O(log N) bit audit, per-type
+    tally, wiring lookup, FIFO clamp and record packing — reduces to
+    straight-line code whose per-run constants (``n``, shard count, port
+    count, constant latency, the audited bit size, the packed record head)
+    are baked in as literals.  One compiled frame per send replaces five
+    interpreted ones.
 
-    Field values that fall outside the fast envelope (wide ints, bools,
-    ``None``), timer-sourced ranks, fault plans and invalid ports all fall
-    through to :meth:`_VectorShard._transmit_general`, whose side effects
-    (and exceptions) are identical to the interp engine's.
+    Unpackable classes, shards with a fault plan, field values outside the
+    declared envelope (wide ints, ``None``, an int in a ``bool`` field),
+    timer-sourced ranks and invalid ports all take
+    :meth:`SendPath._transmit`, whose side effects (and exceptions) are the
+    serial kernel's.
     """
-    tables = shard._tables
-    entry = tables.pack_fns.get(cls)
-    type_id = shard.codec._type_ids.get(cls)
-    names = tables.field_names[type_id] if type_id is not None else ()
-    if entry is None or len(names) > MAX_INT_FIELDS:
-        # Unpackable or audit-ineligible classes stay on the general path.
-        return _VectorShard._transmit_general
+    entry = shard.codec.packer(cls)
+    if entry is None or shard._faults is not None:
+        return SendPath._transmit
+    type_id = entry[0]
+    names = shard.codec._field_names[type_id]
+    is_bool = [f.type in ("bool", bool) for f in _dataclass_fields(cls)]
+    int_fields = [f"v{i}" for i, flag in enumerate(is_bool) if not flag]
+    if len(int_fields) > MAX_INT_FIELDS:
+        # Audit-ineligible: the shared path raises MessageSizeError.
+        return SendPath._transmit
     # The per-class tally lives in a one-slot list baked into the compiled
     # function (folded into ``_type_counts`` by ``finish``), replacing a
     # dict get+set per send with one indexed increment.
     cell = shard._class_cells.setdefault(cls, [0])
     cfg = shard.cfg
     n = cfg.topology.n
-    bits = TYPE_TAG_BITS + _word_bits(n) * len(names)
+    # message_bits: one word per int field, one bit per bool field.
+    bits = (
+        TYPE_TAG_BITS
+        + _word_bits(n) * len(int_fields)
+        + len(names) - len(int_fields)
+    )
     reads = [f"    v{i} = m.{name}" for i, name in enumerate(names)]
     guards = [
-        f"type(v{i}) is int and -_LIM < v{i} < _LIM"
-        for i in range(len(names))
+        f"(v{i} is True or v{i} is False)"
+        if flag
+        else f"type(v{i}) is int and -_LIM < v{i} < _LIM"
+        for i, flag in enumerate(is_bool)
     ]
+    tagword = " | ".join(
+        f"({_TAG_TRUE << 2 * i} if v{i} else {_TAG_FALSE << 2 * i})"
+        for i, flag in enumerate(is_bool)
+        if flag
+    )
     cond = "\n            and ".join(
-        [
-            "self._faults is None",
-            "ce is not None",
-            f"0 <= port < {cfg.topology.num_ports}",
-        ]
-        + guards
+        ["ce is not None", f"0 <= port < {cfg.topology.num_ports}"] + guards
     )
     if getattr(cfg.topology, "_cyclic", False):
+        # Sense-of-direction wiring is arithmetic: inline it.
         wiring = [
             f"        far = position + port + 1",
             f"        if far >= {n}:",
@@ -392,15 +369,9 @@ def _compile_send(shard: "_VectorShard", cls: type):
             "        far = topology.neighbor(position, port)",
             "        far_port = topology.reverse_port(position, port)",
         ]
-    const_latency = (
-        cfg.delays.delay
-        if type(cfg.delays) is ConstantDelay
-        and type(cfg.delays).gap is DelayModel.gap
-        else None
-    )
-    if const_latency is not None:
+    if shard._const_latency is not None:
         arrival = [
-            f"        arrival = self.scheduler._now + {const_latency!r}",
+            f"        arrival = self.scheduler._now + {shard._const_latency!r}",
             "        last = channel.last_arrival",
             "        if arrival < last:",
             "            arrival = last",
@@ -415,8 +386,8 @@ def _compile_send(shard: "_VectorShard", cls: type):
         ]
     record = ", ".join(
         ["ce[1]", "idx", "far", "far_port", "self._current_depth + 1",
-         "sender_id", str(type_id), "0", str(len(names))]
-        + [f"v{i}" for i in range(len(names))]
+         "sender_id", str(type_id), tagword or "0"]
+        + int_fields
     )
     lines = [
         "def _send(self, position, port, m, _LIM=_LIM, _cnt=_cnt):",
@@ -442,16 +413,16 @@ def _compile_send(shard: "_VectorShard", cls: type):
         "        idx = self._send_seq",
         "        self._send_seq = idx + 1",
         f"        dest = far * {cfg.shards} // {n}",
-        "        outl = self._outl",
-        "        buf = outl[dest]",
+        "        out = self._out",
+        "        buf = out[dest]",
         "        if buf is None:",
-        "            buf = outl[dest] = _OutBuffer()",
+        "            buf = out[dest] = _OutBuffer()",
         "        buf.tap(ce[0])",
         "        buf.tap(arrival)",
         "        buf.oap(len(buf.ints))",
         f"        buf.iex(({record}))",
         "        return",
-        "    self._transmit_general(position, port, m)",
+        "    self._transmit(position, port, m)",
     ]
     namespace: dict[str, Any] = {
         "_LIM": _INT_LIMIT,
@@ -472,17 +443,17 @@ class _OutBuffer:
         #: Fast lane, two doubles per record: (source time, arrival time).
         self.times = array("d")
         #: Fast lane, variable stride: ``src_key, send_idx, dest_pos,
-        #: far_port, depth, sender_id, type_id, tagword, nfields, fields...``
+        #: far_port, depth, sender_id, type_id, tagword, int fields...``
         self.ints = array("q")
         #: Record start offsets into ``ints`` — the side array that lets
-        #: the router and the vector engine address the variable-stride
-        #: records columnarly instead of walking them one by one.
+        #: the router and the decoder address the variable-stride records
+        #: columnarly instead of walking them one by one.
         self.offs = array("q")
         #: Slow lane: ``(merge_key, arrival, dest_pos, far_port, depth,
         #: sender_id, message)`` tuples.
         self.slow: list[tuple] = []
-        # Pre-bound mutators for the vector engine's fused send: appending
-        # through these skips two attribute walks per lane per send.
+        # Pre-bound mutators for the fused send: appending through these
+        # skips two attribute walks per lane per send.
         self.tap = self.times.append
         self.iex = self.ints.extend
         self.oap = self.offs.append
@@ -505,8 +476,6 @@ class _RunConfig:
     max_events: int
     shards: int
     collect_snapshots: bool
-    #: Window-loop implementation, one of :data:`ENGINES`.
-    engine: str
     codec: MessageCodec
     #: Per-shard initial entries: ``(time, global_key, position)``.
     wakes: list[list[tuple[float, int, int]]]
@@ -538,8 +507,21 @@ class _ShardContext(NodeContext):
         self.has_sense_of_direction = topology.sense_of_direction
         self._rng: random.Random | None = None
 
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        self._shard._transmit(self._position, port, message)
+    def send(self, port: int, message: Message) -> None:
+        """Dispatch straight to the message class's compiled send.
+
+        (A monomorphic inline cache — binding the first class's compiled
+        function over this method per instance — was tried and reverted:
+        election nodes are heavily polymorphic senders, so the class guard
+        failed on ~3/4 of sends and the re-dispatch cost more than the
+        saved frame.)
+        """
+        shard = self._shard
+        cls = type(message)
+        fn = shard._send_fns.get(cls)
+        if fn is None:
+            fn = shard._send_fns[cls] = _compile_send(shard, cls)
+        fn(shard, self._position, port, message)
 
     def port_label(self, port: int) -> int | None:  # noqa: D102
         return self._shard.topology.label(self._position, port)
@@ -578,38 +560,20 @@ class _ShardContext(NodeContext):
         pass
 
 
-class _VectorContext(_ShardContext):
-    """The vector engine's context: sends dispatch straight to the
-    per-class compiled function, skipping the ``_transmit`` trampoline
-    frame the interp engine pays on every send.
-
-    (A monomorphic inline cache — binding the first class's compiled
-    function over this method per instance — was tried and reverted:
-    election nodes are heavily polymorphic senders, so the class guard
-    failed on ~3/4 of sends and the re-dispatch cost more than the saved
-    frame.)
-    """
-
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        shard = self._shard
-        cls = type(message)
-        fn = shard._send_fns.get(cls)
-        if fn is None:
-            fn = shard._send_fns[cls] = _compile_send(shard, cls)
-        fn(shard, self._position, port, message)
+#: Action slot of a delivery entry.  The window loop recognises
+#: deliveries by identity and runs them inline; nothing ever calls it.
+_DELIVER = object()
 
 
 class _Shard(SendPath):
     """One shard's runtime: nodes, scheduler (timers), channels, metrics.
 
-    The send pipeline itself (port check, bit audit, FIFO arrival, fault
-    verdicts) is :class:`SendPath`, shared verbatim with the serial kernel;
-    this class binds its :meth:`_dispatch_send` hook to the window buffers.
+    The send pipeline (port check, bit audit, FIFO arrival, fault
+    verdicts) is :class:`SendPath`, shared verbatim with the serial
+    kernel; this class binds its :meth:`_dispatch_send` hook to the window
+    buffers.  The common sends bypass it through :func:`_compile_send`,
+    with byte-identical results.
     """
-
-    #: Context class handed to nodes; the vector engine swaps in one whose
-    #: ``send`` goes straight to the compiled per-class path.
-    _context_cls: type[_ShardContext] = _ShardContext
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
         self.cfg = cfg
@@ -641,6 +605,9 @@ class _Shard(SendPath):
         self._duplicated = 0
         self._jittered = 0
         self._channel_of = self.channels.channel
+        #: First-level access to the lazily-built channel dict, for the
+        #: compiled sends.
+        self._chan_map = self.channels._channels
         self._const_latency = (
             cfg.delays.delay
             if type(cfg.delays) is ConstantDelay
@@ -648,34 +615,29 @@ class _Shard(SendPath):
             else None
         )
         self._current_depth = 0
-        self._current_rank: tuple = (0.0, 0)
+        #: The entry being dispatched, whose ``[0:2]`` is the send rank —
+        #: or None while a timer callback runs, whose rank is the 4-tuple
+        #: in ``_current_rank`` (see :meth:`_rank`).
+        self._current_entry: tuple | None = None
+        self._current_rank: tuple = ()
         self._send_seq = 0
         self._timer_seq = 0
         self._leader: tuple[int, float, int] | None = None
         self._last_time = 0.0
         self._busy = 0.0
-        self._out: dict[int, _OutBuffer] = {}
-
-        # Freeze ONE bound method per dispatch handler: entries carry these
-        # in slot 2, and the vector engine's inlined dispatch recognises
-        # deliveries by identity (a fresh ``self._deliver_entry`` access
-        # would bind a new object every time and never match ``is``).
-        self._deliver_entry = self._deliver_entry
-        self._timer_entry = self._timer_entry
-        self._wake_entry = self._wake_entry
-        self._crash_entry = self._crash_entry
+        #: Per-class compiled send functions, built on first send of each
+        #: class, and their one-slot tally cells (see :func:`_compile_send`).
+        self._send_fns: dict[type, Any] = {}
+        self._class_cells: dict[type, list[int]] = {}
+        #: The window's outgoing buffers, one slot per destination shard.
+        self._out: list[_OutBuffer | None] = [None] * cfg.shards
 
         self.lo, self.hi = _shard_bounds(self._n, cfg.shards, index)
         protocol = cfg.protocol
-        context_cls = self._context_cls
-        self.nodes: dict[int, Node] = {
-            position: protocol.create_node(context_cls(self, position))
+        #: Owned nodes, indexed by ``position - lo``.
+        self.nodes: list[Node] = [
+            protocol.create_node(_ShardContext(self, position))
             for position in range(self.lo, self.hi)
-        }
-        #: The same nodes as a dense list (index ``position - lo``); the
-        #: vector engine's dispatch loop indexes it instead of the dict.
-        self._node_list: list[Node] = [
-            self.nodes[position] for position in range(self.lo, self.hi)
         ]
         #: Globally-keyed entries waiting for their window, serial layout:
         #: ``(time, key, action, depth, *payload)``.
@@ -689,6 +651,11 @@ class _Shard(SendPath):
 
     # -- the send path (SendPath pipeline, buffered dispatch) --------------
 
+    def _rank(self) -> tuple:
+        """The serial-order rank of the event being dispatched."""
+        ce = self._current_entry
+        return self._current_rank if ce is None else (ce[0], ce[1])
+
     def _dispatch_send(
         self,
         arrival: float,
@@ -699,38 +666,25 @@ class _Shard(SendPath):
     ) -> None:
         """Buffer one send at the window barrier instead of scheduling it."""
         depth = self._current_depth + 1
-        rank = self._current_rank
         idx = self._send_seq
         self._send_seq = idx + 1
-        dest_shard = far * self._shards // self._n
-        buf = self._out.get(dest_shard)
+        dest = far * self._shards // self._n
+        buf = self._out[dest]
         if buf is None:
-            buf = self._out[dest_shard] = _OutBuffer()
-        packed = self.codec.pack(message) if len(rank) == 2 else None
+            buf = self._out[dest] = _OutBuffer()
+        ce = self._current_entry
+        packed = self.codec.pack(message) if ce is not None else None
         if packed is not None:
             type_id, tags, field_ints = packed
-            buf.times.append(rank[0])
-            buf.times.append(arrival)
-            buf.offs.append(len(buf.ints))
-            buf.ints.extend(
-                (
-                    rank[1],
-                    idx,
-                    far,
-                    far_port,
-                    depth,
-                    sender_id,
-                    type_id,
-                    tags,
-                    len(field_ints),
-                )
-            )
-            if field_ints:
-                buf.ints.extend(field_ints)
+            buf.tap(ce[0])
+            buf.tap(arrival)
+            buf.oap(len(buf.ints))
+            buf.iex((ce[1], idx, far, far_port, depth, sender_id, type_id, tags))
+            buf.iex(field_ints)
         else:
             buf.slow.append(
                 (
-                    rank + (idx,),
+                    self._rank() + (idx,),
                     arrival,
                     far,
                     far_port,
@@ -746,7 +700,7 @@ class _Shard(SendPath):
         if delay < 0:
             raise SimulationError(f"negative timer delay {delay}")
         fire = self.scheduler.now + delay
-        rank = (fire, TIMER_MARK, self._current_rank, self._timer_seq)
+        rank = (fire, TIMER_MARK, self._rank(), self._timer_seq)
         self._timer_seq += 1
         self.scheduler.schedule_payload(
             fire,
@@ -760,7 +714,7 @@ class _Shard(SendPath):
 
     def _wake_entry(self, entry: tuple) -> None:
         position = entry[4]
-        node = self.nodes[position]
+        node = self.nodes[position - self.lo]
         if position not in self._crashed and not node.awake:
             self.metrics.on_wake(self.scheduler.now)
             node.wake(spontaneous=True)
@@ -774,24 +728,11 @@ class _Shard(SendPath):
             position in self.failed_positions or position in self._crashed
         ):
             return
-        self._current_depth = entry[3]
+        # Timer callbacks send under the timer's own 4-tuple rank.
+        self._current_entry = None
         self._current_rank = entry[6]
+        self._current_depth = entry[3]
         entry[5]()
-
-    def _deliver_entry(self, entry: tuple) -> None:
-        depth = entry[3]
-        position = entry[4]
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if self._has_failures and (
-            position in self.failed_positions or position in self._crashed
-        ):
-            return
-        node = self.nodes[position]
-        if not node.awake:
-            self.metrics.on_wake(self.scheduler.now)
-        self._current_depth = depth
-        node.receive(entry[5], entry[6])
 
     def _on_leader_declared(self, position: int) -> None:
         if self._leader is not None and self._leader[0] != position:
@@ -811,31 +752,46 @@ class _Shard(SendPath):
     # -- the window loop ---------------------------------------------------
 
     def _decode_incoming(self, incoming: list[tuple | None]) -> None:
+        """Turn routed batches into delivery entries on ``future``.
+
+        The window loop sorts ``due`` by ``(time, key)`` before dispatch
+        and treats ``future`` as an unordered pool, so a batch's fast-lane
+        records become entries column by column: per-field gathers over
+        the ``offs`` side array, zipped into entry tuples.  Each message is
+        built by its ``(type_id, tagword)``'s compiled constructor straight
+        from the packed ints; consecutive records of one kind (a broadcast)
+        share the constructor lookup.
+        """
         future = self.future
-        deliver = self._deliver_entry
-        unpack = self.codec.unpack
+        builders = self.codec._builders
+        make_builder = self.codec.builder
         for batch in incoming:
             if batch is None:
                 continue
             times, ints, offs, fast_keys, slow, slow_keys = batch
-            for r, key in enumerate(fast_keys):
-                offset = offs[r]
-                nfields = ints[offset + 8]
-                message = unpack(
-                    ints[offset + 6],
-                    ints[offset + 7],
-                    tuple(ints[offset + _REC_HEAD : offset + _REC_HEAD + nfields]),
-                )
-                future.append(
-                    (
-                        times[2 * r + 1],
-                        key,
-                        deliver,
-                        ints[offset + 4],
-                        ints[offset + 2],
-                        ints[offset + 3],
-                        message,
-                        ints[offset + 5],
+            if len(offs):
+                messages: list[Message] = []
+                append = messages.append
+                last = -1
+                build = None
+                for o in offs:
+                    kind = ints[o + 7] << _KIND_SHIFT | ints[o + 6]
+                    if kind != last:
+                        build = builders.get(kind)
+                        if build is None:
+                            build = make_builder(ints[o + 6], ints[o + 7])
+                        last = kind
+                    append(build(ints, o + _REC_HEAD))
+                future.extend(
+                    zip(
+                        times[1::2],
+                        fast_keys,
+                        repeat(_DELIVER),
+                        [ints[o + 4] for o in offs],
+                        [ints[o + 2] for o in offs],
+                        [ints[o + 3] for o in offs],
+                        messages,
+                        [ints[o + 5] for o in offs],
                     )
                 )
             for record, key in zip(slow, slow_keys):
@@ -843,7 +799,7 @@ class _Shard(SendPath):
                     (
                         record[1],
                         key,
-                        deliver,
+                        _DELIVER,
                         record[4],
                         record[2],
                         record[3],
@@ -887,7 +843,6 @@ class _Shard(SendPath):
         if timers:
             due.extend(timers)
         due.sort()
-        self._reset_out()
         processed = self._dispatch(due, end, budget)
         heap = scheduler._queue.heap  # timers only; deliveries stay in lists
         if processed:
@@ -899,7 +854,12 @@ class _Shard(SendPath):
             next_time = min(e[0] for e in self.future)
         if heap and (next_time is None or heap[0][0] < next_time):
             next_time = heap[0][0]
-        out = self._collect_out()
+        out = {
+            dest: (buf.times, buf.ints, buf.offs, buf.slow)
+            for dest, buf in enumerate(self._out)
+            if buf is not None
+        }
+        self._out = [None] * self._shards
         stats = {
             "processed": processed,
             "next_time": next_time,
@@ -908,333 +868,26 @@ class _Shard(SendPath):
         }
         return out, stats
 
-    def _reset_out(self) -> None:
-        """Clear the window's outgoing buffers (subclass hook)."""
-        self._out = {}
-
-    def _collect_out(self) -> dict[int, tuple]:
-        """Drain the window's buffers into wire tuples (subclass hook)."""
-        out = {
-            dest: (buf.times, buf.ints, buf.offs, buf.slow)
-            for dest, buf in self._out.items()
-        }
-        self._out = {}
-        return out
-
     def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
         """Fire the window's sorted ``due`` list, merged with heap timers.
 
         Timers armed *during* the window sit on the heap; the per-entry
         peek interleaves them into the exact ``(time, key)`` order the
-        serial heap would have produced.  Returns the number of events
-        fired (the coordinator's budget accounting needs it).
+        serial heap would have produced.  Deliveries run inline (no
+        handler or ``Node.receive`` frame for an awake node); the
+        failed/crashed guard costs one bool test in failure-free runs.
+        Returns the number of events fired (the coordinator's budget
+        accounting needs it).
         """
         scheduler = self.scheduler
         heap = scheduler._queue.heap
         heappop = heapq.heappop
-        processed = 0
-        i = 0
-        ndue = len(due)
-        while True:
-            if i < ndue:
-                entry = due[i]
-                if heap and heap[0][0] < end and heap[0] < entry:
-                    entry = heappop(heap)
-                else:
-                    i += 1
-            elif heap and heap[0][0] < end:
-                entry = heappop(heap)
-            else:
-                break
-            scheduler._now = entry[0]
-            processed += 1
-            if processed > budget:
-                raise LivelockError(
-                    f"event budget of {self.cfg.max_events} exhausted at "
-                    f"t={entry[0]}; the protocol is livelocked"
-                )
-            self._send_seq = 0
-            self._timer_seq = 0
-            self._current_rank = (entry[0], entry[1])
-            self._current_depth = 0
-            entry[2](entry)
-        return processed
-
-    def finish(self) -> dict[str, Any]:
-        """Final fold of this shard's accounting, for the coordinator."""
-        metrics = self.metrics
-        return {
-            "messages_total": self._messages_total,
-            "bits_total": self._bits_total,
-            "type_counts": self._type_counts,
-            "max_depth": self._max_depth,
-            "dropped": self._dropped,
-            "duplicated": self._duplicated,
-            "jittered": self._jittered,
-            "retransmissions": metrics.retransmissions,
-            "duplicates_suppressed": metrics.duplicates_suppressed,
-            "packets_abandoned": metrics.packets_abandoned,
-            "first_wake": metrics.first_wake_time,
-            "last_wake": metrics.last_wake_time,
-            "leader": self._leader,
-            "processed": self.scheduler.events_processed,
-            "busy": self._busy,
-            "last_time": self._last_time,
-            "max_channel_load": self.channels.max_load,
-            "base_positions": [
-                position
-                for position in range(self.lo, self.hi)
-                if self.nodes[position].is_base
-            ],
-            "crashed": sorted(self._crashed),
-            "snapshots": (
-                [
-                    (position, self.nodes[position].snapshot())
-                    for position in range(self.lo, self.hi)
-                ]
-                if self.cfg.collect_snapshots
-                else None
-            ),
-        }
-
-
-class _VectorShard(_Shard):
-    """The vector engine: columnar decode plus a compiled, fused send path.
-
-    Same window loop, same dispatch order, same buffers as the interp
-    engine — the engine changes *how* a window's batch is decoded and how
-    a send is packed, never *what* is produced, so its results are
-    byte-identical to the interp engine (and therefore to the serial
-    kernel's heap order).  Three mechanisms carry the speedup:
-
-    * **Columnar decode.**  Incoming fast-lane batches are gathered into
-      per-field columns (numpy fancy-indexing over the ``offs`` side
-      array when numpy is importable, list comprehensions otherwise) and
-      zipped straight into entry tuples, instead of per-record offset
-      walking and tuple assembly.
-    * **Grouped message building.**  Records share one compiled
-      constructor per ``(type_id, tagword)`` group (tag-constant fields
-      baked in as literals), fed through the codec's existing value memo.
-    * **Fused send path.**  One compiled per-class packer replaces the
-      pack loop, and the O(log N) bit audit is memoised per
-      ``(type_id, tagword)`` — sound because a *flat* message's bit size
-      depends on its field values only through the tagword.
-
-    Dispatch itself stays strictly per-event in global merge order: the
-    digest contract (and mid-window timer interleaving) forbids applying
-    handlers out of order, so batching ends at the entry list.
-    """
-
-    _context_cls = _VectorContext
-
-    def __init__(self, cfg: _RunConfig, index: int) -> None:
-        super().__init__(cfg, index)
-        #: One-slot per-class tally cells baked into compiled send
-        #: functions; folded into ``_type_counts`` by :meth:`finish`.
-        self._class_cells: dict[type, list[int]] = {}
-        tables = cfg.codec.vector_tables()
-        self._tables = tables
-        self._pack_fns = tables.pack_fns
-        self._bits_memo = tables.bits
-        #: Fast-lane sends tallied per *class* (folded to type names in
-        #: :meth:`finish`); slow-lane and faulty sends still land in
-        #: ``_type_counts`` via the shared pipeline.
-        self._class_counts: dict[type, int] = {}
-        # Sense-of-direction wiring is arithmetic; inlining it drops two
-        # method calls from every fast-lane send.  Same for first-level
-        # access to the lazily-built channel dict (misses fall back to the
-        # table's creating lookup).
-        self._cyclic = getattr(cfg.topology, "_cyclic", False)
-        self._chan_map = self.channels._channels
-        #: Per-class compiled send functions, built on first send of each
-        #: class (a worker only pays compilation for the types its
-        #: protocol actually uses).
-        self._send_fns: dict[type, Any] = {}
-        #: The entry being dispatched, when (and only when) its ``[0:2]``
-        #: is the send rank — i.e. any handler except a timer callback.
-        #: Compiled sends read the rank straight off it, which saves the
-        #: interp loop's per-event ``(time, key)`` tuple; ``None`` routes
-        #: sends to the general path, which falls back to
-        #: ``_current_rank`` exactly as the interp engine does.
-        self._current_entry: tuple | None = None
-        #: The window's outgoing buffers as a dense per-destination list
-        #: (one index per shard) instead of the interp engine's dict.
-        self._outl: list[_OutBuffer | None] = [None] * self._shards
-
-    def _transmit(self, position: int, port: int, message: Message) -> None:
-        self._send_poly(position, port, message)
-
-    def _send_poly(self, position: int, port: int, message: Message) -> None:
-        """Dispatch a send to its class's compiled function."""
-        cls = type(message)
-        fn = self._send_fns.get(cls)
-        if fn is None:
-            fn = self._send_fns[cls] = _compile_send(self, cls)
-        fn(self, position, port, message)
-
-    def _transmit_general(
-        self, position: int, port: int, message: Message
-    ) -> None:
-        if self._faults is not None:
-            self._transmit_faulty(position, port, message)
-            return
-        ce = self._current_entry
-        entry = self._pack_fns.get(type(message))
-        packed = (
-            entry[1](message) if entry is not None and ce is not None else None
-        )
-        if packed is None:
-            # Slow lane (wide ints, non-flat fields) or timer-sourced rank:
-            # the shared pipeline audits and buffers it object-wise.
-            SendPath._transmit(self, position, port, message)
-            return
-        if not 0 <= port < self._num_ports:
-            raise SimulationError(
-                f"node {self._ids[position]} used invalid port {port}"
-            )
-        type_id = entry[0]
-        tags, field_ints = packed
-        bits_key = (type_id, tags)
-        bits = self._bits_memo.get(bits_key)
-        if bits is None:
-            # Only memoise successful audits so an oversized message keeps
-            # raising MessageSizeError on every send, like the interp path.
-            bits = message_bits(message, self._n)
-            self._bits_memo[bits_key] = bits
-        self._messages_total += 1
-        self._bits_total += bits
-        counts = self._class_counts
-        cls = type(message)
-        counts[cls] = counts.get(cls, 0) + 1
-        if self._cyclic:
-            n = self._n
-            far = position + port + 1
-            if far >= n:
-                far -= n
-            far_port = n - 2 - port
-        else:
-            topology = self.topology
-            far = topology.neighbor(position, port)
-            far_port = topology.reverse_port(position, port)
-        ids = self._ids
-        sender_id = ids[position]
-        now = self.scheduler._now
-        link = (sender_id, ids[far])
-        channel = self._chan_map.get(link)
-        if channel is None:
-            channel = self._channel_of(*link)
-        latency = self._const_latency
-        if latency is not None:
-            arrival = now + latency
-            if arrival < channel.last_arrival:
-                arrival = channel.last_arrival
-            channel.last_arrival = arrival
-            channel.messages_sent += 1
-        else:
-            arrival = channel.arrival_time(message, now, self.delays, self.rng)
-        depth = self._current_depth + 1
-        idx = self._send_seq
-        self._send_seq = idx + 1
-        dest_shard = far * self._shards // self._n
-        outl = self._outl
-        buf = outl[dest_shard]
-        if buf is None:
-            buf = outl[dest_shard] = _OutBuffer()
-        buf.tap(ce[0])
-        buf.tap(arrival)
-        buf.oap(len(buf.ints))
-        buf.iex(
-            (
-                ce[1],
-                idx,
-                far,
-                far_port,
-                depth,
-                sender_id,
-                type_id,
-                tags,
-                len(field_ints),
-            )
-        )
-        if field_ints:
-            buf.iex(field_ints)
-
-    # -- rank plumbing for the slow/faulty lanes ---------------------------
-    #
-    # The vector loop publishes the dispatched entry instead of building a
-    # ``(time, key)`` rank tuple per event; the shared SendPath/slow-lane
-    # code still expects ``_current_rank``, so the handful of non-fast
-    # paths reconstruct it on demand.
-
-    def _dispatch_send(
-        self,
-        arrival: float,
-        far: int,
-        far_port: int,
-        message: Message,
-        sender_id: int,
-    ) -> None:
-        ce = self._current_entry
-        if ce is not None:
-            self._current_rank = (ce[0], ce[1])
-        super()._dispatch_send(arrival, far, far_port, message, sender_id)
-
-    def _schedule_timer(
-        self, position: int, delay: float, callback: Callable[[], None]
-    ) -> None:
-        ce = self._current_entry
-        if ce is not None:
-            self._current_rank = (ce[0], ce[1])
-        super()._schedule_timer(position, delay, callback)
-
-    def _timer_entry(self, entry: tuple) -> None:
-        # Timer callbacks send under the timer's own 4-tuple rank; clearing
-        # the entry routes their sends to the rank-aware general path.
-        self._current_entry = None
-        super()._timer_entry(entry)
-
-    def _reset_out(self) -> None:
-        self._out = {}
-        self._outl = [None] * self._shards
-
-    def _collect_out(self) -> dict[int, tuple]:
-        # Fast-lane records live in the dense list; the slow lane (via the
-        # shared ``_dispatch_send``) still lands in ``_out`` dict buffers.
-        # A destination never has both: every vector-side path that buffers
-        # fast records uses ``_outl`` exclusively.
-        out = {
-            dest: (buf.times, buf.ints, buf.offs, buf.slow)
-            for dest, buf in enumerate(self._outl)
-            if buf is not None
-        }
-        for dest, buf in self._out.items():
-            have = out.get(dest)
-            if have is None:
-                out[dest] = (buf.times, buf.ints, buf.offs, buf.slow)
-            else:
-                have[3].extend(buf.slow)
-        self._out = {}
-        self._outl = [None] * self._shards
-        return out
-
-    def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
-        """The base merge loop with the delivery handler inlined.
-
-        Identical order and side effects; the common case (a failure-free
-        run delivering a message to an awake node) fires without the
-        ``_deliver_entry`` and ``Node.receive`` frames.  Runs with failure
-        configs keep the base loop — the inlined body omits the
-        failed/crashed guards.
-        """
-        if self._has_failures:
-            return super()._dispatch(due, end, budget)
-        scheduler = self.scheduler
-        heap = scheduler._queue.heap
-        heappop = heapq.heappop
-        deliver = self._deliver_entry
-        nodes = self._node_list
+        nodes = self.nodes
         lo = self.lo
         on_wake = self.metrics.on_wake
+        has_failures = self._has_failures
+        failed = self.failed_positions
+        crashed = self._crashed
         processed = 0
         i = 0
         ndue = len(due)
@@ -1260,12 +913,15 @@ class _VectorShard(_Shard):
             self._send_seq = 0
             self._timer_seq = 0
             self._current_entry = entry
-            if entry[2] is deliver:
+            if entry[2] is _DELIVER:
                 depth = entry[3]
                 if depth > self._max_depth:
                     self._max_depth = depth
+                position = entry[4]
+                if has_failures and (position in failed or position in crashed):
+                    continue
                 self._current_depth = depth
-                node = nodes[entry[4] - lo]
+                node = nodes[position - lo]
                 if node.awake:
                     node.on_message(entry[5], entry[6])
                 else:
@@ -1277,144 +933,46 @@ class _VectorShard(_Shard):
         self._current_entry = None
         return processed
 
-    def _decode_incoming(self, incoming: list[tuple | None]) -> None:
-        future = self.future
-        deliver = self._deliver_entry
-        tables = self._tables
-        builders = tables.builders
-        make_builder = tables.builder
-        cache = self.codec._cache
-        np = _np
-        for batch in incoming:
-            if batch is None:
-                continue
-            times, ints, offs, fast_keys, slow, slow_keys = batch
-            nrec = len(offs)
-            if nrec and np is not None and nrec >= 16:
-                # Group-ordered columnar decode.  The window loop sorts
-                # ``due`` by ``(time, key)`` before dispatch and treats
-                # ``future`` as an unordered pool, so entries may be
-                # appended in any order — which frees the decode to emit
-                # them one ``(type_id, tagword)`` group at a time, with
-                # every per-field gather a single numpy fancy-index.
-                ivec = np.frombuffer(ints, dtype=np.int64)
-                ovec = np.frombuffer(offs, dtype=np.int64)
-                arrivals = np.frombuffer(times, dtype=np.float64)[1::2]
-                keys = np.frombuffer(fast_keys, dtype=np.int64)
-                tids = ivec[ovec + 6]
-                tagws = ivec[ovec + 7]
-                tid0 = tids[0]
-                if (tids == tid0).all() and (tagws == tagws[0]).all():
-                    # Homogeneous batch (one message class, one tagword —
-                    # common for broadcast-heavy windows): skip the sort.
-                    order = None
-                    tid_s = tids
-                    tag_s = tagws
-                    starts = [0, nrec]
-                else:
-                    order = np.lexsort((tagws, tids))
-                    tid_s = tids[order]
-                    tag_s = tagws[order]
-                    cuts = np.nonzero(
-                        (tid_s[1:] != tid_s[:-1]) | (tag_s[1:] != tag_s[:-1])
-                    )[0]
-                    starts = [0, *(cuts + 1).tolist(), nrec]
-                for g in range(len(starts) - 1):
-                    a, b = starts[g], starts[g + 1]
-                    if order is None:
-                        o_g = ovec
-                        arr_g = arrivals
-                        key_g = keys
-                    else:
-                        idx = order[a:b]
-                        o_g = ovec[idx]
-                        arr_g = arrivals[idx]
-                        key_g = keys[idx]
-                    group = (int(tid_s[a]), int(tag_s[a]))
-                    build = builders.get(group)
-                    if build is None:
-                        build = make_builder(*group)
-                    nf = int(ivec[o_g[0] + 8])
-                    if nf:
-                        cols = [
-                            ivec[o_g + (_REC_HEAD + j)].tolist()
-                            for j in range(nf)
-                        ]
-                        msgs = map(build, zip(*cols))
-                    else:
-                        # Field-less records share one immutable instance,
-                        # exactly like the codec's value memo would.
-                        msgs = repeat(build(()), b - a)
-                    future.extend(
-                        zip(
-                            arr_g.tolist(),
-                            key_g.tolist(),
-                            repeat(deliver),
-                            ivec[o_g + 4].tolist(),
-                            ivec[o_g + 2].tolist(),
-                            ivec[o_g + 3].tolist(),
-                            msgs,
-                            ivec[o_g + 5].tolist(),
-                        )
-                    )
-            elif nrec:
-                arrivals = times[1::2]
-                messages: list[Message | None] = [None] * nrec
-                for r in range(nrec):
-                    o = offs[r]
-                    f = o + _REC_HEAD
-                    key = (ints[o + 6], ints[o + 7], tuple(ints[f : f + ints[o + 8]]))
-                    m = cache.get(key)
-                    if m is None:
-                        group = (key[0], key[1])
-                        build = builders.get(group)
-                        if build is None:
-                            build = make_builder(*group)
-                        m = build(key[2])
-                        if len(cache) < 4096:
-                            cache[key] = m
-                    messages[r] = m
-                future.extend(
-                    zip(
-                        arrivals,
-                        fast_keys,
-                        repeat(deliver),
-                        [ints[o + 4] for o in offs],
-                        [ints[o + 2] for o in offs],
-                        [ints[o + 3] for o in offs],
-                        messages,
-                        [ints[o + 5] for o in offs],
-                    )
-                )
-            for record, key in zip(slow, slow_keys):
-                future.append(
-                    (
-                        record[1],
-                        key,
-                        deliver,
-                        record[4],
-                        record[2],
-                        record[3],
-                        record[6],
-                        record[5],
-                    )
-                )
-
     def finish(self) -> dict[str, Any]:
+        """Final fold of this shard's accounting, for the coordinator."""
         counts = self._type_counts
-        for cls, count in self._class_counts.items():
-            name = cls.__name__
-            counts[name] = counts.get(name, 0) + count
         for cls, cell in self._class_cells.items():
             if cell[0]:
-                name = cls.__name__
-                counts[name] = counts.get(name, 0) + cell[0]
-        return super().finish()
-
-
-def _shard_class(engine: str) -> type[_Shard]:
-    """Map an engine name to its shard implementation."""
-    return _VectorShard if engine == "vector" else _Shard
+                counts[cls.__name__] = counts.get(cls.__name__, 0) + cell[0]
+        metrics = self.metrics
+        return {
+            "messages_total": self._messages_total,
+            "bits_total": self._bits_total,
+            "type_counts": counts,
+            "max_depth": self._max_depth,
+            "dropped": self._dropped,
+            "duplicated": self._duplicated,
+            "jittered": self._jittered,
+            "retransmissions": metrics.retransmissions,
+            "duplicates_suppressed": metrics.duplicates_suppressed,
+            "packets_abandoned": metrics.packets_abandoned,
+            "first_wake": metrics.first_wake_time,
+            "last_wake": metrics.last_wake_time,
+            "leader": self._leader,
+            "processed": self.scheduler.events_processed,
+            "busy": self._busy,
+            "last_time": self._last_time,
+            "max_channel_load": self.channels.max_load,
+            "base_positions": [
+                position
+                for position, node in enumerate(self.nodes, self.lo)
+                if node.is_base
+            ],
+            "crashed": sorted(self._crashed),
+            "snapshots": (
+                [
+                    (position, node.snapshot())
+                    for position, node in enumerate(self.nodes, self.lo)
+                ]
+                if self.cfg.collect_snapshots
+                else None
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -1426,7 +984,7 @@ class _LocalHandle:
     """Drives one shard in-process (the REPRO_PARALLEL=0 / 1-CPU mode)."""
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
-        self._shard = _shard_class(cfg.engine)(cfg, index)
+        self._shard = _Shard(cfg, index)
 
     def window(self, start, end, budget, incoming, parity) -> None:
         self._reply = self._shard.run_window(start, end, budget, incoming)
@@ -1490,7 +1048,7 @@ def _worker_main(
     segments; ``None`` means everything rides the pipe.
     """
     try:
-        shard = _shard_class(cfg.engine)(cfg, index)
+        shard = _Shard(cfg, index)
         while True:
             op = conn.recv()
             if op[0] == "window":
@@ -1520,6 +1078,27 @@ def _worker_main(
             pass
     finally:
         conn.close()
+
+
+def _relayed_error(name: str, message: str, tb: str) -> BaseException:
+    """Rebuild a worker's exception so forked runs raise what in-process
+    runs raise.
+
+    The name is resolved in :mod:`repro.core.errors`, then among the
+    builtins; anything else (or a type that will not take one message
+    argument) surfaces as :class:`SimulationError`.  The worker's
+    traceback rides along as a note.
+    """
+    exc_type = getattr(_errors, name, None) or getattr(builtins, name, None)
+    if isinstance(exc_type, type) and issubclass(exc_type, BaseException):
+        try:
+            exc = exc_type(message)
+        except TypeError:  # needs other constructor arguments
+            pass
+        else:
+            exc.add_note(f"raised in a shard worker:\n{tb}")
+            return exc
+    return SimulationError(f"shard worker failed: {message}\n{tb}")
 
 
 class _ForkHandle:
@@ -1553,12 +1132,7 @@ class _ForkHandle:
             ) from None
         if reply[0] == "error":
             _, name, message, tb = reply
-            exc_type = getattr(_errors, name, None)
-            if exc_type is None or not (
-                isinstance(exc_type, type) and issubclass(exc_type, BaseException)
-            ):
-                raise SimulationError(f"shard worker failed: {message}\n{tb}")
-            raise exc_type(message)
+            raise _relayed_error(name, message, tb)
         return reply
 
     def window(self, start, end, budget, incoming, parity) -> None:
@@ -1661,7 +1235,6 @@ class ShardedNetwork:
         *,
         shards: int,
         workers: int | None = None,
-        engine: str | None = None,
         delays: DelayModel | None = None,
         wakeup: WakeupSchedule | WakeupFactory | None = None,
         failed_positions: frozenset[int] | set[int] = frozenset(),
@@ -1677,17 +1250,6 @@ class ShardedNetwork:
                 f"shards must be an integer in [1, n={topology.n}], "
                 f"got {shards!r}"
             )
-        # ``None`` auto-selects the vector engine: it is digest-identical
-        # by contract and works with or without numpy (the pure-Python
-        # batch loop is the fallback), so there is nothing to detect
-        # beyond letting the import probe above pick the decode path.
-        if engine is None:
-            engine = "vector"
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine = engine
         delays = delays if delays is not None else ConstantDelay(1.0)
         if delays.uses_run_rng:
             raise ConfigurationError(
@@ -1742,7 +1304,6 @@ class ShardedNetwork:
             max_events=max_events,
             shards=shards,
             collect_snapshots=collect_snapshots,
-            engine=engine,
             codec=MessageCodec(),
             wakes=wakes,
             crashes=crash_entries,
@@ -1862,7 +1423,6 @@ class ShardedNetwork:
         self.stats.update(
             {
                 "shards": k,
-                "engine": self.engine,
                 "forked": self._forked,
                 "transport": (
                     "shm"
@@ -2083,7 +1643,6 @@ def run_sharded_election(
     *,
     shards: int,
     workers: int | None = None,
-    engine: str | None = None,
     delays: DelayModel | None = None,
     wakeup: WakeupSchedule | WakeupFactory | None = None,
     failed_positions: frozenset[int] | set[int] = frozenset(),
@@ -2105,7 +1664,6 @@ def run_sharded_election(
         topology,
         shards=shards,
         workers=workers,
-        engine=engine,
         delays=delays,
         wakeup=wakeup,
         failed_positions=failed_positions,

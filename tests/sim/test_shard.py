@@ -15,6 +15,12 @@ digest-checked against the frozen fixture file.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +28,11 @@ from dataclasses import dataclass
 
 from repro.adversary import wakeup as adversary_wakeup
 from repro.adversary.delays import congested_links, worst_case_unit
-from repro.core.errors import ConfigurationError, LivelockError
+from repro.core.errors import (
+    ConfigurationError,
+    LivelockError,
+    SimulationError,
+)
 from repro.core.messages import Message
 from repro.core.node import Node
 from repro.core.protocol import ElectionProtocol
@@ -152,18 +162,12 @@ FULL_MATRIX_CASES = sorted(SHARDABLE_CASES)
 SMOKE_CASES = ("C@64", "B@32-unit", "G@64-k8", "E@32-lossy-rel", "RS@64")
 
 
-def _run_sharded(
-    name: str,
-    shards: int,
-    workers: int | None = 0,
-    engine: str | None = None,
-):
+def _run_sharded(name: str, shards: int, workers: int | None = 0):
     config = SHARDABLE_CASES[name]()
     protocol = config.pop("protocol")
     topology = config.pop("topology")
     return run_sharded_election(
-        protocol, topology, shards=shards, workers=workers, engine=engine,
-        **config,
+        protocol, topology, shards=shards, workers=workers, **config
     )
 
 
@@ -191,50 +195,6 @@ def test_sharded_digest_matches_seed_fixture(name, shards):
         f"{name} at {shards} shards diverged from the serial seed "
         "fixture: the sharded kernel broke the digest contract"
     )
-
-
-# ---------------------------------------------------------------------------
-# Delivery engines.  ``engine=None`` auto-selects the vector engine, so
-# every other test in this file already exercises it (numpy decode when
-# available); the interp engine and the pure-Python fallback need pins of
-# their own.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.shard_smoke
-@pytest.mark.parametrize("engine", ("interp", "vector"))
-def test_both_engines_match_the_seed_fixture(engine):
-    """The heaviest fault cell, digest-checked under each engine by name."""
-    actual = fingerprint(
-        _run_sharded("E@32-lossy-rel", shards=2, engine=engine)
-    )
-    assert actual == _fixture("E@32-lossy-rel")
-
-
-@pytest.mark.parametrize("name", ("C@64", "G@64-k8"))
-@pytest.mark.parametrize("shards", (2, 3))
-def test_interp_engine_digest_matches_seed_fixture(name, shards):
-    actual = fingerprint(_run_sharded(name, shards=shards, engine="interp"))
-    assert actual == _fixture(name), (
-        f"{name} at {shards} shards diverged under engine='interp'"
-    )
-
-
-def test_vector_engine_without_numpy_is_byte_identical(monkeypatch):
-    """The pure-Python batch fallback (REPRO_NO_NUMPY / numpy absent)
-    must produce the same digest as the numpy decode path."""
-    import repro.sim.shard as shard_mod
-
-    monkeypatch.setattr(shard_mod, "_np", None)
-    actual = fingerprint(
-        _run_sharded("E@32-lossy-rel", shards=2, engine="vector")
-    )
-    assert actual == _fixture("E@32-lossy-rel")
-
-
-def test_unknown_engine_is_refused():
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        _run_sharded("C@64", shards=2, engine="turbo")
 
 
 def test_lossy_overlay_case_is_exact_under_sharding():
@@ -353,6 +313,128 @@ def test_worker_exceptions_are_relayed_with_their_type():
             workers=2,
             max_events=50,
         )
+
+
+def test_sharded_run_needs_no_numpy():
+    """The kernel never imports numpy: in an interpreter where ``import
+    numpy`` fails, a 2-shard C@64 election (in-process and forked) still
+    reproduces the serial fixture."""
+    root = Path(__file__).resolve().parents[2]
+    script = "\n".join(
+        [
+            "import json, sys",
+            "sys.modules['numpy'] = None",
+            "from repro.protocols.sense.protocol_c import ProtocolC",
+            "from repro.sim.shard import run_sharded_election",
+            "from repro.topology.complete import "
+            "complete_with_sense_of_direction",
+            "from tests.sim.determinism_cases import fingerprint",
+            "print(json.dumps([fingerprint(run_sharded_election(",
+            "    ProtocolC(), complete_with_sense_of_direction(64),",
+            "    shards=2, workers=w)) for w in (0, 2)]))",
+        ]
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    in_process, forked = json.loads(proc.stdout)
+    assert in_process == forked == _fixture("C@64")
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: what a broken worker looks like from the coordinator.
+# ---------------------------------------------------------------------------
+
+#: The test process; forked shard workers see a different pid.
+_TEST_PID = os.getpid()
+
+
+class _FailingChainNode(Node):
+    """Chains a :class:`_Census` through port 0 and fails (``fail``) at
+    hop ``fail_at``, after several windows have already run."""
+
+    def on_wake(self, spontaneous):
+        if spontaneous:
+            self.ctx.send(0, _Census(1, 0))
+
+    def on_message(self, port, message):
+        if message.hops == self.fail_at:
+            self.fail()
+        self.ctx.send(0, _Census(message.hops + 1, 0))
+
+
+class _RaisingNode(_FailingChainNode):
+    def fail(self):
+        raise ValueError(f"boom at hop {self.fail_at}")
+
+
+class _SelfKillingNode(_FailingChainNode):
+    def fail(self):
+        # Only ever inside a forked worker: never take the test run down.
+        if os.getpid() != _TEST_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _FailingChainProtocol(ElectionProtocol):
+    name = "failing-chain-test"
+    fail_at = 6
+
+    def __init__(self, node_cls):
+        self.node_cls = node_cls
+
+    def create_node(self, ctx):
+        node = self.node_cls(ctx)
+        node.fail_at = self.fail_at
+        return node
+
+
+def _run_failing_chain(node_cls, workers: int):
+    return run_sharded_election(
+        _FailingChainProtocol(node_cls),
+        complete_without_sense(12, seed=4),
+        shards=2, workers=workers, wakeup={0: 0.0}, seed=4,
+        require_leader=False,
+    )
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+def test_protocol_errors_keep_their_builtin_type_across_transports(workers):
+    """A handler's ``ValueError`` surfaces as ``ValueError`` whether the
+    shard ran in-process or in a forked worker."""
+    with pytest.raises(ValueError, match="boom at hop 6"):
+        _run_failing_chain(_RaisingNode, workers)
+
+
+def _shm_entries() -> set[str]:
+    shm = Path("/dev/shm")
+    return set(os.listdir(shm)) if shm.is_dir() else set()
+
+
+def test_killed_worker_fails_fast_and_leaks_nothing(monkeypatch):
+    """SIGKILL a forked worker mid-run: the coordinator raises within a
+    bounded time, and no segment or child process outlives the run."""
+    monkeypatch.delenv("REPRO_SHM", raising=False)
+    before = _shm_entries()
+
+    def hung(signum, frame):
+        raise TimeoutError("the coordinator hung on a killed worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(SimulationError, match="exited unexpectedly"):
+            _run_failing_chain(_SelfKillingNode, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _shm_entries() - before == set()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

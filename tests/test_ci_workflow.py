@@ -66,8 +66,8 @@ class TestWorkflowShape:
 
     def test_expected_jobs_exist(self, jobs):
         assert set(jobs) == {
-            "tests", "tests-no-numpy", "lint", "smoke", "matrix",
-            "bench-trends", "bench-smoke",
+            "tests", "lint", "smoke", "matrix", "bench-trends",
+            "bench-smoke",
         }
 
     def test_every_job_has_a_runner_and_steps(self, jobs):
@@ -110,23 +110,17 @@ class TestCommands:
         assert len(tier1) == 1
         assert tier1[0]["env"]["PYTHONPATH"] == "src"
 
-    def test_no_numpy_leg_runs_tier1_with_the_fallback_forced(self, jobs):
-        """The numpy-free leg is the proof the vector engine's
-        pure-Python fallback carries the whole suite."""
-        steps = [s for s in _steps(jobs["tests-no-numpy"]) if "run" in s]
-        tier1 = [s for s in steps if "python -m pytest -x -q" in s["run"]]
-        assert len(tier1) == 1
-        assert tier1[0]["env"]["PYTHONPATH"] == "src"
-        assert tier1[0]["env"]["REPRO_NO_NUMPY"] == "1"
-
-    def test_shard_smoke_leg_exercises_the_vector_engine_cli(self, jobs):
-        vector = [
+    def test_shard_smoke_leg_exercises_the_sharded_cli(self, jobs):
+        sharded = [
             s for s in _steps(jobs["smoke"])
-            if "run" in s and "--engine vector" in s["run"]
+            if "run" in s and "--shards" in s["run"]
         ]
-        assert len(vector) == 1
-        assert vector[0]["if"] == "matrix.marker == 'shard_smoke'"
-        assert "python -m repro run" in vector[0]["run"]
+        assert len(sharded) == 1
+        assert sharded[0]["if"] == "matrix.marker == 'shard_smoke'"
+        assert sharded[0]["run"] == (
+            "python -m repro run --protocol C --n 256 --shards 2 "
+            "--shard-workers 0"
+        )
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
         lines = list(_run_lines(jobs["lint"]))
