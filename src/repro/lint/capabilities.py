@@ -37,10 +37,8 @@ from .core import ModuleContext
 from .equivariance import check_equivariance
 
 #: Version 2 adds the flow-derived behavioural fields (``uses_timers``,
-#: ``uses_rng``, ``max_fanout``, ``quiescent_kinds``).  Version-1 tables
-#: still load (see :func:`load_packaged_table`) so downstream checkouts
-#: with an old snapshot degrade to the v1 equivariance gating instead of
-#: crashing.
+#: ``uses_rng``, ``max_fanout``, ``quiescent_kinds``).  An older snapshot
+#: lacks them, so the drift gate and the prune gate report it as stale.
 CAPABILITY_TABLE_VERSION = 2
 
 #: Modules that are framework (or stdlib plumbing), not protocol
@@ -218,26 +216,11 @@ def packaged_table_path() -> Path:
 
 
 def load_packaged_table() -> dict | None:
-    """The checked-in capability snapshot, or None if absent.
-
-    Version-1 tables (pre flow analysis) still load: the v2 behavioural
-    keys are simply absent from their entries, and consumers fall back
-    to v1 semantics.  A ``deprecation`` note is attached so reports can
-    surface that the snapshot predates the flow fields and should be
-    regenerated.
-    """
+    """The checked-in capability snapshot, or None if absent."""
     path = packaged_table_path()
     if not path.exists():
         return None
-    table = json.loads(path.read_text())
-    if table.get("version", 1) < CAPABILITY_TABLE_VERSION:
-        table["deprecation"] = (
-            f"capability table version {table.get('version', 1)} predates "
-            f"the flow-derived fields (current: "
-            f"{CAPABILITY_TABLE_VERSION}); regenerate with `python -m "
-            "repro lint --capabilities`"
-        )
-    return table
+    return json.loads(path.read_text())
 
 
 def render_capability_table() -> str:

@@ -162,7 +162,6 @@ def check_capability_drift() -> int:
             file=sys.stderr,
         )
         return 1
-    packaged.pop("deprecation", None)
     if packaged == live:
         print(f"capabilities.json is current ({len(live['protocols'])} "
               "protocols)")

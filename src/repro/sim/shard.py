@@ -25,6 +25,11 @@ kernel.  A window's incoming fast-lane records are decoded
 in one pass that builds messages with compiled per-``(type_id, tagword)``
 constructors.  Dispatch stays strictly per-event in global merge order.
 
+Shards run in-process (:class:`_LocalHandle`) or one per forked worker
+(:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
+single pipe, which carries each window's routed batches in and its
+outgoing batches and stats back; the packed lanes pickle as flat buffers.
+
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
 (``tests/sim/determinism_cases.fingerprint``).  The serial kernel's total
@@ -92,11 +97,7 @@ from repro.core.messages import (
 from repro.core.node import Node, NodeContext
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
-from repro.harness.parallel import (
-    ShmExchange,
-    configured_processes,
-    fork_context,
-)
+from repro.harness.parallel import configured_processes, fork_context
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import TIEBREAK_SHIFT
 from repro.sim.faults import FaultPlan
@@ -177,8 +178,6 @@ class MessageCodec:
         self._field_names = [
             tuple(f.name for f in _dataclass_fields(cls)) for cls in classes
         ]
-        #: :meth:`unpack`'s memo, by ``(type_id, tagword, int fields)``.
-        self._cache: dict[tuple, Message] = {}
         #: Message class -> ``(type_id, compiled packer)``; None if the
         #: class can never ride the fast lane.
         self._packers: dict[type, tuple[int, Any] | None] = {}
@@ -245,21 +244,6 @@ class MessageCodec:
             exec(source, namespace)  # noqa: S102 - trusted codegen
             fn = self._builders[key] = namespace["_build"]
         return fn
-
-    def unpack(self, type_id: int, tags: int, ints: tuple[int, ...]) -> Message:
-        """Rebuild (and memoise) the message for a packed record.
-
-        Messages are immutable values, so destinations may share one
-        instance across deliveries — the serial kernel already delivers
-        the sender's single object to every recipient of a broadcast.
-        """
-        key = (type_id, tags, ints)
-        message = self._cache.get(key)
-        if message is None:
-            message = self.builder(type_id, tags)(ints, 0)
-            if len(self._cache) < 4096:
-                self._cache[key] = message
-        return message
 
 
 def _compile_packer(names: tuple[str, ...]):
@@ -986,7 +970,7 @@ class _LocalHandle:
     def __init__(self, cfg: _RunConfig, index: int) -> None:
         self._shard = _Shard(cfg, index)
 
-    def window(self, start, end, budget, incoming, parity) -> None:
+    def window(self, start, end, budget, incoming) -> None:
         self._reply = self._shard.run_window(start, end, budget, incoming)
 
     def collect(self):
@@ -999,68 +983,14 @@ class _LocalHandle:
         pass
 
 
-def _stash_out(
-    exchange: ShmExchange, index: int, parity: int, out: dict[int, tuple]
-) -> dict[int, tuple]:
-    """Move each fast batch into shared memory; keep overflows on the pipe.
-
-    Returns the pipe-bound ``out`` dict: batches written to the pair's
-    segment are replaced by a ``("shm", n_fast, ints_len, slow)`` marker
-    (the slow lane always rides the pipe); fast batches that do not fit
-    the segment stay in full, so capacity never affects correctness.
-    """
-    wired: dict[int, tuple] = {}
-    for dest, batch in out.items():
-        times, ints, offs, slow = batch
-        if offs and exchange.try_write(index, dest, parity, times, ints, offs):
-            wired[dest] = ("shm", len(offs), len(ints), slow)
-        else:
-            wired[dest] = batch
-    return wired
-
-
-def _resolve_in(
-    exchange: ShmExchange, src: int, index: int, batch: tuple | None
-) -> tuple | None:
-    """Expand a routed ``("shm", ...)`` marker into decode-ready views.
-
-    The fast arrays come straight out of the ``src -> index`` segment as
-    typed memoryviews (the decoder only indexes and iterates them, so no
-    copy is ever made); the merge keys were stamped into the same segment
-    by the coordinator during routing.
-    """
-    if batch is None or batch[0] != "shm":
-        return batch
-    _tag, parity, slow, slow_keys = batch
-    n_fast, ints_len = exchange.header(src, index, parity)
-    times, ints, offs = exchange.fast_views(src, index, parity, n_fast, ints_len)
-    keys = exchange.keys_view(src, index, parity, n_fast)
-    return (times, ints, offs, keys, slow, slow_keys)
-
-
-def _worker_main(
-    conn, cfg: _RunConfig, index: int, exchange: ShmExchange | None = None
-) -> None:
-    """Forked worker loop: build the shard post-fork, serve window ops.
-
-    ``exchange`` (inherited through the fork, never pickled) carries the
-    fast-lane batches when the coordinator managed to create the shared
-    segments; ``None`` means everything rides the pipe.
-    """
+def _worker_main(conn, cfg: _RunConfig, index: int) -> None:
+    """Forked worker loop: build the shard post-fork, serve window ops."""
     try:
         shard = _Shard(cfg, index)
         while True:
             op = conn.recv()
             if op[0] == "window":
-                incoming = op[4]
-                if exchange is not None:
-                    incoming = [
-                        _resolve_in(exchange, src, index, batch)
-                        for src, batch in enumerate(incoming)
-                    ]
-                out, stats = shard.run_window(op[1], op[2], op[3], incoming)
-                if exchange is not None:
-                    out = _stash_out(exchange, index, op[5], out)
+                out, stats = shard.run_window(op[1], op[2], op[3], op[4])
                 conn.send(("done", out, stats))
             elif op[0] == "finish":
                 conn.send(("result", shard.finish()))
@@ -1104,21 +1034,16 @@ def _relayed_error(name: str, message: str, tb: str) -> BaseException:
 class _ForkHandle:
     """Drives one shard in a forked worker over a pipe.
 
-    When a :class:`ShmExchange` is supplied the pipe carries only control
-    messages, slow-lane records, and overflow batches; the packed fast
-    lanes move through the shared segments without pickling.
+    The pipe carries everything: control messages, per-window stats, and
+    both lanes of every routed batch (the packed fast-lane arrays pickle
+    as flat buffers).  The run configuration is inherited through the
+    fork, never pickled.
     """
 
-    def __init__(
-        self,
-        context,
-        cfg: _RunConfig,
-        index: int,
-        exchange: ShmExchange | None = None,
-    ) -> None:
+    def __init__(self, context, cfg: _RunConfig, index: int) -> None:
         self._conn, child = context.Pipe()
         self._process = context.Process(
-            target=_worker_main, args=(child, cfg, index, exchange), daemon=True
+            target=_worker_main, args=(child, cfg, index), daemon=True
         )
         self._process.start()
         child.close()
@@ -1135,8 +1060,8 @@ class _ForkHandle:
             raise _relayed_error(name, message, tb)
         return reply
 
-    def window(self, start, end, budget, incoming, parity) -> None:
-        self._conn.send(("window", start, end, budget, incoming, parity))
+    def window(self, start, end, budget, incoming) -> None:
+        self._conn.send(("window", start, end, budget, incoming))
 
     def collect(self):
         reply = self._recv()
@@ -1318,7 +1243,6 @@ class ShardedNetwork:
         else:
             forked = workers > 0 and fork_context() is not None
         self._forked = forked
-        self._exchange: ShmExchange | None = None
         self._ran = False
         self.stats: dict[str, Any] = {}
 
@@ -1336,13 +1260,7 @@ class ShardedNetwork:
         cfg = self._cfg
         if self._forked:
             context = fork_context()
-            # Segments must exist before the fork so every worker inherits
-            # the mappings; ``None`` (no /dev/shm, REPRO_SHM=0, ...) simply
-            # keeps the whole exchange on the pipes.
-            self._exchange = ShmExchange.create(k)
-            handles: list[Any] = [
-                _ForkHandle(context, cfg, i, self._exchange) for i in range(k)
-            ]
+            handles: list[Any] = [_ForkHandle(context, cfg, i) for i in range(k)]
         else:
             handles = [_LocalHandle(cfg, i) for i in range(k)]
         try:
@@ -1350,9 +1268,6 @@ class ShardedNetwork:
         finally:
             for handle in handles:
                 handle.close()
-            if self._exchange is not None:
-                self._exchange.close()
-                self._exchange = None
         result = self._build_result(finals)
         self.stats["wall_seconds"] = perf_counter() - wall0
         if require_leader:
@@ -1392,10 +1307,9 @@ class ShardedNetwork:
                 break
             end = start + lookahead
             budget = max_events - total_processed
-            parity = windows & 1
             windows += 1
             for index, handle in enumerate(handles):
-                handle.window(start, end, budget, pending_in[index], parity)
+                handle.window(start, end, budget, pending_in[index])
             pending_in = [[None] * k for _ in range(k)]
             outs: list[dict[int, tuple]] = []
             for index, handle in enumerate(handles):
@@ -1415,20 +1329,14 @@ class ShardedNetwork:
                     f"the protocol is livelocked (aggregate across "
                     f"{k} shard schedulers)"
                 )
-            incoming_min, global_seq = self._route(
-                outs, pending_in, global_seq, parity
-            )
+            incoming_min, global_seq = self._route(outs, pending_in, global_seq)
 
         finals = [handle.finish() for handle in handles]
         self.stats.update(
             {
                 "shards": k,
                 "forked": self._forked,
-                "transport": (
-                    "shm"
-                    if self._exchange is not None
-                    else ("pipes" if self._forked else "local")
-                ),
+                "transport": "pipes" if self._forked else "local",
                 "windows": windows,
                 "events_total": total_processed,
                 "events_per_shard": [f["processed"] for f in finals],
@@ -1442,7 +1350,6 @@ class ShardedNetwork:
         outs: list[dict[int, tuple]],
         pending_in: list[list[tuple | None]],
         global_seq: int,
-        parity: int,
     ) -> tuple[float, int]:
         """Globally order one window's sends and route them to their shards.
 
@@ -1450,34 +1357,19 @@ class ShardedNetwork:
         sequence counter.  The sort key is each record's merge key (see the
         module docstring); assigning consecutive keys in sorted order
         reproduces the serial kernel's scheduling order for these sends.
-
-        A batch may arrive as a ``("shm", n_fast, ints_len, slow)`` marker:
-        its fast arrays live in the pair's shared segment for this window's
-        ``parity`` and are read here through memoryview casts; the assigned
-        merge keys are stamped back into the same segment, so the routed
-        entry sent down the pipe is just a tiny ``("shm", parity, slow,
-        slow_keys)`` marker.  The merge-key ordering is source-agnostic --
-        shm and pipe batches interleave in the one global sort.
+        Every source batch ``(times, ints, offs, slow)`` is routed as
+        ``(times, ints, offs, keys, slow, slow_keys)``: the same arrays plus
+        the assigned keys, fast lane and slow lane side by side.
         """
         items: list[tuple] = []
         routed: dict[tuple[int, int], tuple] = {}
-        exchange = self._exchange
         incoming_min = float("inf")
         for src, out in enumerate(outs):
-            for dest, batch in out.items():
-                shm = batch[0] == "shm"
-                if shm:
-                    _tag, n_fast, ints_len, slow = batch
-                    times, ints, offs = exchange.fast_views(
-                        src, dest, parity, n_fast, ints_len
-                    )
-                else:
-                    times, ints, offs, slow = batch
-                    n_fast = len(offs)
-                fast_keys = [0] * n_fast
-                slow_keys = [0] * len(slow)
-                routed[(src, dest)] = (
-                    shm, times, ints, offs, slow, fast_keys, slow_keys,
+            for dest, (times, ints, offs, slow) in out.items():
+                n_fast = len(offs)
+                pending_in[dest][src] = routed[(src, dest)] = (
+                    times, ints, offs, array("q", [0]) * n_fast,
+                    slow, [0] * len(slow),
                 )
                 if n_fast:
                     arrival = min(times[1::2])
@@ -1501,22 +1393,8 @@ class ShardedNetwork:
         items.sort()
         for _mkey, src, dest, lane, r in items:
             batch = routed[(src, dest)]
-            (batch[5] if lane == 0 else batch[6])[r] = global_seq
+            (batch[3] if lane == 0 else batch[5])[r] = global_seq
             global_seq += 1
-        for (src, dest), batch in routed.items():
-            shm, times, ints, offs, slow, fast_keys, slow_keys = batch
-            if shm:
-                exchange.write_keys(src, dest, parity, fast_keys)
-                pending_in[dest][src] = ("shm", parity, slow, slow_keys)
-            else:
-                pending_in[dest][src] = (
-                    times,
-                    ints,
-                    offs,
-                    array("q", fast_keys),
-                    slow,
-                    slow_keys,
-                )
         return incoming_min, global_seq
 
     def _raise_leader_conflict(

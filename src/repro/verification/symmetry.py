@@ -210,18 +210,10 @@ def ensure_prune_sound(protocol, topology: CompleteTopology) -> None:
     if table is not None and name in table.get("protocols", {}):
         pinned = table["protocols"][name]
         live = capability.to_dict()
-        # The v2 behavioural keys are compared only when the pinned entry
-        # has them: a version-1 snapshot (no flow fields) degrades to the
-        # v1 staleness check instead of reading as universally stale.
-        keys = ["id_order_sites", "port_scan_sites",
-                "rotation_equivariant", "relabelling_equivariant"]
-        keys.extend(
-            key
-            for key in ("uses_timers", "uses_rng", "uses_ctx_rng",
-                        "max_fanout", "quiescent_kinds")
-            if key in pinned
-        )
-        for key in keys:
+        for key in ("id_order_sites", "port_scan_sites",
+                    "rotation_equivariant", "relabelling_equivariant",
+                    "uses_timers", "uses_rng", "uses_ctx_rng",
+                    "max_fanout", "quiescent_kinds"):
             if pinned.get(key) != live[key]:
                 raise ConfigurationError(
                     f"symmetry capability table is stale for protocol "

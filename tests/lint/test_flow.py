@@ -213,22 +213,17 @@ class TestCapabilityConsumers:
                 ProtocolA(), complete_with_sense_of_direction(4)
             )
 
-    def test_v1_table_degrades_to_v1_gating(self, monkeypatch, tmp_path):
-        # A version-1 snapshot (no flow fields) must not read as stale:
-        # the gate compares only the keys the snapshot has, and the
-        # loader attaches a deprecation note for reports to surface.
-        import json
-
+    def test_v1_table_is_reported_stale(self, monkeypatch, capsys):
+        # A version-1 snapshot (no flow fields) is an outdated table like
+        # any other: the drift gate and the prune gate both call it stale.
         from repro.lint import capabilities as caps
-        from repro.lint.capabilities import (
-            derive_capability_table,
-            load_packaged_table,
-        )
+        from repro.lint.capabilities import derive_capability_table
+        from repro.lint.cli import check_capability_drift
         from repro.protocols.sense.protocol_a import ProtocolA
         from repro.topology.complete import complete_with_sense_of_direction
         from repro.verification import ensure_prune_sound
 
-        v1 = json.loads(json.dumps(derive_capability_table()))
+        v1 = derive_capability_table()
         v1["version"] = 1
         for entry in v1["protocols"].values():
             for key in (
@@ -236,19 +231,12 @@ class TestCapabilityConsumers:
             ):
                 del entry[key]
         monkeypatch.setattr(caps, "load_packaged_table", lambda: v1)
-        # Not stale — the v1 keys agree; the refusal is the protocol's
-        # own id-ordering sites, exactly as before v2.
-        with pytest.raises(ConfigurationError, match="id-ordering"):
+        assert check_capability_drift() == 1
+        assert "stale" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="stale"):
             ensure_prune_sound(
                 ProtocolA(), complete_with_sense_of_direction(4)
             )
-
-        snapshot = tmp_path / "capabilities.json"
-        snapshot.write_text(json.dumps(v1))
-        monkeypatch.setattr(caps, "packaged_table_path", lambda: snapshot)
-        table = load_packaged_table()
-        assert "deprecation" in table
-        assert "regenerate" in table["deprecation"]
 
     def test_drift_check_exits_zero_when_current(self, capsys):
         from repro.lint.cli import check_capability_drift

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -271,36 +272,16 @@ def _transport_of(name: str, shards: int, workers: int) -> str:
 
 
 @pytest.mark.shard_smoke
-def test_shm_transport_matches_pipes_and_fixture(monkeypatch):
-    """Fast lanes over shared memory are byte-identical to the pipes.
-
-    Runs the heaviest fault cell (drop/dup/jitter + retransmission
-    overlay) so both the packed fast lane and the pickled slow lane cross
-    the segments' window parity flips.
-    """
-    monkeypatch.delenv("REPRO_SHM", raising=False)
-    shm = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
-    monkeypatch.setenv("REPRO_SHM", "0")
-    pipes = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
-    assert shm == pipes == _fixture("E@32-lossy-rel")
+def test_forked_lossy_cell_matches_fixture():
+    """The heaviest fault cell (drop/dup/jitter + retransmission overlay)
+    over forked workers: both the packed fast lane and the pickled slow
+    lane cross the pipes, and the digest equals the serial fixture."""
+    forked = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
+    assert forked == _fixture("E@32-lossy-rel")
 
 
-def test_shm_overflow_batches_ride_the_pipes(monkeypatch):
-    """Segment capacity is a perf knob, never a correctness one: with a
-    2-record capacity almost every batch overflows to the pipe lane, and
-    the digest must not move."""
-    monkeypatch.setenv("REPRO_SHM_RECORDS", "2")
-    assert (
-        fingerprint(_run_sharded("C@64", shards=2, workers=2))
-        == _fixture("C@64")
-    )
-
-
-def test_transport_stat_reports_the_exchange_in_use(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM", raising=False)
+def test_transport_stat_reports_the_exchange_in_use():
     assert _transport_of("C@64", shards=2, workers=0) == "local"
-    assert _transport_of("C@64", shards=2, workers=2) == "shm"
-    monkeypatch.setenv("REPRO_SHM", "off")
     assert _transport_of("C@64", shards=2, workers=2) == "pipes"
 
 
@@ -381,6 +362,13 @@ class _SelfKillingNode(_FailingChainNode):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _BlockingNode(_FailingChainNode):
+    def fail(self):
+        # Only ever inside a forked worker: the coordinator keeps waiting.
+        if os.getpid() != _TEST_PID:
+            time.sleep(60)
+
+
 class _FailingChainProtocol(ElectionProtocol):
     name = "failing-chain-test"
     fail_at = 6
@@ -416,10 +404,9 @@ def _shm_entries() -> set[str]:
     return set(os.listdir(shm)) if shm.is_dir() else set()
 
 
-def test_killed_worker_fails_fast_and_leaks_nothing(monkeypatch):
+def test_killed_worker_fails_fast_and_leaks_nothing():
     """SIGKILL a forked worker mid-run: the coordinator raises within a
     bounded time, and no segment or child process outlives the run."""
-    monkeypatch.delenv("REPRO_SHM", raising=False)
     before = _shm_entries()
 
     def hung(signum, frame):
@@ -433,6 +420,35 @@ def test_killed_worker_fails_fast_and_leaks_nothing(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert _shm_entries() - before == set()
+    assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_during_drive_cleans_up():
+    """Ctrl-C while the coordinator waits on a blocked worker: the
+    ``KeyboardInterrupt`` propagates within a bounded time, and no segment
+    or child process outlives the run."""
+    before = _shm_entries()
+    fired = []
+
+    def interrupt(signum, frame):
+        if fired:
+            raise TimeoutError("the coordinator hung after Ctrl-C")
+        fired.append(time.perf_counter())
+        signal.alarm(29)  # the outer guard, 30 s from the start
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _run_failing_chain(_BlockingNode, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert fired, "the run finished before the interrupt"
+    assert time.perf_counter() - start < 30
     assert _shm_entries() - before == set()
     assert multiprocessing.active_children() == []
 
@@ -680,7 +696,7 @@ class TestMessageCodec:
         packed = codec.pack(message)
         assert packed is not None
         type_id, tags, ints = packed
-        assert codec.unpack(type_id, tags, tuple(ints)) == message
+        assert codec.builder(type_id, tags)(ints, 0) == message
 
     def test_bool_and_none_fields_ride_the_tagword(self):
         import dataclasses
@@ -702,7 +718,7 @@ class TestMessageCodec:
                 break
         assert flat is not None, "no packable message type found"
         type_id, tags, ints = codec.pack(flat)
-        assert codec.unpack(type_id, tags, tuple(ints)) == flat
+        assert codec.builder(type_id, tags)(ints, 0) == flat
 
     def test_nested_messages_take_the_slow_lane(self):
         from repro.core.reliable import Packet
@@ -719,15 +735,6 @@ class TestMessageCodec:
             c.__qualname__ for c in second._classes
         ]
 
-    def test_unpack_memoises_identical_records(self):
-        from repro.protocols.sense.protocol_c import LatticeCapture
-
-        codec = MessageCodec()
-        type_id, tags, ints = codec.pack(LatticeCapture(rank=5, cand=2))
-        once = codec.unpack(type_id, tags, tuple(ints))
-        again = codec.unpack(type_id, tags, tuple(ints))
-        assert once is again
-
     def test_over_limit_ints_take_the_slow_lane(self):
         """The packed lane carries int64s with headroom: |v| >= 2**62
         falls back to object relay, one short of the limit still packs."""
@@ -741,7 +748,7 @@ class TestMessageCodec:
             packed = codec.pack(LatticeCapture(rank=edge, cand=0))
             assert packed is not None
             type_id, tags, ints = packed
-            rebuilt = codec.unpack(type_id, tags, tuple(ints))
+            rebuilt = codec.builder(type_id, tags)(ints, 0)
             assert rebuilt == LatticeCapture(rank=edge, cand=0)
 
     def test_empty_payload_messages_round_trip(self):
@@ -750,7 +757,7 @@ class TestMessageCodec:
         assert packed is not None
         type_id, tags, ints = packed
         assert tags == 0 and ints == []
-        assert codec.unpack(type_id, tags, ()) == _Nudge()
+        assert codec.builder(type_id, tags)(ints, 0) == _Nudge()
 
     @pytest.mark.parametrize("shards", (2, 3))
     def test_mixed_fast_and_slow_windows_round_trip(self, shards):
@@ -779,9 +786,9 @@ class TestMessageCodec:
         )
         assert serial == sharded
 
-    def test_mixed_lane_windows_round_trip_over_forked_shm_workers(self):
-        """Same mixing, but across the fork transport: slow records ride
-        the pipes while fast ones cross the shared segments."""
+    def test_mixed_lane_windows_round_trip_over_forked_workers(self):
+        """Same mixing, but across the fork transport: both lanes of every
+        batch cross the worker pipes."""
         in_process = fingerprint(
             run_sharded_election(
                 _MixedLaneProtocol(),

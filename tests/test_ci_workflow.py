@@ -119,7 +119,7 @@ class TestCommands:
         assert sharded[0]["if"] == "matrix.marker == 'shard_smoke'"
         assert sharded[0]["run"] == (
             "python -m repro run --protocol C --n 256 --shards 2 "
-            "--shard-workers 0"
+            "--shard-workers 2"
         )
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
