@@ -1,54 +1,29 @@
-"""Message and time accounting.
+"""The counters a runtime writes through the node context.
 
-The two quantities the paper bounds are
-
-* **message complexity** — messages sent over the whole execution, and
-* **time complexity** — termination time under worst-case unit delays.
-
-:class:`MetricsCollector` tallies both, plus per-type message counts (useful
-to attribute cost to protocol phases), total payload bits (to check the
-O(log N) model), and the *causal depth* of the execution: the longest chain
-of messages, which is the delay-independent "ideal time" of the run.
+The quantities the paper bounds — messages sent, payload bits, causal
+depth and the leader's declaration instant — are tallied as plain
+attributes on the send path itself (:class:`~repro.sim.network.SendPath`)
+and folded into the :class:`~repro.core.results.ElectionResult` once, at
+quiescence.  :class:`MetricsCollector` keeps only what the runtimes still
+write through it: the wake window (the origin of ``election_time``) and
+the counters overlays bump via :meth:`NodeContext.count`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class MetricsCollector:
     """Mutable tallies updated by the network runtime during a run."""
 
-    messages_total: int = 0
-    bits_total: int = 0
-    messages_by_type: Counter = field(default_factory=Counter)
-    max_depth: int = 0
     first_wake_time: float | None = None
     last_wake_time: float | None = None
-    leader_declared_at: float | None = None
-    leader_declared_depth: int | None = None
-    quiescent_at: float = 0.0
-    # -- fault layer (all zero unless a FaultPlan is installed) -------------
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_jittered: int = 0
     # -- reliable-delivery overlay (bumped via ``NodeContext.count``) -------
     retransmissions: int = 0
     duplicates_suppressed: int = 0
     packets_abandoned: int = 0
-
-    def on_send(self, type_name: str, bits: int) -> None:
-        """Record one message leaving a node."""
-        self.messages_total += 1
-        self.bits_total += bits
-        self.messages_by_type[type_name] += 1
-
-    def on_delivery_depth(self, depth: int) -> None:
-        """Track the longest causal chain seen so far."""
-        if depth > self.max_depth:
-            self.max_depth = depth
 
     def on_wake(self, time: float) -> None:
         """Record a node waking (spontaneously or by message)."""
@@ -70,18 +45,3 @@ class MetricsCollector:
         if not isinstance(value, int):
             raise TypeError(f"metric {name!r} is not an integer counter")
         setattr(self, name, value + delta)
-
-    def on_leader(self, time: float, depth: int) -> None:
-        """Record the leader's declaration instant."""
-        self.leader_declared_at = time
-        self.leader_declared_depth = depth
-
-    @property
-    def election_time(self) -> float:
-        """Time from the first wake-up to the leader's declaration.
-
-        This is the quantity the paper's time-complexity statements bound.
-        """
-        if self.leader_declared_at is None or self.first_wake_time is None:
-            return float("inf")
-        return self.leader_declared_at - self.first_wake_time

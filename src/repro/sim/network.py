@@ -36,17 +36,24 @@ crash schedule).  See :mod:`repro.sim.faults` and docs/faults.md; with no
 plan installed the send path pays a single attribute test, the same
 zero-cost-off discipline as tracing.
 
+One runtime core: :class:`SendPath` holds what the serial :class:`Network`
+and the sharded kernel's shards (:mod:`repro.sim.shard`) share — the
+per-run state, the send pipeline, the leader-uniqueness check
+(:func:`leader_conflict`) and the final tally, which :func:`fold_result`
+turns into the :class:`~repro.core.results.ElectionResult`.  Each runtime
+adds only its own scheduling and dispatch.
+
 Hot-path design (see docs/performance.md): the send path performs no
 per-message closure or :class:`Event` allocation — deliveries ride the heap
 as plain tuples handled by one preallocated bound method; tracing is a
 single attribute test when disabled; and message/bit/depth counters
-accumulate in plain attributes that are folded into the
-:class:`~repro.sim.metrics.MetricsCollector` at quiescence.
+accumulate in plain attributes that are tallied once, at quiescence.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Callable, Mapping
 from typing import Any
 
@@ -147,28 +154,173 @@ def validate_failure_config(
         )
 
 
+def leader_conflict(
+    protocol: ElectionProtocol,
+    topology: CompleteTopology,
+    first: tuple[int, float, int],
+    second: tuple[int, float, int],
+) -> ProtocolViolation:
+    """The violation two leader declarations raise, in every runtime.
+
+    ``first`` and ``second`` are ``(position, time, depth)`` declarations
+    in either order; the earlier one is the incumbent.  The serial kernel,
+    a shard and the sharded coordinator all build the error here, so a
+    conflict reads the same wherever it is caught.
+    """
+    if second[1] < first[1]:
+        first, second = second, first
+    return ProtocolViolation(
+        f"{protocol.name}: node {topology.id_at(second[0])} declared leader "
+        f"at t={second[1]} but node {topology.id_at(first[0])} already had"
+    )
+
+
+def fold_result(
+    protocol: ElectionProtocol,
+    topology: CompleteTopology,
+    tallies: list[dict[str, Any]],
+    *,
+    quiescent_at: float,
+    failed_positions: frozenset[int],
+    trace: Tracer,
+) -> ElectionResult:
+    """Assemble the :class:`ElectionResult` from per-runtime tallies.
+
+    Each tally is a :meth:`SendPath._tally`.  The serial kernel passes its
+    one tally; the sharded coordinator passes one per shard, in shard order
+    (so base positions and snapshots come out in position order), having
+    already refused a second leader at the window barriers.
+    """
+
+    def total(key: str) -> int:
+        return sum(tally[key] for tally in tallies)
+
+    by_type: Counter = Counter()
+    for tally in tallies:
+        by_type.update(tally["type_counts"])
+    first_wake = min(
+        (t["first_wake"] for t in tallies if t["first_wake"] is not None),
+        default=None,
+    )
+    last_wake = max(
+        (t["last_wake"] for t in tallies if t["last_wake"] is not None),
+        default=None,
+    )
+    leader = next((t["leader"] for t in tallies if t["leader"]), None)
+    position, elected_at, depth = leader or (None, None, None)
+    return ElectionResult(
+        n=topology.n,
+        protocol=protocol.describe(),
+        leader_id=topology.id_at(position) if position is not None else None,
+        leader_position=position,
+        elected_at=elected_at,
+        election_time=(
+            elected_at - first_wake
+            if elected_at is not None and first_wake is not None
+            else float("inf")
+        ),
+        election_depth=depth,
+        messages_total=total("messages_total"),
+        bits_total=total("bits_total"),
+        messages_by_type=dict(by_type),
+        max_depth=max(tally["max_depth"] for tally in tallies),
+        quiescent_at=quiescent_at,
+        first_wake_time=first_wake,
+        last_wake_time=last_wake,
+        base_positions=tuple(p for t in tallies for p in t["base_positions"]),
+        failed_positions=tuple(sorted(failed_positions)),
+        node_snapshots=tuple(
+            snapshot for t in tallies for snapshot in t["snapshots"] or ()
+        ),
+        trace=trace,
+        crashed_positions=tuple(sorted(p for t in tallies for p in t["crashed"])),
+        max_channel_load=max(tally["max_channel_load"] for tally in tallies),
+        messages_dropped=total("dropped"),
+        messages_duplicated=total("duplicated"),
+        messages_jittered=total("jittered"),
+        retransmissions=total("retransmissions"),
+        duplicates_suppressed=total("duplicates_suppressed"),
+        packets_abandoned=total("packets_abandoned"),
+    )
+
+
 class SendPath:
-    """The send path shared by every runtime (serial network, shards).
+    """The runtime core shared by the serial network and the shards.
 
-    One implementation of the per-send pipeline — port validation, bit
-    audit, per-type tally, FIFO arrival (with the const-latency fast
-    path), and the zero-cost-off fault hook — ending in a single
-    :meth:`_dispatch_send` call that each runtime binds to its own
-    delivery machinery: the serial :class:`Network` schedules a heap
-    entry, and the sharded kernel buffers a packed record at the window
-    barrier.
-    Deduplicating the pipeline here is what keeps the runtimes
-    byte-identical: there is exactly one definition of what a send does.
+    It owns everything both runtimes do the same way: the per-run state
+    (scheduler, channels, failure sets, the bound fault plan, the
+    accounting accumulators), the per-send pipeline — port validation, bit
+    audit, per-type tally, FIFO arrival (with the const-latency fast path)
+    and the zero-cost-off fault verdict — the leader-uniqueness check, and
+    the final :meth:`_tally`.  A send ends in one :meth:`_dispatch_send`
+    call that each runtime binds to its own delivery machinery: the serial
+    :class:`Network` schedules a heap entry, and a shard buffers a packed
+    record at the window barrier.  There is exactly one definition of what
+    a send does, which is what keeps the runtimes byte-identical.
 
-    Host requirements (all plain attributes, so the hot path stays free
-    of descriptor lookups): ``scheduler``, ``topology``, ``delays``,
-    ``rng``, ``_faults``, ``_channel_of``, ``_const_latency``, ``_ids``,
-    ``_num_ports``, ``_n``, and the accounting accumulators.  Hosts
-    without tracing leave the class-level ``_tracing = False`` in place
-    and never touch ``tracer``.
+    Hosts set ``protocol`` and ``nodes`` (their owned nodes, in position
+    order).  Hosts without tracing leave the class-level
+    ``_tracing = False`` in place and never touch ``tracer``.
     """
 
     _tracing = False
+
+    def __init__(
+        self,
+        topology: CompleteTopology,
+        delays: DelayModel | None,
+        failed_positions: frozenset[int] | set[int],
+        crash_schedule: Mapping[int, float] | None,
+        faults: FaultPlan | None,
+        seed: int,
+        max_events: int,
+    ) -> None:
+        self.topology = topology
+        self.delays = delays if delays is not None else ConstantDelay(1.0)
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self.scheduler = Scheduler(max_events=max_events)
+        self.metrics = MetricsCollector()
+        self.channels = ChannelTable()
+        self.failed_positions = frozenset(failed_positions)
+        self.crash_schedule = merge_crash_schedule(crash_schedule, faults)
+        validate_failure_config(
+            topology.n, self.failed_positions, self.crash_schedule
+        )
+        self._crashed: set[int] = set()
+        self._has_failures = bool(self.failed_positions) or bool(
+            self.crash_schedule
+        )
+        #: Per-run fault state; ``None`` keeps the send path on the fast
+        #: branch (one attribute test, zero overhead).
+        self._faults = faults.bind() if faults is not None else None
+        self.fault_plan = faults
+
+        # Hot-path state: ids/num_ports as plain attributes and counters as
+        # local accumulators, tallied once at quiescence.
+        self._ids = topology.ids
+        self._num_ports = topology.num_ports
+        self._n = topology.n
+        self._messages_total = 0
+        self._bits_total = 0
+        self._type_counts: dict[str, int] = {}
+        self._max_depth = 0
+        self._dropped = 0
+        self._duplicated = 0
+        self._jittered = 0
+        #: The first leader declared here: ``(position, time, depth)``.
+        self._leader: tuple[int, float, int] | None = None
+        self._channel_of = self.channels.channel
+        # Constant latency with the default zero gap needs no per-message
+        # delay-model dispatch (and consumes no randomness): the arrival is
+        # just the FIFO clamp of ``now + delay``.
+        self._const_latency = (
+            self.delays.delay
+            if type(self.delays) is ConstantDelay
+            and type(self.delays).gap is DelayModel.gap
+            else None
+        )
+        self._current_depth = 0
 
     def _dispatch_send(
         self,
@@ -181,60 +333,13 @@ class SendPath:
         raise NotImplementedError
 
     def _transmit(self, position: int, port: int, message: Message) -> None:
-        """Node ``position`` sends ``message`` through ``port``."""
-        if self._faults is not None:
-            self._transmit_faulty(position, port, message)
-            return
-        if not 0 <= port < self._num_ports:
-            raise SimulationError(
-                f"node {self._ids[position]} used invalid port {port}"
-            )
-        bits = message_bits(message, self._n)
-        self._messages_total += 1
-        self._bits_total += bits
-        type_name = message.type_name
-        counts = self._type_counts
-        counts[type_name] = counts.get(type_name, 0) + 1
-        topology = self.topology
-        far = topology.neighbor(position, port)
-        far_port = topology.reverse_port(position, port)
-        sender_id = self._ids[position]
-        scheduler = self.scheduler
-        if self._tracing:
-            self.tracer.record(
-                scheduler.now,
-                "send",
-                sender_id,
-                to=self._ids[far],
-                message=type_name,
-            )
-        # Channels are keyed (and delay models addressed) by identity, so
-        # adversarial delay strategies can condition on the ids the paper's
-        # constructions talk about.
-        channel = self._channel_of(sender_id, self._ids[far])
-        latency = self._const_latency
-        if latency is not None:
-            arrival = scheduler.now + latency
-            if arrival < channel.last_arrival:
-                arrival = channel.last_arrival
-            channel.last_arrival = arrival
-            channel.messages_sent += 1
-        else:
-            arrival = channel.arrival_time(
-                message, scheduler.now, self.delays, self.rng
-            )
-        self._dispatch_send(arrival, far, far_port, message, sender_id)
+        """Node ``position`` sends ``message`` through ``port``.
 
-    def _transmit_faulty(
-        self, position: int, port: int, message: Message
-    ) -> None:
-        """The send path with a :class:`FaultPlan` installed.
-
-        Mirrors :meth:`_transmit`'s accounting (a dropped message still
-        *counts* as sent — loss is the gap between sent and delivered), then
-        asks the plan's per-link verdict.  The FIFO arrival is computed
-        first and jitter added on top without advancing the channel's FIFO
-        clock, so reordering stays bounded by the plan's ``jitter``.
+        With a :class:`FaultPlan` installed, the plan's per-link verdict
+        runs after the FIFO arrival is computed.  A dropped message still
+        *counts* as sent (loss is the gap between sent and delivered), and
+        jitter is added on top without advancing the channel's FIFO clock,
+        so reordering stays bounded by the plan's ``jitter``.
         """
         if not 0 <= port < self._num_ports:
             raise SimulationError(
@@ -257,13 +362,26 @@ class SendPath:
                 scheduler.now, "send", sender_id, to=receiver_id,
                 message=type_name,
             )
+        # Channels are keyed (and delay models addressed) by identity, so
+        # adversarial delay strategies can condition on the ids the paper's
+        # constructions talk about.
         channel = self._channel_of(sender_id, receiver_id)
-        # The generic arrival path computes the same times as the const
-        # fast path for ConstantDelay (latency fixed, gap zero, no RNG
-        # draw), so a plan with all rates zero is byte-identical to no plan.
-        arrival = channel.arrival_time(
-            message, scheduler.now, self.delays, self.rng
-        )
+        latency = self._const_latency
+        if latency is not None:
+            # The generic arrival below computes the same time for
+            # ConstantDelay (latency fixed, gap zero, no RNG draw).
+            arrival = scheduler.now + latency
+            if arrival < channel.last_arrival:
+                arrival = channel.last_arrival
+            channel.last_arrival = arrival
+            channel.messages_sent += 1
+        else:
+            arrival = channel.arrival_time(
+                message, scheduler.now, self.delays, self.rng
+            )
+        if self._faults is None:
+            self._dispatch_send(arrival, far, far_port, message, sender_id)
+            return
         copies, jitter, dup_jitter, reason = self._faults.judge(
             sender_id, receiver_id, scheduler.now
         )
@@ -296,11 +414,55 @@ class SendPath:
                 arrival + dup_jitter, far, far_port, message, sender_id
             )
 
+    def _on_leader_declared(self, position: int) -> None:
+        """Record the first declaration; a second leader is a violation."""
+        declared = (position, self.scheduler.now, self._current_depth)
+        leader = self._leader
+        if leader is None:
+            self._leader = declared
+        elif leader[0] != position:
+            raise leader_conflict(self.protocol, self.topology, leader, declared)
+
+    def _tally(self, positions: range, snapshots: bool) -> dict[str, Any]:
+        """This runtime's accounting for :func:`fold_result`.
+
+        ``positions`` are the owned positions, in the order of ``nodes``.
+        """
+        metrics = self.metrics
+        return {
+            "messages_total": self._messages_total,
+            "bits_total": self._bits_total,
+            "type_counts": self._type_counts,
+            "max_depth": self._max_depth,
+            "dropped": self._dropped,
+            "duplicated": self._duplicated,
+            "jittered": self._jittered,
+            "retransmissions": metrics.retransmissions,
+            "duplicates_suppressed": metrics.duplicates_suppressed,
+            "packets_abandoned": metrics.packets_abandoned,
+            "first_wake": metrics.first_wake_time,
+            "last_wake": metrics.last_wake_time,
+            "leader": self._leader,
+            "processed": self.scheduler.events_processed,
+            "max_channel_load": self.channels.max_load,
+            # A node scheduled to wake spontaneously may have been woken
+            # earlier by a message, in which case it is *not* a base node.
+            "base_positions": [
+                position
+                for position, node in zip(positions, self.nodes)
+                if node.is_base
+            ],
+            "crashed": sorted(self._crashed),
+            "snapshots": (
+                [node.snapshot() for node in self.nodes] if snapshots else None
+            ),
+        }
+
 
 class _BoundContext(NodeContext):
     """The capability handle handed to one node."""
 
-    def __init__(self, network: "Network", position: int) -> None:
+    def __init__(self, network: SendPath, position: int) -> None:
         topology = network.topology
         self._network = network
         self._position = position
@@ -365,60 +527,16 @@ class Network(SendPath):
         max_events: int = 5_000_000,
     ) -> None:
         protocol.validate(topology)
+        super().__init__(
+            topology, delays, failed_positions, crash_schedule, faults, seed,
+            max_events,
+        )
         self.protocol = protocol
-        self.topology = topology
-        self.delays = delays if delays is not None else ConstantDelay(1.0)
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.scheduler = Scheduler(max_events=max_events)
         self.tracer = Tracer(enabled=trace)
-        self.metrics = MetricsCollector()
-        self.channels = ChannelTable()
-        self.failed_positions = frozenset(failed_positions)
-        self.crash_schedule = merge_crash_schedule(crash_schedule, faults)
-        validate_failure_config(
-            topology.n, self.failed_positions, self.crash_schedule
-        )
-        self._crashed: set[int] = set()
-        #: Per-run fault state; ``None`` keeps the send path on the fast
-        #: branch (one attribute test, zero overhead).
-        self._faults = faults.bind() if faults is not None else None
-        self.fault_plan = faults
-
-        self._wakeup_spec = wakeup
-        self._leader_position: int | None = None
-        self._current_depth = 0
-        self._ran = False
-
-        # Hot-path state: ids/num_ports as plain attributes, counters as
-        # local accumulators (flushed into ``self.metrics`` at quiescence),
-        # and the tracing flag tested once per send/delivery.
         self._tracing = trace
-        self._ids = topology.ids
-        self._num_ports = topology.num_ports
-        self._n = topology.n
-        self._messages_total = 0
-        self._bits_total = 0
-        self._type_counts: dict[str, int] = {}
-        self._max_depth = 0
-        self._dropped = 0
-        self._duplicated = 0
-        self._jittered = 0
-        self._has_failures = bool(self.failed_positions) or bool(
-            self.crash_schedule
-        )
-        self._channel_of = self.channels.channel
+        self._wakeup_spec = wakeup
+        self._ran = False
         self._schedule_payload = self.scheduler.schedule_payload
-        # Constant latency with the default zero gap needs no per-message
-        # delay-model dispatch (and consumes no randomness): the arrival is
-        # just the FIFO clamp of ``now + delay``.
-        self._const_latency = (
-            self.delays.delay
-            if type(self.delays) is ConstantDelay
-            and type(self.delays).gap is DelayModel.gap
-            else None
-        )
-
         self.nodes: list[Node] = [
             protocol.create_node(_BoundContext(self, position))
             for position in range(topology.n)
@@ -516,31 +634,6 @@ class Network(SendPath):
         finally:
             self._current_depth = previous_depth
 
-    def _on_leader_declared(self, position: int) -> None:
-        if self._leader_position is not None and self._leader_position != position:
-            first = self.topology.id_at(self._leader_position)
-            second = self.topology.id_at(position)
-            raise ProtocolViolation(
-                f"{self.protocol.name}: node {second} declared leader at "
-                f"t={self.scheduler.now} but node {first} already had"
-            )
-        if self._leader_position is None:
-            self._leader_position = position
-            self.metrics.on_leader(self.scheduler.now, self._current_depth)
-
-    def _flush_metrics(self) -> None:
-        """Fold the hot-path accumulators into the metrics collector."""
-        metrics = self.metrics
-        metrics.messages_total = self._messages_total
-        metrics.bits_total = self._bits_total
-        metrics.messages_by_type.clear()
-        metrics.messages_by_type.update(self._type_counts)
-        if self._max_depth > metrics.max_depth:
-            metrics.max_depth = self._max_depth
-        metrics.messages_dropped = self._dropped
-        metrics.messages_duplicated = self._duplicated
-        metrics.messages_jittered = self._jittered
-
     # -- running ---------------------------------------------------------------
 
     def run(
@@ -578,61 +671,18 @@ class Network(SendPath):
             # adversary kills the node before it can act.
             self.scheduler.schedule_at(time, crash, tiebreak=-2)
 
-        try:
-            self.scheduler.run(until=until)
-        finally:
-            self._flush_metrics()
-        self.metrics.quiescent_at = self.scheduler.now
-
-        # A node scheduled to wake spontaneously may have been woken earlier
-        # by a message, in which case it is *not* a base node; report the
-        # nodes that actually started the protocol on their own.
-        base_positions = tuple(
-            position
-            for position in range(self.topology.n)
-            if self.nodes[position].is_base
+        self.scheduler.run(until=until)
+        result = fold_result(
+            self.protocol,
+            self.topology,
+            [self._tally(range(self._n), snapshots=True)],
+            quiescent_at=self.scheduler.now,
+            failed_positions=self.failed_positions,
+            trace=self.tracer,
         )
-        result = self._build_result(base_positions)
         if require_leader:
             result.verify()
         return result
-
-    def _build_result(self, base_positions: tuple[int, ...]) -> ElectionResult:
-        leader_position = self._leader_position
-        leader_id = (
-            self.topology.id_at(leader_position)
-            if leader_position is not None
-            else None
-        )
-        metrics = self.metrics
-        return ElectionResult(
-            n=self.topology.n,
-            protocol=self.protocol.describe(),
-            leader_id=leader_id,
-            leader_position=leader_position,
-            elected_at=metrics.leader_declared_at,
-            election_time=metrics.election_time,
-            election_depth=metrics.leader_declared_depth,
-            messages_total=metrics.messages_total,
-            bits_total=metrics.bits_total,
-            messages_by_type=dict(metrics.messages_by_type),
-            max_depth=metrics.max_depth,
-            quiescent_at=metrics.quiescent_at,
-            first_wake_time=metrics.first_wake_time,
-            last_wake_time=metrics.last_wake_time,
-            base_positions=base_positions,
-            failed_positions=tuple(sorted(self.failed_positions)),
-            node_snapshots=tuple(node.snapshot() for node in self.nodes),
-            trace=self.tracer,
-            crashed_positions=tuple(sorted(self._crashed)),
-            max_channel_load=self.channels.max_load,
-            messages_dropped=metrics.messages_dropped,
-            messages_duplicated=metrics.messages_duplicated,
-            messages_jittered=metrics.messages_jittered,
-            retransmissions=metrics.retransmissions,
-            duplicates_suppressed=metrics.duplicates_suppressed,
-            packets_abandoned=metrics.packets_abandoned,
-        )
 
 
 def run_election(

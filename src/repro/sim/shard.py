@@ -17,13 +17,15 @@ runs them under **conservative time-window synchronization**:
   destination shards as **packed integer/float arrays** (the fast lane;
   nested or tuple-carrying messages ride a pickled slow lane).
 
-Each shard runs one window engine (:class:`_Shard`).  Sends of flat
-messages whose fields are declared ``int`` or ``bool`` go through a
-per-class compiled, fused send function; every other send takes the
-:class:`~repro.sim.network.SendPath` pipeline shared with the serial
-kernel.  A window's incoming fast-lane records are decoded
-in one pass that builds messages with compiled per-``(type_id, tagword)``
-constructors.  Dispatch stays strictly per-event in global merge order.
+Each shard runs one window engine (:class:`_Shard`), built on the
+:class:`~repro.sim.network.SendPath` runtime core it shares with the
+serial kernel; the coordinator folds the shards' tallies with the same
+:func:`~repro.sim.network.fold_result`.  Sends of flat messages whose
+fields are declared ``int`` or ``bool`` go through a per-class compiled,
+fused send function; every other send takes the shared pipeline.  A
+window's incoming fast-lane records are decoded in one pass that builds
+messages with compiled per-``(type_id, tagword)`` constructors.  Dispatch
+stays strictly per-event in global merge order.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
@@ -74,7 +76,6 @@ import heapq
 import os
 import random
 from array import array
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields as _dataclass_fields
 from itertools import repeat
@@ -82,37 +83,32 @@ from time import perf_counter
 from typing import Any
 
 from repro.core import errors as _errors
-from repro.core.errors import (
-    ConfigurationError,
-    LivelockError,
-    ProtocolViolation,
-    SimulationError,
-)
+from repro.core.errors import ConfigurationError, LivelockError, SimulationError
 from repro.core.messages import (
     MAX_INT_FIELDS,
     TYPE_TAG_BITS,
     Message,
     _word_bits,
 )
-from repro.core.node import Node, NodeContext
+from repro.core.node import Node
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
 from repro.harness.parallel import configured_processes, fork_context
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import TIEBREAK_SHIFT
 from repro.sim.faults import FaultPlan
-from repro.sim.link import Channel, ChannelTable
-from repro.sim.metrics import MetricsCollector
+from repro.sim.link import Channel
 from repro.sim.network import (
     SendPath,
     WakeupFactory,
     WakeupSchedule,
+    _BoundContext,
+    fold_result,
+    leader_conflict,
     merge_crash_schedule,
     resolve_wakeup,
     validate_failure_config,
 )
-from repro.sim.rng import node_stream
-from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Tracer
 from repro.topology.complete import CompleteTopology
 
@@ -473,23 +469,11 @@ def _shard_bounds(n: int, shards: int, index: int) -> tuple[int, int]:
     return lo, hi
 
 
-class _ShardContext(NodeContext):
-    """The capability handle handed to one node of one shard.
-
-    Mirrors the serial ``_BoundContext`` exactly, except that sends are
-    buffered at the window barrier instead of scheduled, and tracing is a
-    no-op (sharded runs refuse ``trace=True`` up front).
-    """
-
-    def __init__(self, shard: "_Shard", position: int) -> None:
-        topology = shard.topology
-        self._shard = shard
-        self._position = position
-        self.node_id = topology.id_at(position)
-        self.n = topology.n
-        self.num_ports = topology.num_ports
-        self.has_sense_of_direction = topology.sense_of_direction
-        self._rng: random.Random | None = None
+class _ShardContext(_BoundContext):
+    """The serial node context, except that sends go to the shard's
+    compiled per-class send functions (which buffer them at the window
+    barrier).  Tracing stays a no-op: shards keep ``_tracing = False``
+    (sharded runs refuse ``trace=True`` up front)."""
 
     def send(self, port: int, message: Message) -> None:
         """Dispatch straight to the message class's compiled send.
@@ -500,48 +484,12 @@ class _ShardContext(NodeContext):
         failed on ~3/4 of sends and the re-dispatch cost more than the
         saved frame.)
         """
-        shard = self._shard
+        shard = self._network
         cls = type(message)
         fn = shard._send_fns.get(cls)
         if fn is None:
             fn = shard._send_fns[cls] = _compile_send(shard, cls)
         fn(shard, self._position, port, message)
-
-    def port_label(self, port: int) -> int | None:  # noqa: D102
-        return self._shard.topology.label(self._position, port)
-
-    def port_with_label(self, distance: int) -> int:  # noqa: D102
-        return self._shard.topology.port_with_label(self._position, distance)
-
-    def now(self) -> float:  # noqa: D102
-        return self._shard.scheduler.now
-
-    def declare_leader(self) -> None:  # noqa: D102
-        self._shard._on_leader_declared(self._position)
-
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
-        """Arm a one-shot timer; see :meth:`NodeContext.set_timer`."""
-        self._shard._schedule_timer(self._position, delay, callback)
-
-    def count(self, metric: str, delta: int = 1) -> None:  # noqa: D102
-        self._shard.metrics.bump(metric, delta)
-
-    def rng(self) -> random.Random:
-        """This node's ``(run_seed, node_id)``-derived stream (lazy).
-
-        Same derivation as the serial kernel's ``_BoundContext.rng`` —
-        a node's draws depend only on the run seed, its id and its own
-        draw count, so sharded runs of ctx-RNG protocols stay
-        digest-identical to serial runs.
-        """
-        stream = self._rng
-        if stream is None:
-            seed = self._shard.cfg.seed
-            stream = self._rng = node_stream(seed, self.node_id)
-        return stream
-
-    def trace(self, kind: str, **detail: Any) -> None:  # noqa: D102
-        pass
 
 
 #: Action slot of a delivery entry.  The window loop recognises
@@ -550,55 +498,31 @@ _DELIVER = object()
 
 
 class _Shard(SendPath):
-    """One shard's runtime: nodes, scheduler (timers), channels, metrics.
+    """One shard's runtime: the shared core plus the window loop.
 
-    The send pipeline (port check, bit audit, FIFO arrival, fault
-    verdicts) is :class:`SendPath`, shared verbatim with the serial
-    kernel; this class binds its :meth:`_dispatch_send` hook to the window
-    buffers.  The common sends bypass it through :func:`_compile_send`,
-    with byte-identical results.
+    The per-run state, send pipeline (port check, bit audit, FIFO
+    arrival, fault verdicts), leader check and final tally are
+    :class:`SendPath`, shared verbatim with the serial kernel.  This class
+    adds only its scheduling and dispatch: the window loop, timer ranks,
+    and a :meth:`_dispatch_send` bound to the window buffers.  The common
+    sends bypass the pipeline through :func:`_compile_send`, with
+    byte-identical results.
     """
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
-        self.cfg = cfg
-        self.index = index
-        self.topology = cfg.topology
-        self.delays = cfg.delays
-        self.scheduler = Scheduler(max_events=cfg.max_events)
-        self.metrics = MetricsCollector()
-        self.channels = ChannelTable()
-        self.codec = cfg.codec
-        self.failed_positions = cfg.failed_positions
-        self._crashed: set[int] = set()
-        self._has_failures = bool(cfg.failed_positions) or bool(
-            cfg.crash_schedule
-        )
-        self._faults = cfg.faults.bind() if cfg.faults is not None else None
         # Shardable delay models draw from per-link streams (or none at
-        # all), never from this run-RNG stand-in.
-        self.rng = random.Random(0)
-        self._ids = cfg.topology.ids
-        self._num_ports = cfg.topology.num_ports
-        self._n = cfg.topology.n
+        # all), never from the run RNG this builds.
+        super().__init__(
+            cfg.topology, cfg.delays, cfg.failed_positions,
+            cfg.crash_schedule, cfg.faults, cfg.seed, cfg.max_events,
+        )
+        self.cfg = cfg
+        self.protocol = cfg.protocol
+        self.codec = cfg.codec
         self._shards = cfg.shards
-        self._messages_total = 0
-        self._bits_total = 0
-        self._type_counts: dict[str, int] = {}
-        self._max_depth = 0
-        self._dropped = 0
-        self._duplicated = 0
-        self._jittered = 0
-        self._channel_of = self.channels.channel
         #: First-level access to the lazily-built channel dict, for the
         #: compiled sends.
         self._chan_map = self.channels._channels
-        self._const_latency = (
-            cfg.delays.delay
-            if type(cfg.delays) is ConstantDelay
-            and type(cfg.delays).gap is DelayModel.gap
-            else None
-        )
-        self._current_depth = 0
         #: The entry being dispatched, whose ``[0:2]`` is the send rank —
         #: or None while a timer callback runs, whose rank is the 4-tuple
         #: in ``_current_rank`` (see :meth:`_rank`).
@@ -606,7 +530,6 @@ class _Shard(SendPath):
         self._current_rank: tuple = ()
         self._send_seq = 0
         self._timer_seq = 0
-        self._leader: tuple[int, float, int] | None = None
         self._last_time = 0.0
         self._busy = 0.0
         #: Per-class compiled send functions, built on first send of each
@@ -717,21 +640,6 @@ class _Shard(SendPath):
         self._current_rank = entry[6]
         self._current_depth = entry[3]
         entry[5]()
-
-    def _on_leader_declared(self, position: int) -> None:
-        if self._leader is not None and self._leader[0] != position:
-            first = self.topology.id_at(self._leader[0])
-            second = self.topology.id_at(position)
-            raise ProtocolViolation(
-                f"{self.cfg.protocol.name}: node {second} declared leader at "
-                f"t={self.scheduler.now} but node {first} already had"
-            )
-        if self._leader is None:
-            self._leader = (
-                position,
-                self.scheduler.now,
-                self._current_depth,
-            )
 
     # -- the window loop ---------------------------------------------------
 
@@ -918,44 +826,15 @@ class _Shard(SendPath):
         return processed
 
     def finish(self) -> dict[str, Any]:
-        """Final fold of this shard's accounting, for the coordinator."""
+        """This shard's :meth:`SendPath._tally`, for the coordinator."""
         counts = self._type_counts
         for cls, cell in self._class_cells.items():
             if cell[0]:
                 counts[cls.__name__] = counts.get(cls.__name__, 0) + cell[0]
-        metrics = self.metrics
         return {
-            "messages_total": self._messages_total,
-            "bits_total": self._bits_total,
-            "type_counts": counts,
-            "max_depth": self._max_depth,
-            "dropped": self._dropped,
-            "duplicated": self._duplicated,
-            "jittered": self._jittered,
-            "retransmissions": metrics.retransmissions,
-            "duplicates_suppressed": metrics.duplicates_suppressed,
-            "packets_abandoned": metrics.packets_abandoned,
-            "first_wake": metrics.first_wake_time,
-            "last_wake": metrics.last_wake_time,
-            "leader": self._leader,
-            "processed": self.scheduler.events_processed,
+            **self._tally(range(self.lo, self.hi), self.cfg.collect_snapshots),
             "busy": self._busy,
             "last_time": self._last_time,
-            "max_channel_load": self.channels.max_load,
-            "base_positions": [
-                position
-                for position, node in enumerate(self.nodes, self.lo)
-                if node.is_base
-            ],
-            "crashed": sorted(self._crashed),
-            "snapshots": (
-                [
-                    (position, node.snapshot())
-                    for position, node in enumerate(self.nodes, self.lo)
-                ]
-                if self.cfg.collect_snapshots
-                else None
-            ),
         }
 
 
@@ -1268,7 +1147,14 @@ class ShardedNetwork:
         finally:
             for handle in handles:
                 handle.close()
-        result = self._build_result(finals)
+        result = fold_result(
+            self.protocol,
+            self.topology,
+            finals,
+            quiescent_at=max(final["last_time"] for final in finals),
+            failed_positions=cfg.failed_positions,
+            trace=Tracer(enabled=False),
+        )
         self.stats["wall_seconds"] = perf_counter() - wall0
         if require_leader:
             if cfg.collect_snapshots:
@@ -1322,7 +1208,9 @@ class ShardedNetwork:
                     if leader is None:
                         leader, leader_shard = reported, index
                     elif leader_shard != index:
-                        self._raise_leader_conflict(leader, reported)
+                        raise leader_conflict(
+                            self.protocol, self.topology, leader, reported
+                        )
             if total_processed > max_events:
                 raise LivelockError(
                     f"event budget of {max_events} exhausted at t={start}; "
@@ -1397,116 +1285,15 @@ class ShardedNetwork:
             global_seq += 1
         return incoming_min, global_seq
 
-    def _raise_leader_conflict(
-        self, first: tuple[int, float, int], second: tuple[int, float, int]
-    ) -> None:
-        if first[1] > second[1]:
-            first, second = second, first
-        first_id = self.topology.id_at(first[0])
-        second_id = self.topology.id_at(second[0])
-        raise ProtocolViolation(
-            f"{self.protocol.name}: node {second_id} declared leader at "
-            f"t={second[1]} but node {first_id} already had"
-        )
-
-    # -- result assembly ---------------------------------------------------
-
-    def _build_result(self, finals: list[dict[str, Any]]) -> ElectionResult:
-        by_type: Counter = Counter()
-        for final in finals:
-            by_type.update(final["type_counts"])
-        first_wakes = [
-            f["first_wake"] for f in finals if f["first_wake"] is not None
-        ]
-        last_wakes = [
-            f["last_wake"] for f in finals if f["last_wake"] is not None
-        ]
-        first_wake = min(first_wakes) if first_wakes else None
-        last_wake = max(last_wakes) if last_wakes else None
-        leaders = [f["leader"] for f in finals if f["leader"] is not None]
-        if len(leaders) > 1:
-            self._raise_leader_conflict(leaders[0], leaders[1])
-        leader = leaders[0] if leaders else None
-        leader_position = leader[0] if leader else None
-        elected_at = leader[1] if leader else None
-        election_depth = leader[2] if leader else None
-        election_time = (
-            elected_at - first_wake
-            if elected_at is not None and first_wake is not None
-            else float("inf")
-        )
-        base_positions = tuple(
-            position for final in finals for position in final["base_positions"]
-        )
-        snapshots: tuple = ()
-        if self._cfg.collect_snapshots:
-            snapshots = tuple(
-                snapshot
-                for final in finals
-                for _position, snapshot in final["snapshots"]
-            )
-        quiescent_at = max(final["last_time"] for final in finals)
-        crashed = sorted(
-            position for final in finals for position in final["crashed"]
-        )
-        metrics_sums = {
-            name: sum(final[name] for final in finals)
-            for name in (
-                "messages_total",
-                "bits_total",
-                "dropped",
-                "duplicated",
-                "jittered",
-                "retransmissions",
-                "duplicates_suppressed",
-                "packets_abandoned",
-            )
-        }
-        return ElectionResult(
-            n=self.topology.n,
-            protocol=self.protocol.describe(),
-            leader_id=(
-                self.topology.id_at(leader_position)
-                if leader_position is not None
-                else None
-            ),
-            leader_position=leader_position,
-            elected_at=elected_at,
-            election_time=election_time,
-            election_depth=election_depth,
-            messages_total=metrics_sums["messages_total"],
-            bits_total=metrics_sums["bits_total"],
-            messages_by_type=dict(by_type),
-            max_depth=max(final["max_depth"] for final in finals),
-            quiescent_at=quiescent_at,
-            first_wake_time=first_wake,
-            last_wake_time=last_wake,
-            base_positions=base_positions,
-            failed_positions=tuple(sorted(self._cfg.failed_positions)),
-            node_snapshots=snapshots,
-            trace=Tracer(enabled=False),
-            crashed_positions=tuple(crashed),
-            max_channel_load=max(
-                final["max_channel_load"] for final in finals
-            ),
-            messages_dropped=metrics_sums["dropped"],
-            messages_duplicated=metrics_sums["duplicated"],
-            messages_jittered=metrics_sums["jittered"],
-            retransmissions=metrics_sums["retransmissions"],
-            duplicates_suppressed=metrics_sums["duplicates_suppressed"],
-            packets_abandoned=metrics_sums["packets_abandoned"],
-        )
-
     @property
     def aggregate_events_per_sec(self) -> float:
         """Sum of per-shard busy-time event rates (see docs/performance.md).
 
-        The capacity metric BENCH_kernel.json publishes: each shard's
-        events divided by the wall seconds it spent *processing* (window
-        barriers and coordinator time excluded), summed over shards.  On a
-        multi-core host this is the deliverable aggregate rate; on a
-        single-core container it is the projected one (shards time-slice,
-        so per-shard busy rates are unaffected by contention).
+        Each shard's events divided by the wall seconds it spent
+        *processing* (window barriers and coordinator time excluded),
+        summed over shards.  A projection — the rate with one core per
+        shard and free barriers — not a measured rate: the run's wall
+        clock is ``stats["wall_seconds"]``.
         """
         events = self.stats.get("events_per_shard") or []
         busy = self.stats.get("busy_per_shard") or []

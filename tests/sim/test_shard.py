@@ -32,6 +32,7 @@ from repro.adversary.delays import congested_links, worst_case_unit
 from repro.core.errors import (
     ConfigurationError,
     LivelockError,
+    ProtocolViolation,
     SimulationError,
 )
 from repro.core.messages import Message
@@ -865,6 +866,67 @@ class TestGeometryAndStats:
         )
         assert result.leader_id is not None
         assert result.node_snapshots == ()
+
+
+# ---------------------------------------------------------------------------
+# Safety: a second leader reads the same wherever it is caught.
+# ---------------------------------------------------------------------------
+
+
+class _TwoLeaderNode(Node):
+    """Relays a chain through port 0; the nodes the chain reaches at hops
+    3 and 4 both declare, one time unit apart.  On the sense-of-direction
+    wiring hop ``h`` lands on position ``h``, so the two declarers share a
+    shard at 3 shards of 8 nodes and sit in different shards at 2."""
+
+    def on_wake(self, spontaneous):
+        if spontaneous:
+            self.ctx.send(0, _Census(1, 0))
+
+    def on_message(self, port, message):
+        if message.hops in (3, 4):
+            self.become_leader()
+        if message.hops < self.ctx.n:
+            self.ctx.send(0, _Census(message.hops + 1, 0))
+
+
+class _TwoLeaderProtocol(ElectionProtocol):
+    name = "two-leader-test"
+
+    def create_node(self, ctx):
+        return _TwoLeaderNode(ctx)
+
+
+@pytest.mark.shard_smoke
+def test_leader_conflict_reads_the_same_in_every_runtime():
+    """Serial, same-shard, cross-shard in-process and cross-shard forked
+    runs all raise the one violation message, naming the same two nodes
+    and the second declaration's instant."""
+
+    def violation(run) -> str:
+        with pytest.raises(ProtocolViolation) as caught:
+            run(_TwoLeaderProtocol(), complete_with_sense_of_direction(8))
+        return str(caught.value)
+
+    def sharded(shards, workers):
+        return lambda protocol, topology: run_sharded_election(
+            protocol, topology, shards=shards, workers=workers,
+            wakeup={0: 0.0},
+        )
+
+    serial = violation(
+        lambda protocol, topology: run_election(
+            protocol, topology, wakeup={0: 0.0}
+        )
+    )
+    topology = complete_with_sense_of_direction(8)
+    assert serial == (
+        f"two-leader-test: node {topology.id_at(4)} declared leader at "
+        f"t=4.0 but node {topology.id_at(3)} already had"
+    )
+    assert violation(sharded(3, 0)) == serial  # same shard
+    assert violation(sharded(2, 0)) == serial  # cross-shard, in-process
+    assert violation(sharded(2, 2)) == serial  # cross-shard, forked
 
 
 # ---------------------------------------------------------------------------

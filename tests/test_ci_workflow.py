@@ -111,16 +111,27 @@ class TestCommands:
         assert tier1[0]["env"]["PYTHONPATH"] == "src"
 
     def test_shard_smoke_leg_exercises_the_sharded_cli(self, jobs):
+        # The sharded CLI's output must equal the serial CLI's, byte for
+        # byte, on forked workers: an exit status alone would pass a
+        # sharded run that printed the wrong leader.
         sharded = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--shards" in s["run"]
         ]
         assert len(sharded) == 1
         assert sharded[0]["if"] == "matrix.marker == 'shard_smoke'"
-        assert sharded[0]["run"] == (
+        lines = [line.strip() for line in sharded[0]["run"].splitlines()]
+        assert lines == [
+            "python -m repro run --protocol C --n 256 > serial_c.txt",
             "python -m repro run --protocol C --n 256 --shards 2 "
-            "--shard-workers 2"
-        )
+            "--shard-workers 2 > sharded_c.txt",
+            "diff serial_c.txt sharded_c.txt",
+            "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
+            "> serial_e.txt",
+            "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
+            "--shards 3 --shard-workers 3 > sharded_e.txt",
+            "diff serial_e.txt sharded_e.txt",
+        ]
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
         lines = list(_run_lines(jobs["lint"]))
