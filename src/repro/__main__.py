@@ -15,7 +15,7 @@ Subcommands::
     python -m repro verify --stat [--confidence 0.99] [--trials 600]
     python -m repro lint [--format json|sarif] [--select/--ignore RPL0xx] [paths]
     python -m repro lint --flow [paths]
-    python -m repro lint --capabilities [--check]
+    python -m repro lint --capabilities
     python -m repro analyze [--protocol A] [--n 64] [--format json]
     python -m repro matrix --spec specs.toml [--outdir OUT] [--strict]
     python -m repro check --all [--quick] [--outdir OUT] [--spec FILE]
@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     matrix_parser.add_argument(
         "--spec", default=None, metavar="FILE",
-        help="spec file (.toml or .csv; default: the curated slice)",
+        help="TOML spec file (default: the curated slice)",
     )
     matrix_parser.add_argument(
         "--outdir", default=None, metavar="DIR",

@@ -1228,8 +1228,3 @@ ALL_EXPERIMENTS = (
     e12_survivability,
     e13_randomized_sublinear,
 )
-
-
-def run_all(scale: Scale = QUICK) -> list[ExperimentReport]:
-    """Run every experiment at the given scale."""
-    return [experiment(scale) for experiment in ALL_EXPERIMENTS]

@@ -10,7 +10,7 @@ them).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -110,22 +110,6 @@ class ExperimentReport:
                 "rows": [list(row) for row in rows],
             }
         return payload
-
-
-def report_digest(payload: dict[str, Any]) -> str:
-    """SHA-256 over a payload's canonical JSON serialisation."""
-    import hashlib
-    import json
-
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(canonical).hexdigest()
-
-
-def repeat(
-    run: Callable[[int], ElectionResult], seeds: Iterable[int]
-) -> list[ElectionResult]:
-    """Run one configuration across ``seeds`` and return all results."""
-    return [run(seed) for seed in seeds]
 
 
 def messages_summary(results: Sequence[ElectionResult]) -> Summary:

@@ -20,8 +20,6 @@ from .capabilities import (
     ProtocolCapability,
     capability_for,
     derive_capability_table,
-    load_packaged_table,
-    packaged_table_path,
 )
 from .core import (
     Finding,
@@ -36,7 +34,6 @@ from .flow import (  # noqa: F401  (registers the RPL03x rule family)
     FlowAutomaton,
     analyze_node_class,
     analyze_protocol,
-    analyze_registered_protocols,
     flow_findings,
 )
 from .reporters import render_json, render_sarif, render_text
@@ -52,13 +49,10 @@ __all__ = [
     "Rule",
     "analyze_node_class",
     "analyze_protocol",
-    "analyze_registered_protocols",
     "capability_for",
     "derive_capability_table",
     "flow_findings",
     "lint_paths",
-    "load_packaged_table",
-    "packaged_table_path",
     "render_json",
     "render_sarif",
     "render_text",

@@ -17,12 +17,12 @@ The derived booleans:
   scans.  Sound to orbit-prune under hidden wiring, where the group also
   permutes every node's port labels.
 
-``derive_capability_table()`` snapshots this for every registered
-protocol; the snapshot is checked in at
-``src/repro/verification/capabilities.json`` and ``verification/symmetry``
-cross-checks the live derivation against it every time ``--symmetry
-prune`` is requested, erroring out on disagreement (code changed, table
-stale → regenerate with ``python -m repro lint --capabilities``).
+:func:`capability_for` is the one source of these facts: the prune gate
+(``verification/symmetry``), the matrix spec loader, the sharded
+kernel's refusal and ``verify --stat`` all derive them live, once per
+protocol class.  ``derive_capability_table()`` renders the table for
+every registered protocol (``python -m repro lint --capabilities``);
+``tests/lint/test_capabilities.py`` pins the expected values literally.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .core import ModuleContext
 from .equivariance import check_equivariance
 
 #: Version 2 adds the flow-derived behavioural fields (``uses_timers``,
-#: ``uses_rng``, ``max_fanout``, ``quiescent_kinds``).  An older snapshot
-#: lacks them, so the drift gate and the prune gate report it as stale.
+#: ``uses_rng``, ``max_fanout``, ``quiescent_kinds``).
 CAPABILITY_TABLE_VERSION = 2
 
 #: Modules that are framework (or stdlib plumbing), not protocol
@@ -84,7 +83,7 @@ class ProtocolCapability:
         return self.id_order_sites == 0 and self.port_scan_sites == 0
 
     def to_dict(self) -> dict:
-        """JSON-ready form, matching ``capabilities.json`` entries."""
+        """JSON-ready form: one entry of ``lint --capabilities``."""
         return {
             "modules": list(self.modules),
             "id_order_sites": self.id_order_sites,
@@ -206,21 +205,6 @@ def derive_capability_table() -> dict:
         "tool": "repro-lint",
         "protocols": protocols,
     }
-
-
-def packaged_table_path() -> Path:
-    """Location of the checked-in capability snapshot."""
-    from repro import verification
-
-    return Path(verification.__file__).resolve().parent / "capabilities.json"
-
-
-def load_packaged_table() -> dict | None:
-    """The checked-in capability snapshot, or None if absent."""
-    path = packaged_table_path()
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
 
 
 def render_capability_table() -> str:

@@ -74,15 +74,7 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         "--capabilities",
         action="store_true",
         help="emit the derived per-protocol capability table as "
-        "JSON and exit (regenerates src/repro/verification/"
-        "capabilities.json content)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="with --capabilities: exit 1 if the checked-in "
-        "capabilities.json differs from the live derivation "
-        "(drift gate for CI)",
+        "JSON and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -112,17 +104,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if options.capabilities:
-        if options.check:
-            return check_capability_drift()
         sys.stdout.write(render_capability_table())
         return 0
-
-    if options.check:
-        print(
-            "repro lint: error: --check requires --capabilities",
-            file=sys.stderr,
-        )
-        return 2
 
     paths = options.paths or default_paths()
     try:
@@ -143,52 +126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         sys.stdout.write(render_text(result, verbose=options.verbose))
     return 0 if result.ok else 1
-
-
-def check_capability_drift() -> int:
-    """``--capabilities --check``: diff the snapshot against the live
-    derivation; exit 1 on staleness so CI catches un-regenerated tables."""
-    from .capabilities import (
-        derive_capability_table,
-        load_packaged_table,
-        packaged_table_path,
-    )
-
-    live = derive_capability_table()
-    packaged = load_packaged_table()
-    if packaged is None:
-        print(
-            f"capability snapshot missing: {packaged_table_path()}",
-            file=sys.stderr,
-        )
-        return 1
-    if packaged == live:
-        print(f"capabilities.json is current ({len(live['protocols'])} "
-              "protocols)")
-        return 0
-    print(
-        "capabilities.json is stale; regenerate with "
-        "`python -m repro lint --capabilities > "
-        "src/repro/verification/capabilities.json`",
-        file=sys.stderr,
-    )
-    stale = sorted(
-        set(live["protocols"]) ^ set(packaged.get("protocols", {}))
-    )
-    for name in sorted(live["protocols"]):
-        if name in packaged.get("protocols", {}) and (
-            live["protocols"][name] != packaged["protocols"][name]
-        ):
-            stale.append(name)
-    for name in sorted(set(stale)):
-        print(f"  drifted: {name}", file=sys.stderr)
-    if packaged.get("version") != live.get("version"):
-        print(
-            f"  schema version: packaged {packaged.get('version')} "
-            f"vs live {live.get('version')}",
-            file=sys.stderr,
-        )
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -295,9 +295,3 @@ def lint_paths(
         else:
             result.findings.append(finding)
     return result
-
-
-def strip_suppression(finding: Finding) -> Finding:
-    """A copy of ``finding`` with suppression cleared (capability counts
-    treat acknowledged sites exactly like unacknowledged ones)."""
-    return replace(finding, suppressed=False, suppression_reason=None)

@@ -29,7 +29,6 @@ from .automaton import (
     HandlerFlow,
     analyze_node_class,
     analyze_protocol,
-    analyze_registered_protocols,
 )
 from .lattice import FanOut
 from .rules import flow_findings
@@ -40,6 +39,5 @@ __all__ = [
     "HandlerFlow",
     "analyze_node_class",
     "analyze_protocol",
-    "analyze_registered_protocols",
     "flow_findings",
 ]

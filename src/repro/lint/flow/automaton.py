@@ -409,17 +409,6 @@ def analyze_protocol(protocol_cls: type) -> FlowAutomaton:
     )
 
 
-def analyze_registered_protocols() -> dict[str, FlowAutomaton]:
-    """Automata for every registered protocol, keyed by protocol name."""
-    import repro  # noqa: F401  (importing repro registers all protocols)
-    from repro.core.protocol import registered_protocols
-
-    return {
-        name: analyze_protocol(cls)
-        for name, cls in sorted(registered_protocols().items())
-    }
-
-
 def analyze_targets(
     contexts: Sequence[ModuleContext],
 ) -> tuple[Universe, list[FlowAutomaton]]:

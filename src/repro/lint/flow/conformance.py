@@ -156,10 +156,3 @@ def probe_protocol_class(
 
     automaton = analyze_protocol(protocol_cls)
     return probe_protocol_instance(protocol_cls(), automaton, n=n, seed=seed)
-
-
-def conformance_task(protocol_name: str, *, n: int = PROBE_N) -> dict[str, Any]:
-    """One probe task for ``check --all`` (runs inside the fork pool)."""
-    from repro.core.protocol import protocol_class
-
-    return probe_protocol_class(protocol_class(protocol_name), n=n)

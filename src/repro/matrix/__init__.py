@@ -20,9 +20,7 @@ from repro.matrix.spec import (
     expand,
     expand_specs,
     load_specs,
-    parse_csv,
     parse_toml,
-    specs_to_csv,
     specs_to_toml,
     validate_spec,
 )
@@ -41,10 +39,8 @@ __all__ = [
     "expand",
     "expand_specs",
     "load_specs",
-    "parse_csv",
     "parse_toml",
     "run_matrix",
-    "specs_to_csv",
     "specs_to_toml",
     "validate_spec",
 ]

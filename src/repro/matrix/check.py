@@ -33,8 +33,8 @@ through seven phases and folds every verdict into a single
    (:func:`repro.lint.flow.conformance.probe_protocol_class`) and the
    measured per-activation fan-out must not exceed the static bound the
    flow analyzer derived (``python -m repro analyze``).  A violation
-   means the analyzer's capability table (``capabilities.json`` v2) is
-   describing a protocol the code does not implement.
+   means the analyzer's ``max_fanout`` capability is describing a
+   protocol the code does not implement.
 7. **Statistical gate** — the randomized family
    (:mod:`repro.protocols.random`) gets the Monte-Carlo pass
    (:func:`repro.verification.stat.verify_stat`): seeded trials folded

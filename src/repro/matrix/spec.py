@@ -3,10 +3,10 @@
 The scenario space — protocol × scenario × N × k × seed — outgrew the
 hand-coded E1–E12 sweep functions; this module makes it a first-class,
 *validated* artifact.  A :class:`ScenarioSpec` is one row of a spec file
-(TOML ``[[spec]]`` tables or CSV rows, mirroring the validation-sweep
-layout the repo's exemplars use): every multi-valued field is an **axis**,
-and :func:`expand` turns one row into the exact cross-product of its axes
-as :class:`MatrixCell` objects — the unit the sweep runner executes.
+(a TOML ``[[spec]]`` table, mirroring the validation-sweep layout the
+repo's exemplars use): every multi-valued field is an **axis**, and
+:func:`expand` turns one row into the exact cross-product of its axes as
+:class:`MatrixCell` objects — the unit the sweep runner executes.
 
 Three layers of checking, each at the earliest possible moment:
 
@@ -21,9 +21,10 @@ Three layers of checking, each at the earliest possible moment:
    ``symmetry = "prune"`` is only accepted when the linter-derived
    capability table (:mod:`repro.lint.capabilities`) proves *every*
    protocol on the row equivariant under the relevant relabelling group —
-   the same gate ``python -m repro verify --symmetry prune`` applies,
-   moved from mid-run to load time.  All fourteen paper protocols compare
-   identities, so a curated row asking to prune them is a spec bug.
+   the same decision (:func:`repro.verification.symmetry.prune_refusal`)
+   ``python -m repro verify --symmetry prune`` takes, moved from mid-run
+   to load time.  All fourteen paper protocols compare identities, so a
+   curated row asking to prune them is a spec bug.
 
 3. **Structural filtering at expansion** (:func:`expand_specs` with
    ``filter=True``): cells that are *individually* impossible — a
@@ -36,17 +37,14 @@ Three layers of checking, each at the earliest possible moment:
    silently skipped.
 
 Round-trip contract (property-tested): ``parse_toml(specs_to_toml(s)) ==
-s`` and ``parse_csv(specs_to_csv(s)) == s`` for any valid spec list, and
-``len(expand(spec))`` equals the product of the axis lengths with no
-duplicate cells.
+s`` for any valid spec list, and ``len(expand(spec))`` equals the product
+of the axis lengths with no duplicate cells.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import inspect
-import io
 import json
 import tomllib
 from dataclasses import dataclass, field, fields
@@ -60,13 +58,6 @@ if TYPE_CHECKING:
 
 #: Values ``symmetry`` may take (None = no symmetry pass).
 SYMMETRY_MODES = ("census", "prune")
-
-#: CSV column order (one spec per row; list-valued columns are
-#: ``|``-joined; empty string = the field's default).
-CSV_COLUMNS = (
-    "tag", "protocols", "scenarios", "ns", "seeds", "seed_family", "ks",
-    "symmetry", "verify_ns", "fuzz_ns", "fuzz_schedules", "fault_budget",
-)
 
 _LIST_INT_FIELDS = ("ns", "seeds", "ks", "verify_ns", "fuzz_ns")
 _LIST_STR_FIELDS = ("protocols", "scenarios")
@@ -212,9 +203,10 @@ def cell_rejection(cell: MatrixCell) -> str | None:
     """
     from repro.core.protocol import protocol_class
     from repro.harness.scenarios import SCENARIOS
+    from repro.lint.capabilities import capability_for
 
     cls = protocol_class(cell.protocol)
-    if cell.seed_family is None and _protocol_uses_ctx_rng(cell.protocol):
+    if cell.seed_family is None and capability_for(cls).uses_ctx_rng:
         return (
             f"randomized protocol {cell.protocol!r} (uses_ctx_rng per the "
             "flow-derived capability table) requires the row to declare a "
@@ -355,27 +347,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
     _ensure_deterministic_capability(spec)
 
 
-def _capability_entry(name: str, *, required_key: str) -> dict:
-    """One protocol's capability dict, pinned if fresh enough else live."""
-    from repro.core.protocol import protocol_class
-    from repro.lint.capabilities import capability_for, load_packaged_table
-
-    table = load_packaged_table() or {"protocols": {}}
-    entry = table.get("protocols", {}).get(name)
-    if entry is None or required_key not in entry:
-        entry = capability_for(protocol_class(name)).to_dict()
-    return entry
-
-
-def _protocol_uses_ctx_rng(name: str) -> bool:
-    """Whether the capability table marks ``name`` as coin-flipping."""
-    return bool(
-        _capability_entry(name, required_key="uses_ctx_rng").get(
-            "uses_ctx_rng", False
-        )
-    )
-
-
 def _ensure_deterministic_capability(spec: ScenarioSpec) -> None:
     """Reject rows naming protocols the flow analysis marks ``uses_rng``.
 
@@ -384,8 +355,7 @@ def _ensure_deterministic_capability(spec: ScenarioSpec) -> None:
     of the seeded schedule alone.  Module-level entropy (``random``,
     ``secrets``, ``uuid``) escapes the seeded RNG and silently breaks
     replay and digest comparison, so such rows are refused at load time
-    rather than producing flaky cells.  (v1 capability tables predate the
-    field; absent means not-randomized, matching every shipped protocol.)
+    rather than producing flaky cells.
 
     ``uses_ctx_rng`` (the seeded per-node streams) is digest-safe, so
     those rows stay — but the lock-step verification world has no run
@@ -393,18 +363,19 @@ def _ensure_deterministic_capability(spec: ScenarioSpec) -> None:
     exhaustive or fuzz passes: probabilistic properties belong to
     ``verify --stat`` (:mod:`repro.verification.stat`).
     """
+    from repro.core.protocol import protocol_class
+    from repro.lint.capabilities import capability_for
+
     for name in spec.protocols:
-        entry = _capability_entry(name, required_key="uses_rng")
-        if entry.get("uses_rng", False):
+        capability = capability_for(protocol_class(name))
+        if capability.uses_rng:
             raise ConfigurationError(
                 f"spec row {spec.tag!r}: protocol {name!r} uses module-"
                 "level entropy (uses_rng per the flow-derived capability "
                 "table), which breaks seeded replay and digest "
                 "determinism; drop it from the matrix"
             )
-        if entry.get("uses_ctx_rng", False) and (
-            spec.verify_ns or spec.fuzz_ns
-        ):
+        if capability.uses_ctx_rng and (spec.verify_ns or spec.fuzz_ns):
             raise ConfigurationError(
                 f"spec row {spec.tag!r}: protocol {name!r} draws from the "
                 "per-node coin stream (uses_ctx_rng); the lock-step "
@@ -418,45 +389,19 @@ def _ensure_deterministic_capability(spec: ScenarioSpec) -> None:
 def _ensure_prune_capability(spec: ScenarioSpec) -> None:
     """Reject ``symmetry = "prune"`` rows the capability table disproves.
 
-    This is the load-time mirror of
-    :func:`repro.verification.symmetry.ensure_prune_sound`: the verify
-    phase explores each protocol on its default topology (labeled when the
-    protocol needs or supports sense of direction), so sense protocols
-    must be rotation-equivariant and unlabeled ones equivariant under the
-    full relabelling group.  Suppressed linter findings count — a
-    ``lint-ok`` acknowledges an id-ordering site, it does not remove it.
+    The same decision as
+    :func:`repro.verification.symmetry.ensure_prune_sound`, taken at load
+    time on the topology the verify phase explores: labeled when the
+    protocol needs sense of direction, unlabeled otherwise.
     """
     from repro.core.protocol import protocol_class
-    from repro.lint.capabilities import capability_for, load_packaged_table
+    from repro.verification.symmetry import prune_refusal
 
-    table = load_packaged_table() or {"protocols": {}}
-    pinned = table.get("protocols", {})
     for name in spec.protocols:
         cls = protocol_class(name)
-        entry = pinned.get(name)
-        if entry is None:
-            entry = capability_for(cls).to_dict()
-        if entry.get("uses_ctx_rng", False):
-            raise ConfigurationError(
-                f"spec row {spec.tag!r}: symmetry='prune' is not sound for "
-                f"randomized protocol {name!r} (uses_ctx_rng): per-node "
-                "coin streams are seeded by identity, so relabelling "
-                "changes future flips; use `verify --stat` instead"
-            )
-        key = (
-            "rotation_equivariant"
-            if cls.needs_sense_of_direction
-            else "relabelling_equivariant"
-        )
-        if not entry.get(key, False):
-            raise ConfigurationError(
-                f"spec row {spec.tag!r}: symmetry='prune' is not "
-                f"outcome-sound for protocol {name!r} "
-                f"({entry.get('id_order_sites', '?')} id-ordering site(s), "
-                f"{entry.get('port_scan_sites', '?')} port-scan site(s) per "
-                "the linter-derived capability table); use 'census' or "
-                "drop the protocol from this row"
-            )
+        reason = prune_refusal(cls, cls.needs_sense_of_direction)
+        if reason is not None:
+            raise ConfigurationError(f"spec row {spec.tag!r}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,95 +494,13 @@ def parse_toml(text: str, *, source: str = "<toml>") -> list[ScenarioSpec]:
 
 
 # ---------------------------------------------------------------------------
-# CSV round-trip
-# ---------------------------------------------------------------------------
-
-
-def specs_to_csv(specs: list[ScenarioSpec]) -> str:
-    """Render spec rows as CSV (one spec per row, ``|``-joined axes)."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for spec in specs:
-        row = {
-            "tag": spec.tag,
-            "protocols": "|".join(spec.protocols),
-            "scenarios": "|".join(spec.scenarios),
-            "ns": "|".join(str(n) for n in spec.ns),
-            "seeds": "|".join(str(s) for s in spec.seeds),
-            "seed_family": spec.seed_family or "",
-            "ks": "|".join(str(k) for k in spec.ks),
-            "symmetry": spec.symmetry or "",
-            "verify_ns": "|".join(str(n) for n in spec.verify_ns),
-            "fuzz_ns": "|".join(str(n) for n in spec.fuzz_ns),
-            "fuzz_schedules": spec.fuzz_schedules or "",
-            "fault_budget": spec.fault_budget or "",
-        }
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def parse_csv(text: str, *, source: str = "<csv>") -> list[ScenarioSpec]:
-    """Parse and validate spec rows from CSV text."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise ConfigurationError(f"{source}: empty CSV")
-    unknown = set(reader.fieldnames) - set(CSV_COLUMNS)
-    if unknown:
-        raise ConfigurationError(
-            f"{source}: unknown column(s) {sorted(unknown)}; "
-            f"expected a subset of {list(CSV_COLUMNS)}"
-        )
-    specs = []
-    for index, row in enumerate(reader):
-        where = f"{source} row #{index + 1}"
-        raw: dict = {"tag": row.get("tag") or ""}
-        for name in _LIST_STR_FIELDS:
-            value = row.get(name) or ""
-            if value:
-                raw[name] = value.split("|")
-        for name in _LIST_INT_FIELDS:
-            value = row.get(name) or ""
-            if value:
-                try:
-                    raw[name] = [int(v) for v in value.split("|")]
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{where}: column {name!r} must be |-joined "
-                        f"integers, got {value!r}"
-                    ) from None
-        if row.get("seed_family"):
-            raw["seed_family"] = row["seed_family"]
-        if row.get("symmetry"):
-            raw["symmetry"] = row["symmetry"]
-        for name in ("fuzz_schedules", "fault_budget"):
-            value = row.get(name) or ""
-            if value:
-                try:
-                    raw[name] = int(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{where}: column {name!r} must be an integer, "
-                        f"got {value!r}"
-                    ) from None
-        specs.append(_spec_from_dict(raw, source=where))
-    if not specs:
-        raise ConfigurationError(f"{source}: no spec rows")
-    return specs
-
-
-# ---------------------------------------------------------------------------
 # file loading and the curated slice
 # ---------------------------------------------------------------------------
 
 
 def load_specs(path: str | Path) -> list[ScenarioSpec]:
-    """Load a spec file, dispatching on extension (.toml / .csv)."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
-        return parse_csv(text, source=str(path))
-    return parse_toml(text, source=str(path))
+    """Load and validate a TOML spec file."""
+    return parse_toml(Path(path).read_text(), source=str(path))
 
 
 def curated_path() -> Path:

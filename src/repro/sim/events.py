@@ -48,7 +48,6 @@ TIME, KEY, ACTION, DEPTH = range(4)
 #: occupies the low 48 bits; the kernel's event budget keeps it far below
 #: 2**48, so the packing is exact.
 TIEBREAK_SHIFT = 48
-_SEQ_MASK = (1 << TIEBREAK_SHIFT) - 1
 
 
 class Event(tuple):
@@ -76,22 +75,12 @@ class Event(tuple):
         return tuple.__new__(cls, (time, seq, action, depth))
 
     time = property(itemgetter(TIME))
-    #: The packed ordering key; :attr:`seq` and :attr:`tiebreak` unpack it.
+    #: The packed ordering key, ``seq + (tiebreak << TIEBREAK_SHIFT)``.
     key = property(itemgetter(KEY))
     action = property(itemgetter(ACTION))
     #: Length of the longest message chain leading to this event.  Used to
     #: report the "ideal time" (causal depth) metric alongside simulated time.
     depth = property(itemgetter(DEPTH))
-
-    @property
-    def seq(self) -> int:
-        """Scheduling order (the low bits of the packed key)."""
-        return self[KEY] & _SEQ_MASK
-
-    @property
-    def tiebreak(self) -> int:
-        """Class priority at equal times (the high bits of the packed key)."""
-        return self[KEY] >> TIEBREAK_SHIFT
 
 
 class EventQueue:
@@ -173,7 +162,3 @@ class EventQueue:
         while heap and heap[0][0] < horizon:
             append(heappop(heap))
         return due
-
-    def peek_time(self) -> float:
-        """Time of the earliest pending event (queue must be non-empty)."""
-        return self.heap[0][TIME]

@@ -63,7 +63,7 @@ from repro.verification.symmetry import (
     canonical_fingerprint,
     canonical_state,
     ensure_prune_sound,
-    prune_capability,
+    prune_refusal,
     rotation_group,
     symmetric_group,
     symmetry_group,
@@ -71,7 +71,6 @@ from repro.verification.symmetry import (
 from repro.verification.world import (
     Action,
     LockStepWorld,
-    StepContext,
     freeze_value,
     message_hash,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "StarveChannelSchedule",
     "StatReport",
     "StatStratum",
-    "StepContext",
     "TargetedLossSchedule",
     "UniformSchedule",
     "WakeLastSchedule",
@@ -109,7 +107,7 @@ __all__ = [
     "fuzz_protocol",
     "load_trace",
     "message_hash",
-    "prune_capability",
+    "prune_refusal",
     "replay_trace",
     "rotation_group",
     "save_trace",

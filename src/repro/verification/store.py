@@ -29,7 +29,6 @@ two searches met the same state with different sleep sets.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
 
 #: Fingerprint 0 marks an empty slot; a real fingerprint of 0 is remapped
 #: (one fixed alias among 2^64 values — absorbed into the hash-compaction
@@ -133,12 +132,6 @@ class FingerprintTable:
     def __contains__(self, fingerprint: int) -> bool:
         key = self._normalize(fingerprint)
         return self._keys[self._slot(key)] != _EMPTY
-
-    def fingerprints(self) -> Iterator[int]:
-        """Every stored fingerprint (normalised form), unordered."""
-        for key in self._keys:
-            if key != _EMPTY:
-                yield key
 
     def merge(self, other: "FingerprintTable") -> None:
         """Union ``other`` in, keeping the weaker sleep mask on conflict."""

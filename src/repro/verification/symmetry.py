@@ -26,12 +26,12 @@ No-sense protocols additionally scan their ports in numeric order
 
 This boundary is no longer policed by hand: :func:`ensure_prune_sound`
 refuses ``symmetry="prune"`` unless the ``repro.lint`` equivariance
-analysis (RPL020/RPL021 site counts, snapshotted per protocol in
-``verification/capabilities.json``) proves the topology's group is an
-automorphism group of the checked system.  For the paper's protocols the
-gate always refuses; ``symmetry="prune-unsound"`` is the explicit escape
-hatch.  Ungated orbit exploration is a **bug-hunting and census mode**,
-not a verification mode: it only ever prunes — every state it visits is
+analysis (RPL020/RPL021 site counts, derived live per protocol by
+:func:`repro.lint.capabilities.capability_for`) proves the topology's
+group is an automorphism group of the checked system.  For the paper's
+protocols the gate always refuses; ``symmetry="prune-unsound"`` is the
+explicit escape hatch.  Ungated orbit exploration is a **bug-hunting
+and census mode**, not a verification mode: it only ever prunes — every state it visits is
 concretely reachable, so any violation it raises is real — but a state
 whose orbit representative was visited earlier is skipped even though
 the protocol would behave differently there, so completeness of outcome
@@ -75,10 +75,6 @@ class Permutation:
             id_map=dict(self.id_map_items),
             port_maps=self.port_maps,
         )
-
-
-def _identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n)), (), None)
 
 
 def _permutation_for(
@@ -175,65 +171,37 @@ def canonical_fingerprint(
 # id-ordering (RPL020) and port-scan (RPL021) sites in each protocol's
 # implementation modules and the gate below refuses ``--symmetry prune``
 # for any protocol whose counts say the group is not an automorphism
-# group of the checked system.  A snapshot of the derivation is checked
-# in at ``verification/capabilities.json``; the live derivation is
-# cross-checked against it on every gate query so the table cannot
-# silently go stale (regenerate with ``python -m repro lint
-# --capabilities``).  ``symmetry="prune-unsound"`` bypasses the gate for
-# the census/bug-hunting workflows the prose describes.
+# group of the checked system.  The derivation runs live, once per
+# protocol class (:func:`repro.lint.capabilities.capability_for` caches
+# it), so the gate always reads the code as it is.  The matrix spec
+# loader asks the same question at load time through
+# :func:`prune_refusal`.  ``symmetry="prune-unsound"`` bypasses the gate
+# for the census/bug-hunting workflows the prose describes.
 
 
-def prune_capability(protocol) -> "object":
-    """The linter-derived capability record for ``protocol`` (an
-    :class:`~repro.lint.capabilities.ProtocolCapability`)."""
+def prune_refusal(
+    protocol_cls: type, sense_of_direction: bool
+) -> str | None:
+    """Why ``symmetry="prune"`` is unsound for ``protocol_cls``, or None.
+
+    Refuses protocols that import module-level entropy (``uses_rng``) or
+    draw from the per-node coin stream (``uses_ctx_rng``), and protocols
+    whose implementation contains id-ordering sites (RPL020) — or, without
+    sense of direction, port-order scans (RPL021).
+    """
     from repro.lint.capabilities import capability_for
 
-    return capability_for(type(protocol))
-
-
-def ensure_prune_sound(protocol, topology: CompleteTopology) -> None:
-    """Refuse ``symmetry="prune"`` unless the linter proves it sound.
-
-    Raises :class:`~repro.core.errors.ConfigurationError` if the
-    protocol's implementation contains id-ordering sites (RPL020) — or,
-    under hidden wiring, port-order scans (RPL021) — and also if the
-    live derivation disagrees with the checked-in capability table
-    (stale table: code changed without regenerating the snapshot).
-    """
-    from repro.core.errors import ConfigurationError
-    from repro.lint.capabilities import load_packaged_table
-
-    capability = prune_capability(protocol)
-
-    table = load_packaged_table()
-    name = getattr(type(protocol), "name", None)
-    if table is not None and name in table.get("protocols", {}):
-        pinned = table["protocols"][name]
-        live = capability.to_dict()
-        for key in ("id_order_sites", "port_scan_sites",
-                    "rotation_equivariant", "relabelling_equivariant",
-                    "uses_timers", "uses_rng", "uses_ctx_rng",
-                    "max_fanout", "quiescent_kinds"):
-            if pinned.get(key) != live[key]:
-                raise ConfigurationError(
-                    f"symmetry capability table is stale for protocol "
-                    f"{name!r}: checked-in {key}={pinned.get(key)!r} but "
-                    f"the code derives {live[key]!r}; regenerate "
-                    "src/repro/verification/capabilities.json with "
-                    "`python -m repro lint --capabilities`"
-                )
-
+    capability = capability_for(protocol_cls)
     if capability.uses_rng:
-        raise ConfigurationError(
+        return (
             f"symmetry='prune' is not sound for protocol "
             f"{capability.protocol!r}: the flow analysis found entropy "
             "imports (uses_rng), so states that look orbit-equivalent "
             "can diverge on private random choices. Use symmetry='census' "
             "or symmetry='prune-unsound'."
         )
-
     if capability.uses_ctx_rng:
-        raise ConfigurationError(
+        return (
             f"symmetry='prune' is not sound for protocol "
             f"{capability.protocol!r}: the flow analysis found draws from "
             "the per-node coin stream (uses_ctx_rng). The streams are "
@@ -242,22 +210,35 @@ def ensure_prune_sound(protocol, topology: CompleteTopology) -> None:
             "Randomized protocols are checked statistically instead: "
             "`python -m repro verify --stat` (see docs/randomized.md)."
         )
-
-    if topology.sense_of_direction:
+    if sense_of_direction:
         sound = capability.rotation_equivariant
         group_name = "rotation group"
     else:
         sound = capability.relabelling_equivariant
         group_name = "full relabelling group"
-    if not sound:
-        raise ConfigurationError(
-            f"symmetry='prune' is not outcome-sound for protocol "
-            f"{capability.protocol!r}: the linter found "
-            f"{capability.id_order_sites} id-ordering site(s) (RPL020) and "
-            f"{capability.port_scan_sites} port-scan site(s) (RPL021) in "
-            f"{', '.join(capability.modules)}, so the {group_name} is not "
-            "an automorphism group of the checked system. Use "
-            "symmetry='census' for a sound orbit count, or "
-            "symmetry='prune-unsound' for the reachability-only "
-            "bug-hunting mode (see docs/verification.md)."
-        )
+    if sound:
+        return None
+    return (
+        f"symmetry='prune' is not outcome-sound for protocol "
+        f"{capability.protocol!r}: the linter found "
+        f"{capability.id_order_sites} id-ordering site(s) (RPL020) and "
+        f"{capability.port_scan_sites} port-scan site(s) (RPL021) in "
+        f"{', '.join(capability.modules)}, so the {group_name} is not "
+        "an automorphism group of the checked system. Use "
+        "symmetry='census' for a sound orbit count, or "
+        "symmetry='prune-unsound' for the reachability-only "
+        "bug-hunting mode (see docs/verification.md)."
+    )
+
+
+def ensure_prune_sound(protocol, topology: CompleteTopology) -> None:
+    """Refuse ``symmetry="prune"`` unless the linter proves it sound.
+
+    Raises :class:`~repro.core.errors.ConfigurationError` carrying the
+    :func:`prune_refusal` reason for ``protocol`` on ``topology``.
+    """
+    reason = prune_refusal(type(protocol), topology.sense_of_direction)
+    if reason is not None:
+        from repro.core.errors import ConfigurationError
+
+        raise ConfigurationError(reason)

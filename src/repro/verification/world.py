@@ -328,38 +328,6 @@ def message_hash(message: Message) -> int:
     return h
 
 
-class StepContext(NodeContext):
-    """Node capabilities inside the lock-step world."""
-
-    def __init__(self, world: "LockStepWorld", position: int) -> None:
-        topology = world.topology
-        self._world = world
-        self._position = position
-        self.node_id = topology.id_at(position)
-        self.n = topology.n
-        self.num_ports = topology.num_ports
-        self.has_sense_of_direction = topology.sense_of_direction
-
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        self._world.enqueue(self._position, port, message)
-
-    def port_label(self, port: int):  # noqa: D102
-        return self._world.topology.label(self._position, port)
-
-    def port_with_label(self, distance: int) -> int:  # noqa: D102
-        return self._world.topology.port_with_label(self._position, distance)
-
-    def now(self) -> float:  # noqa: D102
-        # Logical time: number of transitions taken so far.
-        return float(self._world.steps)
-
-    def declare_leader(self) -> None:  # noqa: D102
-        self._world.on_leader(self._position)
-
-    def trace(self, kind: str, **detail: Any) -> None:  # noqa: D102
-        pass  # the lock-step world keeps no traces; fingerprints carry state
-
-
 class _CaptureContext(NodeContext):
     """Context for running one node transition in isolation.
 
@@ -465,8 +433,10 @@ class LockStepWorld:
         self.fault_budget = fault_budget
         #: Messages destroyed by ``("drop", ...)`` actions so far.
         self.dropped = 0
+        # Root nodes never run a handler on this context: every transition
+        # runs on a clone wired to a fresh one (``_run_transition``).
         self.nodes: list[Node] = [
-            protocol.create_node(StepContext(self, position))
+            protocol.create_node(_CaptureContext(topology, position))
             for position in range(topology.n)
         ]
         #: Per-channel FIFO contents as immutable tuples, keyed (src, dst);
@@ -535,12 +505,6 @@ class LockStepWorld:
         return child
 
     # -- transitions ---------------------------------------------------------
-
-    def enqueue(self, position: int, port: int, message: Message) -> None:
-        """Append a message to the channel behind ``position``'s ``port``."""
-        link = (position, self.topology.neighbor(position, port))
-        self._push(link, message, message_hash(message))
-        self.messages_sent += 1
 
     def _push(
         self, link: tuple[int, int], message: Message, message_fp: int

@@ -198,64 +198,6 @@ class TestCapabilityConsumers:
         with pytest.raises(ConfigurationError, match="uses_rng"):
             ensure_prune_sound(protocol, complete_without_sense(4, seed=0))
 
-    def test_stale_v2_fields_are_a_conflict_error(self, monkeypatch):
-        from repro.lint import capabilities as caps
-        from repro.lint.capabilities import derive_capability_table
-        from repro.protocols.sense.protocol_a import ProtocolA
-        from repro.topology.complete import complete_with_sense_of_direction
-        from repro.verification import ensure_prune_sound
-
-        stale = derive_capability_table()
-        stale["protocols"]["A"]["max_fanout"] = "1"
-        monkeypatch.setattr(caps, "load_packaged_table", lambda: stale)
-        with pytest.raises(ConfigurationError, match="stale"):
-            ensure_prune_sound(
-                ProtocolA(), complete_with_sense_of_direction(4)
-            )
-
-    def test_v1_table_is_reported_stale(self, monkeypatch, capsys):
-        # A version-1 snapshot (no flow fields) is an outdated table like
-        # any other: the drift gate and the prune gate both call it stale.
-        from repro.lint import capabilities as caps
-        from repro.lint.capabilities import derive_capability_table
-        from repro.lint.cli import check_capability_drift
-        from repro.protocols.sense.protocol_a import ProtocolA
-        from repro.topology.complete import complete_with_sense_of_direction
-        from repro.verification import ensure_prune_sound
-
-        v1 = derive_capability_table()
-        v1["version"] = 1
-        for entry in v1["protocols"].values():
-            for key in (
-                "uses_timers", "uses_rng", "max_fanout", "quiescent_kinds"
-            ):
-                del entry[key]
-        monkeypatch.setattr(caps, "load_packaged_table", lambda: v1)
-        assert check_capability_drift() == 1
-        assert "stale" in capsys.readouterr().err
-        with pytest.raises(ConfigurationError, match="stale"):
-            ensure_prune_sound(
-                ProtocolA(), complete_with_sense_of_direction(4)
-            )
-
-    def test_drift_check_exits_zero_when_current(self, capsys):
-        from repro.lint.cli import check_capability_drift
-
-        assert check_capability_drift() == 0
-        assert "current" in capsys.readouterr().out
-
-    def test_drift_check_exits_one_when_stale(self, monkeypatch, capsys):
-        from repro.lint import capabilities as caps
-        from repro.lint.capabilities import derive_capability_table
-        from repro.lint.cli import check_capability_drift
-
-        stale = derive_capability_table()
-        stale["protocols"]["A"]["quiescent_kinds"] = []
-        monkeypatch.setattr(caps, "load_packaged_table", lambda: stale)
-        assert check_capability_drift() == 1
-        err = capsys.readouterr().err
-        assert "drifted: A" in err
-
 
 class TestConformanceProbe:
     def test_every_registered_protocol_conforms(self):

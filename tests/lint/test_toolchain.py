@@ -47,13 +47,3 @@ def test_mypy_is_clean():
 
 def test_py_typed_marker_ships():
     assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
-
-
-def test_capabilities_json_ships_as_package_data():
-    # Declared in [tool.setuptools.package-data]; the gate reads it via
-    # the package, so it must live inside src/repro.
-    from repro.lint.capabilities import packaged_table_path
-
-    path = packaged_table_path()
-    assert path.exists()
-    assert REPO_ROOT / "src" in path.parents

@@ -15,11 +15,9 @@ from repro.matrix.spec import (
     expand_specs,
     family_seed,
     load_specs,
-    parse_csv,
     parse_toml,
     protocol_takes_k,
     restrict_for_quick,
-    specs_to_csv,
     specs_to_toml,
     validate_spec,
 )
@@ -233,7 +231,6 @@ class TestSeedFamily:
         row = spec(protocols=("RS", "RT"), ns=(16, 32), seeds=(0, 1),
                    seed_family="curated-rand")
         assert parse_toml(specs_to_toml([row])) == [row]
-        assert parse_csv(specs_to_csv([row])) == [row]
 
     def test_quick_restriction_preserves_the_family(self):
         row = spec(protocols=("RS",), ns=(16, 64), seed_family="fam")
@@ -270,23 +267,11 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="bogus"):
             parse_toml(text)
 
-    def test_csv_bad_integer_is_rejected_with_location(self):
-        text = "tag,protocols,scenarios,ns\nt,E,benign,eight\n"
-        with pytest.raises(ConfigurationError, match="row #1"):
-            parse_csv(text)
-
-    def test_csv_unknown_column_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown column"):
-            parse_csv("tag,wat\nt,1\n")
-
-    def test_load_specs_dispatches_on_extension(self, tmp_path):
+    def test_load_specs_reads_a_toml_file(self, tmp_path):
         row = spec(protocols=("E", "D"), seeds=(0, 3))
         toml_file = tmp_path / "s.toml"
         toml_file.write_text(specs_to_toml([row]))
-        csv_file = tmp_path / "s.csv"
-        csv_file.write_text(specs_to_csv([row]))
         assert load_specs(toml_file) == [row]
-        assert load_specs(csv_file) == [row]
 
 
 class TestCurated:
