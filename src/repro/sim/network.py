@@ -187,9 +187,10 @@ def fold_result(
     """Assemble the :class:`ElectionResult` from per-runtime tallies.
 
     Each tally is a :meth:`SendPath._tally`.  The serial kernel passes its
-    one tally; the sharded coordinator passes one per shard, in shard order
-    (so base positions and snapshots come out in position order), having
-    already refused a second leader at the window barriers.
+    one tally; the sharded coordinator passes one per shard, with base
+    positions and snapshots already merged into position order (the lists
+    are concatenated tally by tally), having already refused a second
+    leader at the window barriers.
     """
 
     def total(key: str) -> int:
@@ -254,8 +255,8 @@ class SendPath:
     and the zero-cost-off fault verdict — the leader-uniqueness check, and
     the final :meth:`_tally`.  A send ends in one :meth:`_dispatch_send`
     call that each runtime binds to its own delivery machinery: the serial
-    :class:`Network` schedules a heap entry, and a shard buffers a packed
-    record at the window barrier.  There is exactly one definition of what
+    :class:`Network` schedules a heap entry, and a shard buffers the send
+    until the window barrier.  There is exactly one definition of what
     a send does, which is what keeps the runtimes byte-identical.
 
     Hosts set ``protocol`` and ``nodes`` (their owned nodes, in position

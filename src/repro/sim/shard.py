@@ -2,20 +2,27 @@
 
 The serial kernel (:mod:`repro.sim.network`) interprets one global event
 heap; beyond ~10⁵ nodes that single loop is the bottleneck.  This module
-partitions the node set across *shards* — each with its own
-:class:`~repro.sim.scheduler.Scheduler`, channel table and metrics — and
-runs them under **conservative time-window synchronization**:
+partitions the node set across *shards* — shard ``i`` of ``k`` owns the
+strided positions ``range(i, n, k)``, so ``shard_of(p) = p % k`` — each
+with its own :class:`~repro.sim.scheduler.Scheduler`, channel table and
+metrics, and runs them under **conservative time-window
+synchronization**:
 
 * The *lookahead* ``L`` is the delay model's declared ``min_latency``.
   Every message sent at time ``t`` arrives no earlier than ``t + L``
   (the FIFO clamp and fault jitter only push arrivals later), so events
   inside a window ``[T, T + L)`` can never affect that same window.
 * Each shard therefore executes its window events independently, buffering
-  every send — intra- and inter-shard alike — instead of scheduling it.
-* At the window barrier the coordinator globally orders the buffered
-  sends, assigns each a global sequence key, and routes the batches to the
-  destination shards as **packed integer/float arrays** (the fast lane;
-  nested or tuple-carrying messages ride a pickled slow lane).
+  every send until the barrier instead of scheduling it.  A send to the
+  sender's own shard stays in the shard as a *local lane* tuple holding
+  the message object itself; only its merge key goes to the coordinator.
+  Cross-shard sends ride the *packed lane* (flat messages as integer
+  arrays) or the pickled *slow lane* (nested or wide messages, and every
+  timer-ranked send).
+* At the window barrier the coordinator sorts every lane's merge keys in
+  one flat sort, assigns each record a global sequence key, and hands the
+  keys back with the next window op: local keys to the sending shard,
+  packed and slow batches (with their keys) to the destination shard.
 
 Each shard runs one window engine (:class:`_Shard`), built on the
 :class:`~repro.sim.network.SendPath` runtime core it shares with the
@@ -23,14 +30,15 @@ serial kernel; the coordinator folds the shards' tallies with the same
 :func:`~repro.sim.network.fold_result`.  Sends of flat messages whose
 fields are declared ``int`` or ``bool`` go through a per-class compiled,
 fused send function; every other send takes the shared pipeline.  A
-window's incoming fast-lane records are decoded in one pass that builds
+window's incoming packed records are decoded in one pass that builds
 messages with compiled per-``(type_id, tagword)`` constructors.  Dispatch
 stays strictly per-event in global merge order.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
-single pipe, which carries each window's routed batches in and its
-outgoing batches and stats back; the packed lanes pickle as flat buffers.
+single pipe, which carries each window's routed batches and local keys in
+and its outgoing batches, local merge keys and stats back; the arrays
+pickle as flat buffers.
 
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
@@ -119,10 +127,11 @@ TIMER_MARK = 1 << TIEBREAK_SHIFT
 _WAKE_BASE = -(1 << TIEBREAK_SHIFT)
 _CRASH_BASE = -(2 << TIEBREAK_SHIFT)
 
-#: 2-bit field tags in the packed fast lane.
+#: 2-bit field tags in the packed lane.
 _TAG_INT, _TAG_TRUE, _TAG_FALSE, _TAG_NONE = 0, 1, 2, 3
-#: Fast-lane integer-array slots per record before the message fields.
-_REC_HEAD = 8
+#: Packed-lane integer-array slots per record before the message fields:
+#: ``dest_pos, far_port, depth, type_id, tagword``.
+_REC_HEAD = 5
 #: Builders are keyed by ``tagword << _KIND_SHIFT | type_id`` (type ids
 #: count message classes, far below 2**16).
 _KIND_SHIFT = 16
@@ -131,7 +140,7 @@ _INT_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
-# The packed-array message codec (the inter-shard fast lane).
+# The packed-array message codec (the cross-shard packed lane).
 # ---------------------------------------------------------------------------
 
 
@@ -175,7 +184,7 @@ class MessageCodec:
             tuple(f.name for f in _dataclass_fields(cls)) for cls in classes
         ]
         #: Message class -> ``(type_id, compiled packer)``; None if the
-        #: class can never ride the fast lane.
+        #: class can never ride the packed lane.
         self._packers: dict[type, tuple[int, Any] | None] = {}
         #: ``tagword << _KIND_SHIFT | type_id`` -> compiled builder.
         self._builders: dict[int, Any] = {}
@@ -286,11 +295,12 @@ def _compile_send(shard: "_Shard", cls: type):
 
     For a flat message whose fields are declared ``int`` or ``bool`` the
     *entire* send pipeline — port check, O(log N) bit audit, per-type
-    tally, wiring lookup, FIFO clamp and record packing — reduces to
-    straight-line code whose per-run constants (``n``, shard count, port
-    count, constant latency, the audited bit size, the packed record head)
-    are baked in as literals.  One compiled frame per send replaces five
-    interpreted ones.
+    tally, wiring lookup, FIFO clamp and buffering — reduces to
+    straight-line code whose per-run constants (``n``, shard count and
+    index, port count, constant latency, the audited bit size, the packed
+    record head) are baked in as literals.  One compiled frame per send
+    replaces five interpreted ones.  A send to the shard's own nodes takes
+    the local lane (the message object is held as is); any other is packed.
 
     Unpackable classes, shards with a fault plan, field values outside the
     declared envelope (wide ints, ``None``, an int in a ``bool`` field),
@@ -365,8 +375,7 @@ def _compile_send(shard: "_Shard", cls: type):
             "        )",
         ]
     record = ", ".join(
-        ["ce[1]", "idx", "far", "far_port", "self._current_depth + 1",
-         "sender_id", str(type_id), tagword or "0"]
+        ["far", "far_port", "depth", str(type_id), tagword or "0"]
         + int_fields
     )
     lines = [
@@ -392,15 +401,19 @@ def _compile_send(shard: "_Shard", cls: type):
         *arrival,
         "        idx = self._send_seq",
         "        self._send_seq = idx + 1",
-        f"        dest = far * {cfg.shards} // {n}",
+        "        depth = self._current_depth + 1",
+        f"        dest = far % {cfg.shards}",
         "        out = self._out",
         "        buf = out[dest]",
         "        if buf is None:",
         "            buf = out[dest] = _OutBuffer()",
-        "        buf.tap(ce[0])",
-        "        buf.tap(arrival)",
-        "        buf.oap(len(buf.ints))",
-        f"        buf.iex(({record}))",
+        "        buf.tex((ce[0], arrival))",
+        "        buf.kex((ce[1], idx))",
+        f"        if dest == {shard.index}:",
+        "            buf.hap((depth, far, far_port, m))",
+        "        else:",
+        "            buf.oap(len(buf.ints))",
+        f"            buf.iex(({record}))",
         "        return",
         "    self._transmit(position, port, m)",
     ]
@@ -415,28 +428,43 @@ def _compile_send(shard: "_Shard", cls: type):
 
 
 class _OutBuffer:
-    """One window's buffered sends from one shard to one destination shard."""
+    """One window's buffered sends from one shard to one destination shard.
 
-    __slots__ = ("times", "ints", "offs", "slow", "tap", "iex", "oap")
+    Every delivery-ranked send stores its merge key columnwise in
+    ``times``/``keys``; the coordinator sorts on nothing else.  The
+    buffer for the shard's own nodes holds the payloads themselves in
+    ``held`` (the local lane); any other packs them into ``ints``.
+    """
+
+    __slots__ = (
+        "times", "keys", "ints", "offs", "held", "slow",
+        "tex", "kex", "iex", "oap", "hap",
+    )
 
     def __init__(self) -> None:
-        #: Fast lane, two doubles per record: (source time, arrival time).
+        #: Two doubles per record: (source time, arrival time).
         self.times = array("d")
-        #: Fast lane, variable stride: ``src_key, send_idx, dest_pos,
-        #: far_port, depth, sender_id, type_id, tagword, int fields...``
+        #: Two ints per record: (source key, send index).
+        self.keys = array("q")
+        #: Packed lane, variable stride: ``dest_pos, far_port, depth,
+        #: type_id, tagword, int fields...``
         self.ints = array("q")
-        #: Record start offsets into ``ints`` — the side array that lets
-        #: the router and the decoder address the variable-stride records
+        #: Packed record start offsets into ``ints`` — the side array that
+        #: lets the decoder address the variable-stride records
         #: columnarly instead of walking them one by one.
         self.offs = array("q")
-        #: Slow lane: ``(merge_key, arrival, dest_pos, far_port, depth,
-        #: sender_id, message)`` tuples.
+        #: Local lane: ``(depth, dest_pos, far_port, message)`` payloads.
+        self.held: list[tuple] = []
+        #: Slow lane: ``(merge_key, arrival, payload)`` records, payload
+        #: as in ``held``.
         self.slow: list[tuple] = []
         # Pre-bound mutators for the fused send: appending through these
         # skips two attribute walks per lane per send.
-        self.tap = self.times.append
+        self.tex = self.times.extend
+        self.kex = self.keys.extend
         self.iex = self.ints.extend
         self.oap = self.offs.append
+        self.hap = self.held.append
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +485,15 @@ class _RunConfig:
     shards: int
     collect_snapshots: bool
     codec: MessageCodec
-    #: Per-shard initial entries: ``(time, global_key, position)``.
+    #: Initial entries ``(time, global_key, position)``, bucketed by the
+    #: owning shard ``position % shards``.
     wakes: list[list[tuple[float, int, int]]]
     crashes: list[list[tuple[float, int, int]]]
 
 
-def _shard_bounds(n: int, shards: int, index: int) -> tuple[int, int]:
-    """Positions owned by shard ``index``: ``shard_of(p) = p * shards // n``."""
-    lo = (index * n + shards - 1) // shards
-    hi = ((index + 1) * n + shards - 1) // shards
-    return lo, hi
-
-
 class _ShardContext(_BoundContext):
     """The serial node context, except that sends go to the shard's
-    compiled per-class send functions (which buffer them at the window
+    compiled per-class send functions (which buffer them until the window
     barrier).  Tracing stays a no-op: shards keep ``_tracing = False``
     (sharded runs refuse ``trace=True`` up front)."""
 
@@ -492,21 +514,23 @@ class _ShardContext(_BoundContext):
         fn(shard, self._position, port, message)
 
 
-#: Action slot of a delivery entry.  The window loop recognises
-#: deliveries by identity and runs them inline; nothing ever calls it.
-_DELIVER = object()
-
-
 class _Shard(SendPath):
     """One shard's runtime: the shared core plus the window loop.
 
-    The per-run state, send pipeline (port check, bit audit, FIFO
-    arrival, fault verdicts), leader check and final tally are
-    :class:`SendPath`, shared verbatim with the serial kernel.  This class
-    adds only its scheduling and dispatch: the window loop, timer ranks,
-    and a :meth:`_dispatch_send` bound to the window buffers.  The common
-    sends bypass the pipeline through :func:`_compile_send`, with
+    Shard ``index`` owns the strided positions ``range(index, n, k)``;
+    node ``p`` sits at ``nodes[p // k]``.  The per-run state, send
+    pipeline (port check, bit audit, FIFO arrival, fault verdicts),
+    leader check and final tally are :class:`SendPath`, shared verbatim
+    with the serial kernel.  This class adds only its scheduling and
+    dispatch: the window loop, timer ranks, and a :meth:`_dispatch_send`
+    bound to the window buffers — the local lane for the shard's own
+    nodes, the packed or slow lane for the others.  The common sends
+    bypass the pipeline through :func:`_compile_send`, with
     byte-identical results.
+
+    A delivery entry is ``(time, key, (depth, position, port, message))``;
+    wake, crash and timer entries keep the scheduler's flat layout
+    ``(time, key, action, depth, *payload)``.
     """
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
@@ -520,6 +544,9 @@ class _Shard(SendPath):
         self.protocol = cfg.protocol
         self.codec = cfg.codec
         self._shards = cfg.shards
+        self.index = index
+        #: Owned positions, in the order of ``nodes``.
+        self.positions = range(index, self._n, cfg.shards)
         #: First-level access to the lazily-built channel dict, for the
         #: compiled sends.
         self._chan_map = self.channels._channels
@@ -538,13 +565,14 @@ class _Shard(SendPath):
         self._class_cells: dict[type, list[int]] = {}
         #: The window's outgoing buffers, one slot per destination shard.
         self._out: list[_OutBuffer | None] = [None] * cfg.shards
-
-        self.lo, self.hi = _shard_bounds(self._n, cfg.shards, index)
+        #: The last window's local-lane arrivals and payloads, waiting for
+        #: the global keys the next window op brings.
+        self._held_arrivals = array("d")
+        self._held: list[tuple] = []
         protocol = cfg.protocol
-        #: Owned nodes, indexed by ``position - lo``.
         self.nodes: list[Node] = [
             protocol.create_node(_ShardContext(self, position))
-            for position in range(self.lo, self.hi)
+            for position in self.positions
         ]
         #: Globally-keyed entries waiting for their window, serial layout:
         #: ``(time, key, action, depth, *payload)``.
@@ -571,35 +599,33 @@ class _Shard(SendPath):
         message: Message,
         sender_id: int,
     ) -> None:
-        """Buffer one send at the window barrier instead of scheduling it."""
-        depth = self._current_depth + 1
+        """Buffer one send until the window barrier instead of scheduling it."""
+        payload = (self._current_depth + 1, far, far_port, message)
         idx = self._send_seq
         self._send_seq = idx + 1
-        dest = far * self._shards // self._n
+        dest = far % self._shards
         buf = self._out[dest]
         if buf is None:
             buf = self._out[dest] = _OutBuffer()
         ce = self._current_entry
-        packed = self.codec.pack(message) if ce is not None else None
-        if packed is not None:
-            type_id, tags, field_ints = packed
-            buf.tap(ce[0])
-            buf.tap(arrival)
-            buf.oap(len(buf.ints))
-            buf.iex((ce[1], idx, far, far_port, depth, sender_id, type_id, tags))
-            buf.iex(field_ints)
-        else:
-            buf.slow.append(
-                (
-                    self._rank() + (idx,),
-                    arrival,
-                    far,
-                    far_port,
-                    depth,
-                    sender_id,
-                    message,
-                )
-            )
+        if ce is None:  # timer-ranked: the rank is a 4-tuple
+            buf.slow.append((self._current_rank + (idx,), arrival, payload))
+            return
+        if dest == self.index:
+            buf.tex((ce[0], arrival))
+            buf.kex((ce[1], idx))
+            buf.hap(payload)
+            return
+        packed = self.codec.pack(message)
+        if packed is None:
+            buf.slow.append(((ce[0], ce[1], idx), arrival, payload))
+            return
+        type_id, tags, field_ints = packed
+        buf.tex((ce[0], arrival))
+        buf.kex((ce[1], idx))
+        buf.oap(len(buf.ints))
+        buf.iex((far, far_port, payload[0], type_id, tags))
+        buf.iex(field_ints)
 
     def _schedule_timer(
         self, position: int, delay: float, callback: Callable[[], None]
@@ -621,7 +647,7 @@ class _Shard(SendPath):
 
     def _wake_entry(self, entry: tuple) -> None:
         position = entry[4]
-        node = self.nodes[position - self.lo]
+        node = self.nodes[position // self._shards]
         if position not in self._crashed and not node.awake:
             self.metrics.on_wake(self.scheduler.now)
             node.wake(spontaneous=True)
@@ -643,62 +669,59 @@ class _Shard(SendPath):
 
     # -- the window loop ---------------------------------------------------
 
-    def _decode_incoming(self, incoming: list[tuple | None]) -> None:
-        """Turn routed batches into delivery entries on ``future``.
+    def _decode_incoming(
+        self, incoming: list[tuple | None], local_keys: array | None
+    ) -> None:
+        """Turn held local sends and routed batches into delivery entries.
 
         The window loop sorts ``due`` by ``(time, key)`` before dispatch
-        and treats ``future`` as an unordered pool, so a batch's fast-lane
-        records become entries column by column: per-field gathers over
-        the ``offs`` side array, zipped into entry tuples.  Each message is
-        built by its ``(type_id, tagword)``'s compiled constructor straight
-        from the packed ints; consecutive records of one kind (a broadcast)
-        share the constructor lookup.
+        and treats ``future`` as an unordered pool, so entries are built
+        column by column: the held local lane zips straight with its
+        keys, and a packed batch's metadata is gathered per field over
+        the ``offs`` side array.  Each packed message is built by its
+        ``(type_id, tagword)``'s compiled constructor straight from the
+        packed ints; consecutive records of one kind (a broadcast) share
+        the constructor lookup.
         """
         future = self.future
+        if local_keys is not None:
+            future.extend(zip(self._held_arrivals, local_keys, self._held))
+            self._held = []
         builders = self.codec._builders
         make_builder = self.codec.builder
         for batch in incoming:
             if batch is None:
                 continue
-            times, ints, offs, fast_keys, slow, slow_keys = batch
+            arrivals, ints, offs, packed_keys, slow, slow_keys = batch
             if len(offs):
                 messages: list[Message] = []
                 append = messages.append
                 last = -1
                 build = None
                 for o in offs:
-                    kind = ints[o + 7] << _KIND_SHIFT | ints[o + 6]
+                    kind = ints[o + 4] << _KIND_SHIFT | ints[o + 3]
                     if kind != last:
                         build = builders.get(kind)
                         if build is None:
-                            build = make_builder(ints[o + 6], ints[o + 7])
+                            build = make_builder(ints[o + 3], ints[o + 4])
                         last = kind
                     append(build(ints, o + _REC_HEAD))
                 future.extend(
                     zip(
-                        times[1::2],
-                        fast_keys,
-                        repeat(_DELIVER),
-                        [ints[o + 4] for o in offs],
-                        [ints[o + 2] for o in offs],
-                        [ints[o + 3] for o in offs],
-                        messages,
-                        [ints[o + 5] for o in offs],
+                        arrivals,
+                        packed_keys,
+                        zip(
+                            [ints[o + 2] for o in offs],
+                            [ints[o] for o in offs],
+                            [ints[o + 1] for o in offs],
+                            messages,
+                        ),
                     )
                 )
-            for record, key in zip(slow, slow_keys):
-                future.append(
-                    (
-                        record[1],
-                        key,
-                        _DELIVER,
-                        record[4],
-                        record[2],
-                        record[3],
-                        record[6],
-                        record[5],
-                    )
-                )
+            future.extend(
+                (record[1], key, record[2])
+                for record, key in zip(slow, slow_keys)
+            )
 
     def run_window(
         self,
@@ -706,15 +729,19 @@ class _Shard(SendPath):
         end: float,
         budget: int,
         incoming: list[tuple | None],
-    ) -> tuple[dict[int, tuple], dict[str, Any]]:
+        local_keys: array | None,
+    ) -> tuple[dict[int, tuple], tuple | None, dict[str, Any]]:
         """Execute every owned event with time in ``[start, end)``.
 
         ``budget`` is the whole run's remaining event allowance — the
-        global livelock budget, not a per-shard one.  Returns the buffered
-        outgoing sends (keyed by destination shard) and window stats.
+        global livelock budget, not a per-shard one.  ``local_keys`` are
+        the global keys of the previous window's local lane.  Returns the
+        packed and slow batches (keyed by destination shard), this
+        window's local lane as ``(source times, (source key, send index)
+        pairs, earliest arrival)`` or None, and window stats.
         """
         t0 = perf_counter()
-        self._decode_incoming(incoming)
+        self._decode_incoming(incoming, local_keys)
         scheduler = self.scheduler
         scheduler.set_max_events(scheduler.events_processed + budget)
         future = self.future
@@ -740,25 +767,37 @@ class _Shard(SendPath):
         if processed:
             self._last_time = scheduler.now
             scheduler.consume_budget(processed)
+        out: dict[int, tuple] = {}
+        local = None
+        for dest, buf in enumerate(self._out):
+            if buf is None:
+                continue
+            if dest != self.index:
+                out[dest] = (buf.times, buf.keys, buf.ints, buf.offs, buf.slow)
+                continue
+            # The own buffer's merge-key columns belong to the local lane.
+            if buf.held:
+                self._held_arrivals = arrivals = buf.times[1::2]
+                self._held = buf.held
+                local = (buf.times[0::2], buf.keys, min(arrivals))
+            if buf.slow:
+                out[dest] = (
+                    array("d"), array("q"), array("q"), array("q"), buf.slow
+                )
+        self._out = [None] * self._shards
         self._busy += perf_counter() - t0
         next_time = None
         if self.future:
             next_time = min(e[0] for e in self.future)
         if heap and (next_time is None or heap[0][0] < next_time):
             next_time = heap[0][0]
-        out = {
-            dest: (buf.times, buf.ints, buf.offs, buf.slow)
-            for dest, buf in enumerate(self._out)
-            if buf is not None
-        }
-        self._out = [None] * self._shards
         stats = {
             "processed": processed,
             "next_time": next_time,
             "last_time": self._last_time,
             "leader": self._leader,
         }
-        return out, stats
+        return out, local, stats
 
     def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
         """Fire the window's sorted ``due`` list, merged with heap timers.
@@ -775,7 +814,7 @@ class _Shard(SendPath):
         heap = scheduler._queue.heap
         heappop = heapq.heappop
         nodes = self.nodes
-        lo = self.lo
+        k = self._shards
         on_wake = self.metrics.on_wake
         has_failures = self._has_failures
         failed = self.failed_positions
@@ -805,20 +844,20 @@ class _Shard(SendPath):
             self._send_seq = 0
             self._timer_seq = 0
             self._current_entry = entry
-            if entry[2] is _DELIVER:
-                depth = entry[3]
+            payload = entry[2]
+            if type(payload) is tuple:
+                depth, position, port, message = payload
                 if depth > self._max_depth:
                     self._max_depth = depth
-                position = entry[4]
                 if has_failures and (position in failed or position in crashed):
                     continue
                 self._current_depth = depth
-                node = nodes[position - lo]
+                node = nodes[position // k]
                 if node.awake:
-                    node.on_message(entry[5], entry[6])
+                    node.on_message(port, message)
                 else:
                     on_wake(t)
-                    node.receive(entry[5], entry[6])
+                    node.receive(port, message)
             else:
                 self._current_depth = 0
                 entry[2](entry)
@@ -832,7 +871,7 @@ class _Shard(SendPath):
             if cell[0]:
                 counts[cls.__name__] = counts.get(cls.__name__, 0) + cell[0]
         return {
-            **self._tally(range(self.lo, self.hi), self.cfg.collect_snapshots),
+            **self._tally(self.positions, self.cfg.collect_snapshots),
             "busy": self._busy,
             "last_time": self._last_time,
         }
@@ -849,8 +888,10 @@ class _LocalHandle:
     def __init__(self, cfg: _RunConfig, index: int) -> None:
         self._shard = _Shard(cfg, index)
 
-    def window(self, start, end, budget, incoming) -> None:
-        self._reply = self._shard.run_window(start, end, budget, incoming)
+    def window(self, start, end, budget, incoming, local_keys) -> None:
+        self._reply = self._shard.run_window(
+            start, end, budget, incoming, local_keys
+        )
 
     def collect(self):
         return self._reply
@@ -869,8 +910,7 @@ def _worker_main(conn, cfg: _RunConfig, index: int) -> None:
         while True:
             op = conn.recv()
             if op[0] == "window":
-                out, stats = shard.run_window(op[1], op[2], op[3], op[4])
-                conn.send(("done", out, stats))
+                conn.send(("done", *shard.run_window(*op[1:])))
             elif op[0] == "finish":
                 conn.send(("result", shard.finish()))
                 return
@@ -913,10 +953,10 @@ def _relayed_error(name: str, message: str, tb: str) -> BaseException:
 class _ForkHandle:
     """Drives one shard in a forked worker over a pipe.
 
-    The pipe carries everything: control messages, per-window stats, and
-    both lanes of every routed batch (the packed fast-lane arrays pickle
-    as flat buffers).  The run configuration is inherited through the
-    fork, never pickled.
+    The pipe carries everything: control messages, per-window stats, the
+    local lane's merge keys out and global keys back, and the packed and
+    slow lanes of every routed batch (the arrays pickle as flat buffers).
+    The run configuration is inherited through the fork, never pickled.
     """
 
     def __init__(self, context, cfg: _RunConfig, index: int) -> None:
@@ -939,12 +979,11 @@ class _ForkHandle:
             raise _relayed_error(name, message, tb)
         return reply
 
-    def window(self, start, end, budget, incoming) -> None:
-        self._conn.send(("window", start, end, budget, incoming))
+    def window(self, start, end, budget, incoming, local_keys) -> None:
+        self._conn.send(("window", start, end, budget, incoming, local_keys))
 
     def collect(self):
-        reply = self._recv()
-        return reply[1], reply[2]
+        return self._recv()[1:]
 
     def finish(self) -> dict[str, Any]:
         self._conn.send(("finish",))
@@ -1049,7 +1088,11 @@ class ShardedNetwork:
         collect_snapshots: bool = True,
     ) -> None:
         protocol.validate(topology)
-        if not isinstance(shards, int) or not 1 <= shards <= topology.n:
+        if (
+            not isinstance(shards, int)
+            or isinstance(shards, bool)
+            or not 1 <= shards <= topology.n
+        ):
             raise ConfigurationError(
                 f"shards must be an integer in [1, n={topology.n}], "
                 f"got {shards!r}"
@@ -1080,15 +1123,14 @@ class ShardedNetwork:
 
         rng = random.Random(seed)
         schedule = resolve_wakeup(wakeup, topology, failed, rng)
-        n = topology.n
         wakes: list[list[tuple[float, int, int]]] = [[] for _ in range(shards)]
         for i, (position, time) in enumerate(schedule.items()):
-            wakes[position * shards // n].append((time, _WAKE_BASE + i, position))
+            wakes[position % shards].append((time, _WAKE_BASE + i, position))
         crash_entries: list[list[tuple[float, int, int]]] = [
             [] for _ in range(shards)
         ]
         for j, (position, time) in enumerate(crashes.items()):
-            crash_entries[position * shards // n].append(
+            crash_entries[position % shards].append(
                 (time, _CRASH_BASE + j, position)
             )
         self._initial_min = min(
@@ -1150,7 +1192,7 @@ class ShardedNetwork:
         result = fold_result(
             self.protocol,
             self.topology,
-            finals,
+            _in_position_order(finals, self.topology.n),
             quiescent_at=max(final["last_time"] for final in finals),
             failed_positions=cfg.failed_positions,
             trace=Tracer(enabled=False),
@@ -1173,12 +1215,15 @@ class ShardedNetwork:
         global_seq = 0
         total_processed = 0
         windows = 0
+        records = {"local": 0, "packed": 0, "slow": 0}
         leader: tuple[int, float, int] | None = None
         leader_shard = -1
         #: pending_in[dest][src]: batch routed but not yet delivered.
         pending_in: list[list[tuple | None]] = [
             [None] * k for _ in range(k)
         ]
+        #: local_in[src]: global keys of src's last local lane.
+        local_in: list[array | None] = [None] * k
         next_times: list[float | None] = [
             self._initial_min if self._initial_min != float("inf") else None
         ] * k
@@ -1195,12 +1240,15 @@ class ShardedNetwork:
             budget = max_events - total_processed
             windows += 1
             for index, handle in enumerate(handles):
-                handle.window(start, end, budget, pending_in[index])
+                handle.window(
+                    start, end, budget, pending_in[index], local_in[index]
+                )
             pending_in = [[None] * k for _ in range(k)]
-            outs: list[dict[int, tuple]] = []
+            local_in = [None] * k
+            outs: list[tuple[dict[int, tuple], tuple | None]] = []
             for index, handle in enumerate(handles):
-                out, stats = handle.collect()
-                outs.append(out)
+                out, local, stats = handle.collect()
+                outs.append((out, local))
                 total_processed += stats["processed"]
                 next_times[index] = stats["next_time"]
                 reported = stats["leader"]
@@ -1217,7 +1265,9 @@ class ShardedNetwork:
                     f"the protocol is livelocked (aggregate across "
                     f"{k} shard schedulers)"
                 )
-            incoming_min, global_seq = self._route(outs, pending_in, global_seq)
+            incoming_min, global_seq = _route(
+                outs, pending_in, local_in, global_seq, records
+            )
 
         finals = [handle.finish() for handle in handles]
         self.stats.update(
@@ -1229,61 +1279,10 @@ class ShardedNetwork:
                 "events_total": total_processed,
                 "events_per_shard": [f["processed"] for f in finals],
                 "busy_per_shard": [f["busy"] for f in finals],
+                "records": records,
             }
         )
         return finals
-
-    def _route(
-        self,
-        outs: list[dict[int, tuple]],
-        pending_in: list[list[tuple | None]],
-        global_seq: int,
-    ) -> tuple[float, int]:
-        """Globally order one window's sends and route them to their shards.
-
-        Returns the earliest routed arrival time and the advanced global
-        sequence counter.  The sort key is each record's merge key (see the
-        module docstring); assigning consecutive keys in sorted order
-        reproduces the serial kernel's scheduling order for these sends.
-        Every source batch ``(times, ints, offs, slow)`` is routed as
-        ``(times, ints, offs, keys, slow, slow_keys)``: the same arrays plus
-        the assigned keys, fast lane and slow lane side by side.
-        """
-        items: list[tuple] = []
-        routed: dict[tuple[int, int], tuple] = {}
-        incoming_min = float("inf")
-        for src, out in enumerate(outs):
-            for dest, (times, ints, offs, slow) in out.items():
-                n_fast = len(offs)
-                pending_in[dest][src] = routed[(src, dest)] = (
-                    times, ints, offs, array("q", [0]) * n_fast,
-                    slow, [0] * len(slow),
-                )
-                if n_fast:
-                    arrival = min(times[1::2])
-                    if arrival < incoming_min:
-                        incoming_min = arrival
-                    for r in range(n_fast):
-                        offset = offs[r]
-                        items.append(
-                            (
-                                (times[2 * r], ints[offset], ints[offset + 1]),
-                                src,
-                                dest,
-                                0,
-                                r,
-                            )
-                        )
-                for r, record in enumerate(slow):
-                    items.append((record[0], src, dest, 1, r))
-                    if record[1] < incoming_min:
-                        incoming_min = record[1]
-        items.sort()
-        for _mkey, src, dest, lane, r in items:
-            batch = routed[(src, dest)]
-            (batch[3] if lane == 0 else batch[5])[r] = global_seq
-            global_seq += 1
-        return incoming_min, global_seq
 
     @property
     def aggregate_events_per_sec(self) -> float:
@@ -1300,6 +1299,107 @@ class ShardedNetwork:
         return sum(
             e / b for e, b in zip(events, busy) if b > 0.0
         )
+
+
+def _route(
+    outs: list[tuple[dict[int, tuple], tuple | None]],
+    pending_in: list[list[tuple | None]],
+    local_in: list[array | None],
+    global_seq: int,
+    records: dict[str, int],
+) -> tuple[float, int]:
+    """Globally order one window's sends and hand out their global keys.
+
+    ``outs[src]`` is shard ``src``'s ``(batches by destination, local
+    lane)``.  Every record becomes one flat item — ``(t, key, idx, slot,
+    r)`` for the local and packed lanes, ``(*rank, slot, r)`` for the slow
+    lane — built with C-level ``zip`` over the merge-key columns.  Distinct
+    ranks differ before any ragged position, and each slot's records are
+    already a sorted run, so one sort merges them.  Assigning consecutive
+    keys in sorted order reproduces the serial kernel's scheduling order
+    (see the module docstring); slot ``slot`` gets its keys in
+    ``keys[slot][r]``.
+
+    Fills ``local_in[src]`` with the keys of ``src``'s local lane and
+    ``pending_in[dest][src]`` with ``(arrivals, ints, offs, keys, slow,
+    slow_keys)``; adds the window's per-lane record counts to
+    ``records``.  Returns the earliest routed arrival and the advanced
+    global sequence counter.
+    """
+    items: list[tuple] = []
+    keys: list[Any] = []
+    incoming_min = float("inf")
+
+    def add_slot(src_times: array, mkeys: array, count: int) -> array:
+        slot_keys = array("q", bytes(8 * count))
+        items.extend(
+            zip(src_times, mkeys[0::2], mkeys[1::2], repeat(len(keys)), range(count))
+        )
+        keys.append(slot_keys)
+        return slot_keys
+
+    for src, (out, local) in enumerate(outs):
+        if local is not None:
+            src_times, mkeys, arrival = local
+            count = len(src_times)
+            records["local"] += count
+            local_in[src] = add_slot(src_times, mkeys, count)
+            if arrival < incoming_min:
+                incoming_min = arrival
+        for dest, (times, mkeys, ints, offs, slow) in out.items():
+            count = len(offs)
+            packed_keys = add_slot(times[0::2], mkeys, count)
+            slow_keys = [0] * len(slow)
+            arrivals = times[1::2]
+            pending_in[dest][src] = (
+                arrivals, ints, offs, packed_keys, slow, slow_keys
+            )
+            if count:
+                records["packed"] += count
+                arrival = min(arrivals)
+                if arrival < incoming_min:
+                    incoming_min = arrival
+            if slow:
+                records["slow"] += len(slow)
+                slot = len(keys)
+                keys.append(slow_keys)
+                items.extend(
+                    (*record[0], slot, r) for r, record in enumerate(slow)
+                )
+                arrival = min(record[1] for record in slow)
+                if arrival < incoming_min:
+                    incoming_min = arrival
+    items.sort()
+    for g, item in enumerate(items, global_seq):
+        keys[item[-2]][item[-1]] = g
+    return incoming_min, global_seq + len(items)
+
+
+def _in_position_order(
+    finals: list[dict[str, Any]], n: int
+) -> list[dict[str, Any]]:
+    """The shard tallies with base positions and snapshots in position order.
+
+    :func:`fold_result` concatenates both tally by tally, but strided
+    shard ``i`` of ``k`` owns ``range(i, n, k)``: the first tally takes
+    every shard's lists, interleaved back into position order.
+    """
+    k = len(finals)
+    if k == 1:
+        return finals
+    bases = sorted(p for final in finals for p in final["base_positions"])
+    snapshots = None
+    if finals[0]["snapshots"] is not None:
+        snapshots = [None] * n
+        for i, final in enumerate(finals):
+            snapshots[i::k] = final["snapshots"]
+    return [
+        {**finals[0], "base_positions": bases, "snapshots": snapshots},
+        *(
+            {**final, "base_positions": [], "snapshots": None}
+            for final in finals[1:]
+        ),
+    ]
 
 
 def run_sharded_election(

@@ -27,6 +27,8 @@ import pytest
 
 from dataclasses import dataclass
 
+from hypothesis import given, settings, strategies as st
+
 from repro.adversary import wakeup as adversary_wakeup
 from repro.adversary.delays import congested_links, worst_case_unit
 from repro.core.errors import (
@@ -275,7 +277,7 @@ def _transport_of(name: str, shards: int, workers: int) -> str:
 @pytest.mark.shard_smoke
 def test_forked_lossy_cell_matches_fixture():
     """The heaviest fault cell (drop/dup/jitter + retransmission overlay)
-    over forked workers: both the packed fast lane and the pickled slow
+    over forked workers: both the packed lane and the pickled slow
     lane cross the pipes, and the digest equals the serial fixture."""
     forked = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
     assert forked == _fixture("E@32-lossy-rel")
@@ -607,6 +609,17 @@ class TestGating:
             with pytest.raises(ConfigurationError, match="shards"):
                 ShardedNetwork(ProtocolE(), topology, shards=bad)
 
+    @pytest.mark.parametrize("flag", (True, False))
+    def test_shard_count_must_not_be_a_bool(self, flag):
+        """``bool`` is an ``int``: ``shards=True`` once ran one shard."""
+        topology = complete_without_sense(16, seed=0)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"shards must be an integer in \[1, n=16\], "
+            f"got {flag!r}",
+        ):
+            ShardedNetwork(ProtocolE(), topology, shards=flag)
+
     def test_lookahead_is_the_delay_models_min_latency(self):
         network = ShardedNetwork(
             ProtocolC(), complete_with_sense_of_direction(32),
@@ -661,10 +674,11 @@ class _MixedLaneNode(Node):
     """
 
     _BIG = 1 << 62
+    _PORT = 0
 
     def on_wake(self, spontaneous):
         if spontaneous:
-            self.ctx.send(0, _Census(1, 0))
+            self.ctx.send(self._PORT, _Census(1, 0))
 
     def on_message(self, port, message):
         if not isinstance(message, _Census):
@@ -674,11 +688,11 @@ class _MixedLaneNode(Node):
             self.become_leader()
             return
         if h % 4 == 0:
-            self.ctx.send(0, _Blob((h,)))
+            self.ctx.send(self._PORT, _Blob((h,)))
         elif h % 3 != 0:
-            self.ctx.send(0, _Nudge())
+            self.ctx.send(self._PORT, _Nudge())
         tally = self._BIG if h % 3 == 0 else h
-        self.ctx.send(0, _Census(h + 1, tally))
+        self.ctx.send(self._PORT, _Census(h + 1, tally))
 
 
 class _MixedLaneProtocol(ElectionProtocol):
@@ -809,6 +823,143 @@ class TestMessageCodec:
         assert in_process == forked
 
 
+class _SameShardNode(_MixedLaneNode):
+    """:class:`_MixedLaneNode`'s chain through port 1 instead of port 0.
+
+    On the sense-of-direction wiring port 1 reaches ``position + 2``, so a
+    chain started at position 0 never leaves the even positions: at two
+    strided shards every send is same-shard, the ``_Blob`` and ``2**62``
+    payloads included.
+    """
+
+    _PORT = 1
+
+
+class _SameShardProtocol(ElectionProtocol):
+    name = "same-shard-test"
+
+    def create_node(self, ctx):
+        return _SameShardNode(ctx)
+
+
+def _lane_run(protocol, topology, shards, workers, **kwargs):
+    network = ShardedNetwork(
+        protocol, topology, shards=shards, workers=workers, **kwargs
+    )
+    result = network.run(require_leader=False)
+    return result, network.stats["records"]
+
+
+class TestLanes:
+    """Every send takes exactly one lane: local (same shard, delivery- or
+    wake-ranked), packed (cross-shard, flat) or slow (cross-shard
+    unpackable or wide, and every timer-ranked send)."""
+
+    def test_every_lane_is_exercised_and_exact(self):
+        mixed = {"wakeup": {0: 0.0}, "seed": 4}
+        cases = [
+            (
+                _MixedLaneProtocol,
+                lambda: complete_without_sense(12, seed=4),
+                mixed,
+                fingerprint(
+                    run_election(
+                        _MixedLaneProtocol(),
+                        complete_without_sense(12, seed=4),
+                        require_leader=False, **mixed,
+                    )
+                ),
+            ),
+            (
+                ProtocolC,
+                lambda: complete_with_sense_of_direction(64),
+                {},
+                _fixture("C@64"),
+            ),
+        ]
+        seen = {"local": 0, "packed": 0, "slow": 0}
+        for shards in (2, 3):
+            for workers in (0, shards):
+                for protocol, topology, kwargs, expected in cases:
+                    result, records = _lane_run(
+                        protocol(), topology(), shards, workers, **kwargs
+                    )
+                    assert sum(records.values()) == result.messages_total
+                    assert fingerprint(result) == expected
+                    for lane, count in records.items():
+                        seen[lane] += count
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_unpackable_and_wide_same_shard_sends_take_the_local_lane(
+        self, workers
+    ):
+        serial = fingerprint(
+            run_election(
+                _SameShardProtocol(), complete_with_sense_of_direction(12),
+                wakeup={0: 0.0}, require_leader=False,
+            )
+        )
+        result, records = _lane_run(
+            _SameShardProtocol(), complete_with_sense_of_direction(12),
+            2, workers, wakeup={0: 0.0},
+        )
+        assert {"_Blob", "_Census", "_Nudge"} <= set(result.messages_by_type)
+        assert records == {
+            "local": result.messages_total, "packed": 0, "slow": 0,
+        }
+        assert fingerprint(result) == serial
+
+    def test_strided_shards_balance_protocol_c(self):
+        network = ShardedNetwork(
+            ProtocolC(), complete_with_sense_of_direction(4096),
+            shards=2, workers=0, collect_snapshots=False,
+        )
+        network.run()
+        events = network.stats["events_per_shard"]
+        assert max(events) / (sum(events) / len(events)) <= 1.05
+
+
+# ---------------------------------------------------------------------------
+# A generated differential slice: sharded == serial beyond the fixtures.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _differential_configs(draw):
+    name = draw(st.sampled_from("BCEG"))
+    if name in "BC":  # Protocols B and C need N to be a power of two.
+        n = draw(st.sampled_from((8, 16, 32)))
+    else:
+        n = draw(st.integers(min_value=8, max_value=48))
+    shards = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return name, n, shards, seed
+
+
+def _differential_inputs(name: str, n: int, seed: int):
+    protocol = {
+        "B": ProtocolB, "C": ProtocolC, "E": ProtocolE, "G": ProtocolG,
+    }[name]()
+    if name in "BC":
+        return protocol, complete_with_sense_of_direction(n)
+    return protocol, complete_without_sense(n, seed=seed)
+
+
+@pytest.mark.shard_smoke
+@settings(max_examples=60, deadline=None)
+@given(_differential_configs())
+def test_generated_configs_shard_exactly(config):
+    """Sharded equals serial on drawn (protocol, N, shard count, seed)."""
+    name, n, shards, seed = config
+    serial = run_election(*_differential_inputs(name, n, seed), seed=seed)
+    sharded = run_sharded_election(
+        *_differential_inputs(name, n, seed),
+        shards=shards, workers=0, seed=seed,
+    )
+    assert fingerprint(sharded) == fingerprint(serial)
+
+
 # ---------------------------------------------------------------------------
 # Odd shard geometries and runtime stats.
 # ---------------------------------------------------------------------------
@@ -828,7 +979,7 @@ class TestGeometryAndStats:
         assert sharded == serial
 
     def test_uneven_shard_sizes_agree_with_serial(self):
-        """n=50 over 7 shards: ceil-boundary ranges, none empty."""
+        """n=50 over 7 shards: strided shards of 8 and 7 nodes."""
         topology = complete_without_sense(50, seed=2)
         sharded = fingerprint(
             run_sharded_election(
@@ -875,16 +1026,17 @@ class TestGeometryAndStats:
 
 class _TwoLeaderNode(Node):
     """Relays a chain through port 0; the nodes the chain reaches at hops
-    3 and 4 both declare, one time unit apart.  On the sense-of-direction
-    wiring hop ``h`` lands on position ``h``, so the two declarers share a
-    shard at 3 shards of 8 nodes and sit in different shards at 2."""
+    3 and 5 both declare, two time units apart.  On the sense-of-direction
+    wiring hop ``h`` lands on position ``h``, so with strided ownership
+    (``p % k``) the two declarers share a shard at 2 shards of 8 nodes and
+    sit in different shards at 3."""
 
     def on_wake(self, spontaneous):
         if spontaneous:
             self.ctx.send(0, _Census(1, 0))
 
     def on_message(self, port, message):
-        if message.hops in (3, 4):
+        if message.hops in (3, 5):
             self.become_leader()
         if message.hops < self.ctx.n:
             self.ctx.send(0, _Census(message.hops + 1, 0))
@@ -921,12 +1073,12 @@ def test_leader_conflict_reads_the_same_in_every_runtime():
     )
     topology = complete_with_sense_of_direction(8)
     assert serial == (
-        f"two-leader-test: node {topology.id_at(4)} declared leader at "
-        f"t=4.0 but node {topology.id_at(3)} already had"
+        f"two-leader-test: node {topology.id_at(5)} declared leader at "
+        f"t=5.0 but node {topology.id_at(3)} already had"
     )
-    assert violation(sharded(3, 0)) == serial  # same shard
-    assert violation(sharded(2, 0)) == serial  # cross-shard, in-process
-    assert violation(sharded(2, 2)) == serial  # cross-shard, forked
+    assert violation(sharded(2, 0)) == serial  # same shard
+    assert violation(sharded(3, 0)) == serial  # cross-shard, in-process
+    assert violation(sharded(3, 3)) == serial  # cross-shard, forked
 
 
 # ---------------------------------------------------------------------------
