@@ -43,11 +43,13 @@ per-run state, the send pipeline, the leader-uniqueness check
 turns into the :class:`~repro.core.results.ElectionResult`.  Each runtime
 adds only its own scheduling and dispatch.
 
-Hot-path design (see docs/performance.md): the send path performs no
-per-message closure or :class:`Event` allocation — deliveries ride the heap
-as plain tuples handled by one preallocated bound method; tracing is a
-single attribute test when disabled; and message/bit/depth counters
-accumulate in plain attributes that are tallied once, at quiescence.
+Hot-path design (see docs/performance.md): the first send of each message
+class compiles a fused send function for it (:func:`_compile_send`), shared
+by both runtimes and cached per set of baked-in constants; deliveries ride
+the heap as plain tuples handled by one preallocated bound method; tracing
+is a single attribute test when disabled; per-link FIFO state is two flat
+dicts; and message/bit/depth counters accumulate in plain attributes that
+are tallied once, at quiescence.
 """
 
 from __future__ import annotations
@@ -55,17 +57,24 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Callable, Mapping
+from dataclasses import fields as _dataclass_fields
+from heapq import heappush
 from typing import Any
 
 from repro.core.errors import ProtocolViolation, SimulationError
-from repro.core.messages import Message, message_bits
+from repro.core.messages import (
+    MAX_INT_FIELDS,
+    TYPE_TAG_BITS,
+    Message,
+    _word_bits,
+    message_bits,
+)
 from repro.core.node import Node, NodeContext
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import Event
 from repro.sim.faults import FaultPlan
-from repro.sim.link import ChannelTable
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import node_stream
 from repro.sim.scheduler import Scheduler
@@ -245,19 +254,110 @@ def fold_result(
     )
 
 
+#: Largest int magnitude a compiled send (and the sharded packed lane)
+#: takes as is; a wider one takes the pipeline (and the slow lane).
+_INT_LIMIT = 1 << 62
+
+#: Compiled send functions, keyed by the message class and every constant
+#: they bake in, so runs of one shape share them (``exec`` is not cheap).
+_SEND_CACHE: dict[tuple, Callable] = {}
+
+
+def _compile_send(
+    cls: type,
+    is_bool: list[bool],
+    n: int,
+    cyclic: bool,
+    latency: float | None,
+    tail: tuple,
+) -> Callable:
+    """Exec-compile the fused send of one message class.
+
+    Straight-line code for what :meth:`SendPath._transmit` does — port
+    check, bit audit (a literal), per-type tally, wiring, FIFO arrival —
+    with ``n``, the wiring and a constant latency baked in, ending in the
+    runtime's ``tail`` (see :meth:`SendPath._send_tail`).  A send outside
+    the envelope (a bad port, or a value that is ``None``, wide or not of
+    its declared type) takes the pipeline, which is the reference.
+    """
+    _key, guards, hand_off, namespace = tail
+    names = [f.name for f in _dataclass_fields(cls)]
+    ints = is_bool.count(False)
+    bits = TYPE_TAG_BITS + _word_bits(n) * ints + len(names) - ints
+    checks = [*guards, f"0 <= port < {n - 1}"] + [
+        f"(v{i} is True or v{i} is False)"
+        if flag
+        else f"type(v{i}) is int and -_LIM < v{i} < _LIM"
+        for i, flag in enumerate(is_bool)
+    ]
+    if cyclic:
+        # Sense-of-direction wiring is arithmetic: inline it.
+        wiring = [
+            "        far = position + port + 1",
+            f"        if far >= {n}:",
+            f"            far -= {n}",
+            f"        far_port = {n - 2} - port",
+        ]
+    else:
+        wiring = [
+            "        topology = self.topology",
+            "        far = topology.neighbor(position, port)",
+            "        far_port = topology.reverse_port(position, port)",
+        ]
+    if latency is not None:
+        arrival = [
+            f"        arrival = self.scheduler._now + {latency!r}",
+            f"        link = position * {n} + far",
+            "        lasts = self._lasts",
+            "        last = lasts.get(link)",
+            "        if last is not None and arrival < last:",
+            "            arrival = last",
+            "        lasts[link] = arrival",
+            "        loads = self._loads",
+            "        loads[link] = loads.get(link, 0) + 1",
+        ]
+    else:
+        arrival = [
+            "        arrival = self.link_arrival(",
+            "            position, far, m, self.scheduler._now",
+            "        )",
+        ]
+    defaults = "".join(f", {name}={name}" for name in namespace)
+    lines = [
+        f"def _send(self, position, port, m, _LIM=_LIM{defaults}):",
+        *(f"    v{i} = m.{name}" for i, name in enumerate(names)),
+        "    if (" + "\n            and ".join(checks) + "):",
+        *wiring,
+        "        self._messages_total += 1",
+        f"        self._bits_total += {bits}",
+        f"        self._type_counts[{cls.__name__!r}] += 1",
+        *arrival,
+        *hand_off,
+        "        return",
+        "    self._transmit(position, port, m)",
+    ]
+    scope: dict[str, Any] = {"_LIM": _INT_LIMIT, **namespace}
+    # One file name per class keeps the sends apart in profiles.
+    code = compile("\n".join(lines), f"<send {cls.__qualname__}>", "exec")
+    exec(code, scope)  # noqa: S102 - trusted codegen
+    return scope["_send"]
+
+
 class SendPath:
     """The runtime core shared by the serial network and the shards.
 
     It owns everything both runtimes do the same way: the per-run state
-    (scheduler, channels, failure sets, the bound fault plan, the
-    accounting accumulators), the per-send pipeline — port validation, bit
-    audit, per-type tally, FIFO arrival (with the const-latency fast path)
-    and the zero-cost-off fault verdict — the leader-uniqueness check, and
-    the final :meth:`_tally`.  A send ends in one :meth:`_dispatch_send`
-    call that each runtime binds to its own delivery machinery: the serial
-    :class:`Network` schedules a heap entry, and a shard buffers the send
-    until the window barrier.  There is exactly one definition of what
-    a send does, which is what keeps the runtimes byte-identical.
+    (scheduler, per-link FIFO state, failure sets, the bound fault plan,
+    the accounting accumulators), the per-send pipeline — port validation,
+    bit audit, per-type tally, FIFO arrival and the zero-cost-off fault
+    verdict — the compiled sends that bypass it, the leader-uniqueness
+    check, and the final :meth:`_tally`.  A pipeline send ends in one
+    :meth:`_dispatch_send` call that each runtime binds to its own
+    delivery machinery (the serial :class:`Network` schedules a heap
+    entry, and a shard buffers the send until the window barrier); a
+    compiled send ends in the same hand-off, generated from
+    :meth:`_send_tail`.  There is exactly one definition of what a send
+    does, which is what keeps the runtimes byte-identical.
 
     Hosts set ``protocol`` and ``nodes`` (their owned nodes, in position
     order).  Hosts without tracing leave the class-level
@@ -282,7 +382,6 @@ class SendPath:
         self.rng = random.Random(seed)
         self.scheduler = Scheduler(max_events=max_events)
         self.metrics = MetricsCollector()
-        self.channels = ChannelTable()
         self.failed_positions = frozenset(failed_positions)
         self.crash_schedule = merge_crash_schedule(crash_schedule, faults)
         validate_failure_config(
@@ -309,9 +408,13 @@ class SendPath:
         self._dropped = 0
         self._duplicated = 0
         self._jittered = 0
+        #: Per directed link ``position * n + far``: last arrival and load.
+        self._lasts: dict[int, float] = {}
+        self._loads: dict[int, int] = {}
+        #: Message class -> its send function: compiled, or the pipeline.
+        self._send_fns: dict[type, Callable] = {}
         #: The first leader declared here: ``(position, time, depth)``.
         self._leader: tuple[int, float, int] | None = None
-        self._channel_of = self.channels.channel
         # Constant latency with the default zero gap needs no per-message
         # delay-model dispatch (and consumes no randomness): the arrival is
         # just the FIFO clamp of ``now + delay``.
@@ -333,14 +436,85 @@ class SendPath:
     ) -> None:
         raise NotImplementedError
 
+    def _send_tail(self, cls: type, is_bool: list[bool]) -> tuple | None:
+        """This runtime's part of ``cls``'s compiled send, or None.
+
+        ``(cache key, extra guards, tail lines, namespace)``: the guards
+        join the fast path's condition, and the tail lines hand the send
+        (``far``, ``far_port``, ``m``, ``arrival``) to the runtime's
+        delivery machinery.  ``is_bool`` flags the ``bool`` fields.
+        """
+        raise NotImplementedError
+
+    def _send_fn(self, cls: type) -> Callable:
+        """Find (and remember) the send function for message class ``cls``.
+
+        Compiled for classes whose fields are all declared ``int`` or
+        ``bool`` (at most :data:`MAX_INT_FIELDS` ints) when the run has no
+        fault plan and no tracing; :meth:`_transmit` otherwise.
+        """
+        fn: Callable = SendPath._transmit
+        fields = _dataclass_fields(cls)
+        is_bool = [f.type in ("bool", bool) for f in fields]
+        if (
+            self._faults is None
+            and not self._tracing
+            and all(f.type in ("int", int, "bool", bool) for f in fields)
+            and is_bool.count(False) <= MAX_INT_FIELDS
+        ):
+            tail = self._send_tail(cls, is_bool)
+            if tail is not None:
+                cyclic = getattr(self.topology, "_cyclic", False)
+                key = (cls, self._n, cyclic, self._const_latency, tail[0])
+                fn = _SEND_CACHE.get(key)
+                if fn is None:
+                    fn = _SEND_CACHE[key] = _compile_send(
+                        cls, is_bool, self._n, cyclic, self._const_latency,
+                        tail,
+                    )
+                # The compiled tally increments in place.
+                self._type_counts.setdefault(cls.__name__, 0)
+        self._send_fns[cls] = fn
+        return fn
+
+    def link_arrival(
+        self, position: int, far: int, message: Message, send_time: float
+    ) -> float:
+        """The FIFO arrival of ``message`` on the link ``position -> far``.
+
+        Section 2's "arrive in the order sent": the delay model picks the
+        latency and the spacing after the link's previous arrival, and the
+        arrival is clamped to be no earlier than that previous one, so FIFO
+        holds for any model.  Models are addressed by identity, so
+        adversarial strategies can condition on the ids the paper's
+        constructions talk about.  Records the arrival and counts the
+        message against the link's load.
+        """
+        ids = self._ids
+        delays = self.delays
+        rng = self.rng
+        sender_id, receiver_id = ids[position], ids[far]
+        latency = delays.latency(sender_id, receiver_id, message, send_time, rng)
+        gap = delays.gap(sender_id, receiver_id, message, send_time, rng)
+        link = position * self._n + far
+        last = self._lasts.get(link, 0.0)
+        arrival = max(send_time + latency, last + gap)
+        if arrival < last:  # pragma: no cover - defensive
+            arrival = last
+        self._lasts[link] = arrival
+        loads = self._loads
+        loads[link] = loads.get(link, 0) + 1
+        return arrival
+
     def _transmit(self, position: int, port: int, message: Message) -> None:
         """Node ``position`` sends ``message`` through ``port``.
 
-        With a :class:`FaultPlan` installed, the plan's per-link verdict
-        runs after the FIFO arrival is computed.  A dropped message still
+        The reference pipeline every compiled send must match.  With a
+        :class:`FaultPlan` installed, the plan's per-link verdict runs
+        after the FIFO arrival is computed.  A dropped message still
         *counts* as sent (loss is the gap between sent and delivered), and
-        jitter is added on top without advancing the channel's FIFO clock,
-        so reordering stays bounded by the plan's ``jitter``.
+        jitter is added on top without advancing the link's FIFO clock, so
+        reordering stays bounded by the plan's ``jitter``.
         """
         if not 0 <= port < self._num_ports:
             raise SimulationError(
@@ -357,41 +531,23 @@ class SendPath:
         far_port = topology.reverse_port(position, port)
         sender_id = self._ids[position]
         receiver_id = self._ids[far]
-        scheduler = self.scheduler
+        now = self.scheduler.now
         if self._tracing:
             self.tracer.record(
-                scheduler.now, "send", sender_id, to=receiver_id,
-                message=type_name,
+                now, "send", sender_id, to=receiver_id, message=type_name
             )
-        # Channels are keyed (and delay models addressed) by identity, so
-        # adversarial delay strategies can condition on the ids the paper's
-        # constructions talk about.
-        channel = self._channel_of(sender_id, receiver_id)
-        latency = self._const_latency
-        if latency is not None:
-            # The generic arrival below computes the same time for
-            # ConstantDelay (latency fixed, gap zero, no RNG draw).
-            arrival = scheduler.now + latency
-            if arrival < channel.last_arrival:
-                arrival = channel.last_arrival
-            channel.last_arrival = arrival
-            channel.messages_sent += 1
-        else:
-            arrival = channel.arrival_time(
-                message, scheduler.now, self.delays, self.rng
-            )
+        arrival = self.link_arrival(position, far, message, now)
         if self._faults is None:
             self._dispatch_send(arrival, far, far_port, message, sender_id)
             return
         copies, jitter, dup_jitter, reason = self._faults.judge(
-            sender_id, receiver_id, scheduler.now
+            sender_id, receiver_id, now
         )
         if copies == 0:
             self._dropped += 1
-            channel.messages_dropped += 1
             if self._tracing:
                 self.tracer.record(
-                    scheduler.now, "drop", sender_id, to=receiver_id,
+                    now, "drop", sender_id, to=receiver_id,
                     message=type_name, reason=reason,
                 )
             return
@@ -399,16 +555,15 @@ class SendPath:
             self._jittered += 1
             if self._tracing:
                 self.tracer.record(
-                    scheduler.now, "jitter", sender_id, to=receiver_id,
+                    now, "jitter", sender_id, to=receiver_id,
                     message=type_name, delay=jitter,
                 )
         self._dispatch_send(arrival + jitter, far, far_port, message, sender_id)
         if copies == 2:
             self._duplicated += 1
-            channel.messages_duplicated += 1
             if self._tracing:
                 self.tracer.record(
-                    scheduler.now, "duplicate", sender_id, to=receiver_id,
+                    now, "duplicate", sender_id, to=receiver_id,
                     message=type_name,
                 )
             self._dispatch_send(
@@ -433,7 +588,10 @@ class SendPath:
         return {
             "messages_total": self._messages_total,
             "bits_total": self._bits_total,
-            "type_counts": self._type_counts,
+            # Compiled classes are seeded with 0 (see :meth:`_send_fn`).
+            "type_counts": {
+                name: count for name, count in self._type_counts.items() if count
+            },
             "max_depth": self._max_depth,
             "dropped": self._dropped,
             "duplicated": self._duplicated,
@@ -445,7 +603,10 @@ class SendPath:
             "last_wake": metrics.last_wake_time,
             "leader": self._leader,
             "processed": self.scheduler.events_processed,
-            "max_channel_load": self.channels.max_load,
+            # The congestion story of Section 4 in one number: under AG85
+            # a hotspot's owner link carries Θ(N) forwarded claims; ℰ's
+            # flow control caps it.
+            "max_channel_load": max(self._loads.values(), default=0),
             # A node scheduled to wake spontaneously may have been woken
             # earlier by a message, in which case it is *not* a base node.
             "base_positions": [
@@ -461,7 +622,7 @@ class SendPath:
 
 
 class _BoundContext(NodeContext):
-    """The capability handle handed to one node."""
+    """The capability handle handed to one node, in either runtime."""
 
     def __init__(self, network: SendPath, position: int) -> None:
         topology = network.topology
@@ -473,8 +634,21 @@ class _BoundContext(NodeContext):
         self.has_sense_of_direction = topology.sense_of_direction
         self._rng: random.Random | None = None
 
-    def send(self, port: int, message: Message) -> None:  # noqa: D102
-        self._network._transmit(self._position, port, message)
+    def send(self, port: int, message: Message) -> None:
+        """Dispatch to the message class's send function.
+
+        (A monomorphic inline cache — binding the first class's compiled
+        function over this method per instance — was tried and reverted:
+        election nodes are heavily polymorphic senders, so the class guard
+        failed on ~3/4 of sends and the re-dispatch cost more than the
+        saved frame.)
+        """
+        network = self._network
+        cls = type(message)
+        fn = network._send_fns.get(cls)
+        if fn is None:
+            fn = network._send_fn(cls)
+        fn(network, self._position, port, message)
 
     def port_label(self, port: int) -> int | None:  # noqa: D102
         return self._network.topology.label(self._position, port)
@@ -538,6 +712,10 @@ class Network(SendPath):
         self._wakeup_spec = wakeup
         self._ran = False
         self._schedule_payload = self.scheduler.schedule_payload
+        # What compiled sends push to: the event queue and the delivery
+        # handler, bound once.
+        self._queue = self.scheduler._queue
+        self._deliver = self._deliver_entry
         self.nodes: list[Node] = [
             protocol.create_node(_BoundContext(self, position))
             for position in range(topology.n)
@@ -562,10 +740,35 @@ class Network(SendPath):
         """Serial delivery: one payload-carrying heap entry per message."""
         self._schedule_payload(
             arrival,
-            self._deliver_entry,
+            self._deliver,
             self._current_depth + 1,
             (far, far_port, message, sender_id),
         )
+
+    def _send_tail(self, cls: type, is_bool: list[bool]) -> tuple:
+        """A compiled serial send pushes its delivery entry itself.
+
+        The entry is :meth:`_dispatch_send`'s, pushed with one ``heappush``
+        when the latency is constant (the arrival is then never in the
+        past); other delay models hand off to :meth:`_dispatch_send`.
+        """
+        if self._const_latency is None:
+            hand_off = [
+                "        self._dispatch_send(",
+                "            arrival, far, far_port, m, self._ids[position]",
+                "        )",
+            ]
+        else:
+            hand_off = [
+                "        queue = self._queue",
+                "        seq = queue._seq",
+                "        queue._seq = seq + 1",
+                "        _push(queue.heap, (",
+                "            arrival, seq, self._deliver, self._current_depth + 1,",
+                "            far, far_port, m, self._ids[position],",
+                "        ))",
+            ]
+        return ("serial",), (), hand_off, {"_push": heappush}
 
     def _schedule_timer(
         self, position: int, delay: float, callback: Callable[[], None]
@@ -681,6 +884,11 @@ class Network(SendPath):
             failed_positions=self.failed_positions,
             trace=self.tracer,
         )
+        # Tallied: drop the per-run send state (link maps, fault streams),
+        # so a finished network holds no per-link data.
+        self._lasts = {}
+        self._loads = {}
+        self._faults = None
         if require_leader:
             result.verify()
         return result

@@ -28,11 +28,12 @@ Each shard runs one window engine (:class:`_Shard`), built on the
 :class:`~repro.sim.network.SendPath` runtime core it shares with the
 serial kernel; the coordinator folds the shards' tallies with the same
 :func:`~repro.sim.network.fold_result`.  Sends of flat messages whose
-fields are declared ``int`` or ``bool`` go through a per-class compiled,
-fused send function; every other send takes the shared pipeline.  A
-window's incoming packed records are decoded in one pass that builds
-messages with compiled per-``(type_id, tagword)`` constructors.  Dispatch
-stays strictly per-event in global merge order.
+fields are declared ``int`` or ``bool`` go through the per-class compiled,
+fused send that :class:`~repro.sim.network.SendPath` generates for both
+runtimes, ending in the shard's lane tail; every other send takes the
+shared pipeline.  A window's incoming packed records are decoded in one
+pass that builds messages with compiled per-``(type_id, tagword)``
+constructors.  Dispatch stays strictly per-event in global merge order.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
@@ -92,12 +93,7 @@ from typing import Any
 
 from repro.core import errors as _errors
 from repro.core.errors import ConfigurationError, LivelockError, SimulationError
-from repro.core.messages import (
-    MAX_INT_FIELDS,
-    TYPE_TAG_BITS,
-    Message,
-    _word_bits,
-)
+from repro.core.messages import Message
 from repro.core.node import Node
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
@@ -105,8 +101,8 @@ from repro.harness.parallel import configured_processes, fork_context
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import TIEBREAK_SHIFT
 from repro.sim.faults import FaultPlan
-from repro.sim.link import Channel
 from repro.sim.network import (
+    _INT_LIMIT,
     SendPath,
     WakeupFactory,
     WakeupSchedule,
@@ -135,8 +131,6 @@ _REC_HEAD = 5
 #: Builders are keyed by ``tagword << _KIND_SHIFT | type_id`` (type ids
 #: count message classes, far below 2**16).
 _KIND_SHIFT = 16
-#: Largest magnitude packed verbatim; wider ints take the slow lane.
-_INT_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -290,143 +284,6 @@ def _compile_packer(names: tuple[str, ...]):
     return namespace["_pack"]
 
 
-def _compile_send(shard: "_Shard", cls: type):
-    """Compile the fully-fused fast-path send for one message class.
-
-    For a flat message whose fields are declared ``int`` or ``bool`` the
-    *entire* send pipeline — port check, O(log N) bit audit, per-type
-    tally, wiring lookup, FIFO clamp and buffering — reduces to
-    straight-line code whose per-run constants (``n``, shard count and
-    index, port count, constant latency, the audited bit size, the packed
-    record head) are baked in as literals.  One compiled frame per send
-    replaces five interpreted ones.  A send to the shard's own nodes takes
-    the local lane (the message object is held as is); any other is packed.
-
-    Unpackable classes, shards with a fault plan, field values outside the
-    declared envelope (wide ints, ``None``, an int in a ``bool`` field),
-    timer-sourced ranks and invalid ports all take
-    :meth:`SendPath._transmit`, whose side effects (and exceptions) are the
-    serial kernel's.
-    """
-    entry = shard.codec.packer(cls)
-    if entry is None or shard._faults is not None:
-        return SendPath._transmit
-    type_id = entry[0]
-    names = shard.codec._field_names[type_id]
-    is_bool = [f.type in ("bool", bool) for f in _dataclass_fields(cls)]
-    int_fields = [f"v{i}" for i, flag in enumerate(is_bool) if not flag]
-    if len(int_fields) > MAX_INT_FIELDS:
-        # Audit-ineligible: the shared path raises MessageSizeError.
-        return SendPath._transmit
-    # The per-class tally lives in a one-slot list baked into the compiled
-    # function (folded into ``_type_counts`` by ``finish``), replacing a
-    # dict get+set per send with one indexed increment.
-    cell = shard._class_cells.setdefault(cls, [0])
-    cfg = shard.cfg
-    n = cfg.topology.n
-    # message_bits: one word per int field, one bit per bool field.
-    bits = (
-        TYPE_TAG_BITS
-        + _word_bits(n) * len(int_fields)
-        + len(names) - len(int_fields)
-    )
-    reads = [f"    v{i} = m.{name}" for i, name in enumerate(names)]
-    guards = [
-        f"(v{i} is True or v{i} is False)"
-        if flag
-        else f"type(v{i}) is int and -_LIM < v{i} < _LIM"
-        for i, flag in enumerate(is_bool)
-    ]
-    tagword = " | ".join(
-        f"({_TAG_TRUE << 2 * i} if v{i} else {_TAG_FALSE << 2 * i})"
-        for i, flag in enumerate(is_bool)
-        if flag
-    )
-    cond = "\n            and ".join(
-        ["ce is not None", f"0 <= port < {cfg.topology.num_ports}"] + guards
-    )
-    if getattr(cfg.topology, "_cyclic", False):
-        # Sense-of-direction wiring is arithmetic: inline it.
-        wiring = [
-            f"        far = position + port + 1",
-            f"        if far >= {n}:",
-            f"            far -= {n}",
-            f"        far_port = {n - 2} - port",
-        ]
-    else:
-        wiring = [
-            "        topology = self.topology",
-            "        far = topology.neighbor(position, port)",
-            "        far_port = topology.reverse_port(position, port)",
-        ]
-    if shard._const_latency is not None:
-        arrival = [
-            f"        arrival = self.scheduler._now + {shard._const_latency!r}",
-            "        last = channel.last_arrival",
-            "        if arrival < last:",
-            "            arrival = last",
-            "        channel.last_arrival = arrival",
-            "        channel.messages_sent += 1",
-        ]
-    else:
-        arrival = [
-            "        arrival = channel.arrival_time(",
-            "            m, self.scheduler._now, self.delays, self.rng",
-            "        )",
-        ]
-    record = ", ".join(
-        ["far", "far_port", "depth", str(type_id), tagword or "0"]
-        + int_fields
-    )
-    lines = [
-        "def _send(self, position, port, m, _LIM=_LIM, _cnt=_cnt):",
-        "    ce = self._current_entry",
-        *reads,
-        f"    if ({cond}):",
-        *wiring,
-        f"        self._messages_total += 1",
-        f"        self._bits_total += {bits}",
-        "        _cnt[0] += 1",
-        "        ids = self._ids",
-        "        sender_id = ids[position]",
-        "        far_id = ids[far]",
-        "        link = (sender_id, far_id)",
-        "        channel = self._chan_map.get(link)",
-        "        if channel is None:",
-        "            # Inline the lazy table's creating lookup (complete",
-        "            # graphs touch most channels exactly once).",
-        "            channel = self._chan_map[link] = _Channel(",
-        "                sender_id, far_id",
-        "            )",
-        *arrival,
-        "        idx = self._send_seq",
-        "        self._send_seq = idx + 1",
-        "        depth = self._current_depth + 1",
-        f"        dest = far % {cfg.shards}",
-        "        out = self._out",
-        "        buf = out[dest]",
-        "        if buf is None:",
-        "            buf = out[dest] = _OutBuffer()",
-        "        buf.tex((ce[0], arrival))",
-        "        buf.kex((ce[1], idx))",
-        f"        if dest == {shard.index}:",
-        "            buf.hap((depth, far, far_port, m))",
-        "        else:",
-        "            buf.oap(len(buf.ints))",
-        f"            buf.iex(({record}))",
-        "        return",
-        "    self._transmit(position, port, m)",
-    ]
-    namespace: dict[str, Any] = {
-        "_LIM": _INT_LIMIT,
-        "_cnt": cell,
-        "_Channel": Channel,
-        "_OutBuffer": _OutBuffer,
-    }
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-    return namespace["_send"]
-
-
 class _OutBuffer:
     """One window's buffered sends from one shard to one destination shard.
 
@@ -491,29 +348,6 @@ class _RunConfig:
     crashes: list[list[tuple[float, int, int]]]
 
 
-class _ShardContext(_BoundContext):
-    """The serial node context, except that sends go to the shard's
-    compiled per-class send functions (which buffer them until the window
-    barrier).  Tracing stays a no-op: shards keep ``_tracing = False``
-    (sharded runs refuse ``trace=True`` up front)."""
-
-    def send(self, port: int, message: Message) -> None:
-        """Dispatch straight to the message class's compiled send.
-
-        (A monomorphic inline cache — binding the first class's compiled
-        function over this method per instance — was tried and reverted:
-        election nodes are heavily polymorphic senders, so the class guard
-        failed on ~3/4 of sends and the re-dispatch cost more than the
-        saved frame.)
-        """
-        shard = self._network
-        cls = type(message)
-        fn = shard._send_fns.get(cls)
-        if fn is None:
-            fn = shard._send_fns[cls] = _compile_send(shard, cls)
-        fn(shard, self._position, port, message)
-
-
 class _Shard(SendPath):
     """One shard's runtime: the shared core plus the window loop.
 
@@ -524,9 +358,8 @@ class _Shard(SendPath):
     with the serial kernel.  This class adds only its scheduling and
     dispatch: the window loop, timer ranks, and a :meth:`_dispatch_send`
     bound to the window buffers — the local lane for the shard's own
-    nodes, the packed or slow lane for the others.  The common sends
-    bypass the pipeline through :func:`_compile_send`, with
-    byte-identical results.
+    nodes, the packed or slow lane for the others — with its compiled
+    twin, :meth:`_send_tail`.
 
     A delivery entry is ``(time, key, (depth, position, port, message))``;
     wake, crash and timer entries keep the scheduler's flat layout
@@ -547,9 +380,6 @@ class _Shard(SendPath):
         self.index = index
         #: Owned positions, in the order of ``nodes``.
         self.positions = range(index, self._n, cfg.shards)
-        #: First-level access to the lazily-built channel dict, for the
-        #: compiled sends.
-        self._chan_map = self.channels._channels
         #: The entry being dispatched, whose ``[0:2]`` is the send rank —
         #: or None while a timer callback runs, whose rank is the 4-tuple
         #: in ``_current_rank`` (see :meth:`_rank`).
@@ -559,10 +389,6 @@ class _Shard(SendPath):
         self._timer_seq = 0
         self._last_time = 0.0
         self._busy = 0.0
-        #: Per-class compiled send functions, built on first send of each
-        #: class, and their one-slot tally cells (see :func:`_compile_send`).
-        self._send_fns: dict[type, Any] = {}
-        self._class_cells: dict[type, list[int]] = {}
         #: The window's outgoing buffers, one slot per destination shard.
         self._out: list[_OutBuffer | None] = [None] * cfg.shards
         #: The last window's local-lane arrivals and payloads, waiting for
@@ -571,7 +397,7 @@ class _Shard(SendPath):
         self._held: list[tuple] = []
         protocol = cfg.protocol
         self.nodes: list[Node] = [
-            protocol.create_node(_ShardContext(self, position))
+            protocol.create_node(_BoundContext(self, position))
             for position in self.positions
         ]
         #: Globally-keyed entries waiting for their window, serial layout:
@@ -626,6 +452,50 @@ class _Shard(SendPath):
         buf.oap(len(buf.ints))
         buf.iex((far, far_port, payload[0], type_id, tags))
         buf.iex(field_ints)
+
+    def _send_tail(self, cls: type, is_bool: list[bool]) -> tuple | None:
+        """A compiled shard send buffers itself: this shard's lane tail.
+
+        Sends under a timer rank (no current entry) take the pipeline.  A
+        send to the shard's own nodes takes the local lane (the message
+        is held as is); any other is packed.
+        """
+        entry = self.codec.packer(cls)
+        if entry is None:
+            return None
+        type_id = entry[0]
+        tagword = " | ".join(
+            f"({_TAG_TRUE << 2 * i} if v{i} else {_TAG_FALSE << 2 * i})"
+            for i, flag in enumerate(is_bool)
+            if flag
+        )
+        record = ", ".join(
+            ["far", "far_port", "depth", str(type_id), tagword or "0"]
+            + [f"v{i}" for i, flag in enumerate(is_bool) if not flag]
+        )
+        hand_off = [
+            "        idx = self._send_seq",
+            "        self._send_seq = idx + 1",
+            "        depth = self._current_depth + 1",
+            f"        dest = far % {self._shards}",
+            "        out = self._out",
+            "        buf = out[dest]",
+            "        if buf is None:",
+            "            buf = out[dest] = _OutBuffer()",
+            "        buf.tex((ce[0], arrival))",
+            "        buf.kex((ce[1], idx))",
+            f"        if dest == {self.index}:",
+            "            buf.hap((depth, far, far_port, m))",
+            "        else:",
+            "            buf.oap(len(buf.ints))",
+            f"            buf.iex(({record}))",
+        ]
+        return (
+            ("shard", self._shards, self.index, type_id),
+            ("(ce := self._current_entry) is not None",),
+            hand_off,
+            {"_OutBuffer": _OutBuffer},
+        )
 
     def _schedule_timer(
         self, position: int, delay: float, callback: Callable[[], None]
@@ -866,10 +736,6 @@ class _Shard(SendPath):
 
     def finish(self) -> dict[str, Any]:
         """This shard's :meth:`SendPath._tally`, for the coordinator."""
-        counts = self._type_counts
-        for cls, cell in self._class_cells.items():
-            if cell[0]:
-                counts[cls.__name__] = counts.get(cls.__name__, 0) + cell[0]
         return {
             **self._tally(self.positions, self.cfg.collect_snapshots),
             "busy": self._busy,

@@ -1,42 +1,46 @@
-"""FIFO link tests — Section 2's 'arrive in the order sent' guarantee."""
+"""FIFO link tests — Section 2's 'arrive in the order sent' guarantee.
+
+The rule lives in :meth:`SendPath.link_arrival`: per directed link it keeps
+the last scheduled arrival and the load, in two flat dicts keyed
+``position * n + far``.
+"""
 
 from __future__ import annotations
-
-import random
 
 from hypothesis import given, strategies as st
 
 from repro.core.messages import Wakeup
 from repro.sim.delays import ConstantDelay, HookDelay, UniformDelay
-from repro.sim.link import Channel, ChannelTable
+from repro.sim.network import SendPath
+from repro.topology.complete import complete_with_sense_of_direction
+
+
+def _send_path(delays, seed: int = 0, n: int = 4) -> SendPath:
+    return SendPath(
+        complete_with_sense_of_direction(n), delays, frozenset(), None, None,
+        seed, 1000,
+    )
 
 
 class TestChannel:
     def test_constant_delay_arrivals(self):
-        channel = Channel(0, 1)
-        rng = random.Random(0)
-        t1 = channel.arrival_time(Wakeup(), 0.0, ConstantDelay(1.0), rng)
-        t2 = channel.arrival_time(Wakeup(), 0.5, ConstantDelay(1.0), rng)
+        path = _send_path(ConstantDelay(1.0))
+        t1 = path.link_arrival(0, 1, Wakeup(), 0.0)
+        t2 = path.link_arrival(0, 1, Wakeup(), 0.5)
         assert (t1, t2) == (1.0, 1.5)
 
     def test_fifo_clamps_reordering_delays(self):
         """A later message with a shorter draw must not overtake."""
-        channel = Channel(0, 1)
-        rng = random.Random(0)
         draws = iter([1.0, 0.1])
-        model = HookDelay(lambda *a: next(draws))
-        t1 = channel.arrival_time(Wakeup(), 0.0, model, rng)
-        t2 = channel.arrival_time(Wakeup(), 0.05, model, rng)
+        path = _send_path(HookDelay(lambda *a: next(draws)))
+        t1 = path.link_arrival(0, 1, Wakeup(), 0.0)
+        t2 = path.link_arrival(0, 1, Wakeup(), 0.05)
         assert t1 == 1.0
         assert t2 >= t1  # clamped to FIFO despite the 0.1 draw
 
     def test_gap_spaces_consecutive_deliveries(self):
-        channel = Channel(0, 1)
-        rng = random.Random(0)
-        model = HookDelay(lambda *a: 0.05, gap_fn=lambda *a: 1.0)
-        times = [
-            channel.arrival_time(Wakeup(), 0.0, model, rng) for _ in range(5)
-        ]
+        path = _send_path(HookDelay(lambda *a: 0.05, gap_fn=lambda *a: 1.0))
+        times = [path.link_arrival(0, 1, Wakeup(), 0.0) for _ in range(5)]
         diffs = [b - a for a, b in zip(times, times[1:])]
         assert all(abs(d - 1.0) < 1e-9 for d in diffs)
 
@@ -52,30 +56,19 @@ class TestChannel:
     )
     def test_fifo_holds_for_any_send_times_and_random_delays(self, sends):
         """Property: per-channel arrival order equals send order."""
-        channel = Channel(0, 1)
-        rng = random.Random(7)
-        model = UniformDelay(0.01, 1.0)
+        path = _send_path(UniformDelay(0.01, 1.0), seed=7)
         send_times = sorted(t for t, _ in sends)
         arrivals = [
-            channel.arrival_time(Wakeup(), t, model, rng) for t in send_times
+            path.link_arrival(0, 1, Wakeup(), t) for t in send_times
         ]
         assert arrivals == sorted(arrivals)
         assert all(a >= t for a, t in zip(arrivals, send_times))
 
-
-class TestChannelTable:
-    def test_channels_are_lazy_and_directed(self):
-        table = ChannelTable()
-        forward = table.channel(0, 1)
-        backward = table.channel(1, 0)
-        assert forward is not backward
-        assert table.channel(0, 1) is forward
-
-    def test_touched_counts_only_used_channels(self):
-        table = ChannelTable()
-        table.channel(0, 1)
-        assert table.touched == 0
-        table.channel(0, 1).arrival_time(
-            Wakeup(), 0.0, ConstantDelay(1.0), random.Random(0)
-        )
-        assert table.touched == 1
+    def test_links_are_directed_and_count_their_load(self):
+        """Each direction keeps its own FIFO clock and load."""
+        path = _send_path(HookDelay(lambda *a: 1.0, gap_fn=lambda *a: 1.0))
+        forward = [path.link_arrival(0, 1, Wakeup(), 0.0) for _ in range(3)]
+        backward = path.link_arrival(1, 0, Wakeup(), 0.0)
+        assert forward == [1.0, 2.0, 3.0]
+        assert backward == 1.0
+        assert path._loads == {0 * 4 + 1: 3, 1 * 4 + 0: 1}

@@ -113,8 +113,9 @@ class TestCommands:
     def test_shard_smoke_leg_exercises_the_sharded_cli(self, jobs):
         # The sharded CLI's output must equal the serial CLI's, byte for
         # byte, on forked workers and on one in-process shard (every send
-        # on the local lane): an exit status alone would pass a sharded
-        # run that printed the wrong leader.
+        # on the local lane), with cyclic and with table wiring: an exit
+        # status alone would pass a sharded run that printed the wrong
+        # leader.
         sharded = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--shards" in s["run"]
@@ -135,6 +136,9 @@ class TestCommands:
             "python -m repro run --protocol C --n 256 --shards 1 "
             "--shard-workers 0 > sharded_c1.txt",
             "diff serial_c.txt sharded_c1.txt",
+            "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
+            "--shards 1 --shard-workers 0 > sharded_e1.txt",
+            "diff serial_e.txt sharded_e1.txt",
         ]
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
