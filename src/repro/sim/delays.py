@@ -17,6 +17,7 @@ condition on them.
 
 from __future__ import annotations
 
+import copy
 import random
 from abc import ABC, abstractmethod
 
@@ -72,6 +73,16 @@ class DelayModel(ABC):
         """
         return 0.0
 
+    def bind(self) -> "DelayModel":
+        """The model one run uses (see :class:`~repro.sim.network.SendPath`).
+
+        A model that keeps per-run state returns a copy with that state
+        fresh, the way :meth:`~repro.sim.faults.FaultPlan.bind` does, so
+        one model object gives every run the same delays.  Stateless
+        models return themselves.
+        """
+        return self
+
 
 def _check_unit_interval(value: float, what: str) -> float:
     if not 0.0 < value <= 1.0:
@@ -118,7 +129,9 @@ class UniformDelay(DelayModel):
 
     Note the two modes are *different random processes*: the same
     ``(low, high)`` model produces different delays with and without
-    ``min_latency=``, so frozen fixtures pin one mode or the other.
+    ``min_latency=``, so frozen fixtures pin one mode or the other.  The
+    streams are per-run state (:meth:`bind`): every run of one model
+    object starts them afresh.
     """
 
     def __init__(
@@ -147,6 +160,22 @@ class UniformDelay(DelayModel):
             self.uses_run_rng = False
             self._streams: dict[tuple[int, int], random.Random] = {}
             self._stream_seed = stream_seed
+
+    @property
+    def low(self) -> float:
+        return self._low
+
+    @property
+    def high(self) -> float:
+        return self._high
+
+    def bind(self) -> "UniformDelay":
+        """Per-link streams are per-run state: a run gets fresh ones."""
+        if self.uses_run_rng:
+            return self
+        bound = copy.copy(self)
+        bound._streams = {}
+        return bound
 
     def latency(self, sender, receiver, message, send_time, rng):  # noqa: D102
         if self.uses_run_rng:

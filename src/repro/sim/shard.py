@@ -453,16 +453,18 @@ class _Shard(SendPath):
         buf.iex((far, far_port, payload[0], type_id, tags))
         buf.iex(field_ints)
 
-    def _send_tail(self, cls: type, is_bool: list[bool]) -> tuple | None:
+    def _send_tail(self, cls: type, kinds: tuple[str, ...]) -> tuple | None:
         """A compiled shard send buffers itself: this shard's lane tail.
 
         Sends under a timer rank (no current entry) take the pipeline.  A
         send to the shard's own nodes takes the local lane (the message
-        is held as is); any other is packed.
+        is held as is); any other is packed.  A class with a nested
+        message never packs, so it gets no tail.
         """
         entry = self.codec.packer(cls)
-        if entry is None:
+        if entry is None or "message" in kinds:
             return None
+        is_bool = [kind == "bool" for kind in kinds]
         type_id = entry[0]
         tagword = " | ".join(
             f"({_TAG_TRUE << 2 * i} if v{i} else {_TAG_FALSE << 2 * i})"

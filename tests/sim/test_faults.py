@@ -54,6 +54,36 @@ class TestValidation:
         with pytest.raises(SimulationError, match="negative"):
             FaultPlan(crashes={3: -0.5})
 
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf")])
+    def test_non_finite_jitter_is_rejected(self, jitter):
+        with pytest.raises(SimulationError, match="jitter must be a finite"):
+            FaultPlan(jitter=jitter)
+        with pytest.raises(SimulationError, match="jitter must be a finite"):
+            FaultPlan(per_link={(0, 1): LinkFaults(jitter=jitter)})
+
+    @pytest.mark.parametrize("rate", ["drop", "duplicate"])
+    def test_nan_rates_are_rejected(self, rate):
+        with pytest.raises(SimulationError, match=f"{rate} rate"):
+            FaultPlan(**{rate: float("nan")})
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_crash_times_are_rejected(self, time):
+        with pytest.raises(SimulationError, match="crash time .* not finite"):
+            FaultPlan(crashes={3: time})
+
+    @pytest.mark.parametrize("start, end", [
+        (float("nan"), 2.0), (1.0, float("nan")), (float("inf"), float("inf")),
+    ])
+    def test_nan_or_unbounded_partition_starts_are_rejected(self, start, end):
+        with pytest.raises(SimulationError, match="partition window"):
+            FaultPlan(partitions=(Partition(0, 1, start, end),))
+
+    def test_a_cut_that_never_heals_drops_everything_after_its_start(self):
+        plan = FaultPlan(partitions=(Partition(0, 1, 1.0, float("inf")),))
+        active = plan.bind()
+        assert active.judge(0, 1, 0.5)[0] == 1
+        assert active.judge(0, 1, 1e300) == (0, 0.0, 0.0, DROP_PARTITION)
+
     def test_quiet_spec_knows_it(self):
         assert LinkFaults().quiet
         assert not LinkFaults(jitter=0.1).quiet

@@ -14,14 +14,21 @@ seconds wall clock including the floor.
 
 The other tests pin the compiled per-class sends (``SendPath._send_fn``):
 they must agree with the ``SendPath._transmit`` pipeline on every input,
-edge values included, and the hot protocols must actually take them.
+edge values, nested payloads, fault plans and run-RNG delays included;
+the hot protocols and the lossy build must actually take them; and a
+plain run must compile exactly the source it compiled before.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -29,14 +36,17 @@ from repro.core.errors import MessageSizeError, SimulationError
 from repro.core.messages import MAX_INT_FIELDS, Message
 from repro.core.node import Node
 from repro.core.protocol import ElectionProtocol
-from repro.core.reliable import Packet
+from repro.core.reliable import Ack, Packet, ReliableDelivery
+from repro.harness.scenarios import SCENARIOS
 from repro.protocols.nosense.protocol_e import ProtocolE
 from repro.protocols.nosense.protocol_g import ProtocolG
 from repro.protocols.sense.protocol_b import ProtocolB
 from repro.protocols.sense.protocol_c import ProtocolC
-from repro.sim.faults import FaultPlan
+from repro.sim.delays import UniformDelay
+from repro.sim.faults import FaultPlan, isolate
 from repro.sim.network import Network, SendPath
 from repro.sim.shard import ShardedNetwork
+from repro.topology.chordal_ring import ChordalRingTopology
 from repro.topology.complete import (
     complete_with_sense_of_direction,
     complete_without_sense,
@@ -106,19 +116,24 @@ class _EdgeNode(Node):
 
     Every third hop sends the protocol's edge message instead of a plain
     ``_Hop``; the error edges send an unauditable message or use a bad
-    port on hop 3 instead.
+    port on hop 3 instead.  With ``wrap`` every message leaves inside a
+    ``Packet`` envelope, so the edge values ride as a nested payload.
     """
 
-    def __init__(self, ctx, edge: str) -> None:
+    def __init__(self, ctx, edge: str, wrap: bool) -> None:
         super().__init__(ctx)
         self._edge = edge
+        self._wrap = wrap
+
+    def _send(self, port: int, message: Message) -> None:
+        self.ctx.send(port, Packet(0, message) if self._wrap else message)
 
     def on_wake(self, spontaneous):
         if spontaneous:
-            self.ctx.send(0, _Hop(1, True, 0))
+            self._send(0, _Hop(1, True, 0))
 
     def on_message(self, port, message):
-        if type(message) is Packet:
+        while type(message) is Packet:
             message = message.payload
         h = message.hops
         if h >= 2 * self.ctx.n:
@@ -126,29 +141,50 @@ class _EdgeNode(Node):
             return
         edge = self._edge
         if h == 3 and edge == "too_many_ints":
-            self.ctx.send(0, _Wide(1, 2, 3, 4, 5, 6, 7))
+            self._send(0, _Wide(1, 2, 3, 4, 5, 6, 7))
         elif h == 3 and edge in ("bad_port", "negative_port"):
-            self.ctx.send(self.ctx.num_ports if edge == "bad_port" else -1,
-                          _Hop(h + 1, True, h))
+            self._send(self.ctx.num_ports if edge == "bad_port" else -1,
+                       _Hop(h + 1, True, h))
         elif h % 3 == 0 and edge in _EDGES:
-            self.ctx.send(0, _EDGES[edge](h + 1))
+            self._send(0, _EDGES[edge](h + 1))
         else:
-            self.ctx.send(0, _Hop(h + 1, h % 2 == 0, h))
+            self._send(0, _Hop(h + 1, h % 2 == 0, h))
 
 
 class _EdgeProtocol(ElectionProtocol):
     name = "edge-send-test"
 
-    def __init__(self, edge: str) -> None:
+    def __init__(self, edge: str, wrap: bool = False) -> None:
         self.edge = edge
+        self.wrap = wrap
 
     def create_node(self, ctx):
-        return _EdgeNode(ctx, self.edge)
+        return _EdgeNode(ctx, self.edge, self.wrap)
 
 
 _TOPOLOGIES = {
     "cyclic": lambda: complete_with_sense_of_direction(12),
     "table": lambda: complete_without_sense(12, seed=5),
+}
+
+
+def _faults() -> FaultPlan:
+    """Every fault the compiled verdict inlines, one partition window
+    included (node 5 cut off both ways for t in [1, 4))."""
+    return FaultPlan(
+        seed=3, drop=0.2, duplicate=0.2, jitter=0.5,
+        partitions=isolate(5, range(12), 1.0, 4.0),
+    )
+
+
+#: Ways to run the edge chain: ``(wrap in a Packet, overlay + fault plan,
+#: run-RNG UniformDelay)``.  The run-RNG delay model is serial-only.
+_SETTINGS = {
+    "plain": (False, False, False),
+    "packet": (True, False, False),
+    "faults": (False, True, False),
+    "uniform": (False, False, True),
+    "lossy": (False, True, True),
 }
 
 
@@ -161,41 +197,57 @@ def _fields(result) -> dict:
     }
 
 
-def _networks(edge: str, wiring: str) -> dict:
+def _networks(edge: str, wiring: str, setting: str = "plain") -> dict:
     """The same run three ways: the reference pipeline (``trace=True``),
-    the compiled serial sends, and two in-process shards."""
-    wakeup = {0: 0.0}
-    return {
+    the compiled serial sends, and two in-process shards (unless the
+    setting draws delays from the run RNG, which cannot shard)."""
+    wrap, faulty, uniform = _SETTINGS[setting]
+
+    def protocol():
+        inner = _EdgeProtocol(edge, wrap)
+        return ReliableDelivery(inner) if faulty else inner
+
+    kwargs: dict = {"wakeup": {0: 0.0}}
+    if faulty:
+        kwargs["faults"] = _faults()
+    if uniform:
+        kwargs["delays"] = UniformDelay(0.05, 1.0)
+    networks = {
         "pipeline": Network(
-            _EdgeProtocol(edge), _TOPOLOGIES[wiring](), trace=True,
-            wakeup=wakeup,
+            protocol(), _TOPOLOGIES[wiring](), trace=True, **kwargs
         ),
-        "serial": Network(
-            _EdgeProtocol(edge), _TOPOLOGIES[wiring](), wakeup=wakeup
-        ),
-        "sharded": ShardedNetwork(
-            _EdgeProtocol(edge), _TOPOLOGIES[wiring](), shards=2, workers=0,
-            wakeup=wakeup,
-        ),
+        "serial": Network(protocol(), _TOPOLOGIES[wiring](), **kwargs),
     }
+    if not uniform:
+        networks["sharded"] = ShardedNetwork(
+            protocol(), _TOPOLOGIES[wiring](), shards=2, workers=0, **kwargs
+        )
+    return networks
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("wiring", sorted(_TOPOLOGIES))
 @pytest.mark.parametrize("edge", sorted(_EDGES))
 def test_compiled_and_pipeline_sends_agree(edge, wiring):
-    networks = _networks(edge, wiring)
-    outcomes = {
-        name: _fields(network.run(require_leader=False))
-        for name, network in networks.items()
-    }
-    assert networks["pipeline"]._send_fns[_Hop] is SendPath._transmit
-    assert networks["serial"]._send_fns[_Hop] is not SendPath._transmit
-    reference = outcomes["pipeline"]
-    assert reference["leader_id"] is not None
-    assert reference["messages_total"] == 2 * 12
-    for name, fields in outcomes.items():
-        assert fields == reference, name
+    for setting, (wrap, faulty, _uniform) in _SETTINGS.items():
+        networks = _networks(edge, wiring, setting)
+        outcomes = {
+            name: _fields(network.run(require_leader=False))
+            for name, network in networks.items()
+        }
+        sent = Packet if wrap or faulty else _Hop
+        assert networks["pipeline"]._send_fns[sent] is SendPath._transmit
+        assert networks["serial"]._send_fns[sent] is not SendPath._transmit
+        reference = outcomes["pipeline"]
+        assert reference["leader_id"] is not None, setting
+        if faulty:
+            assert reference["messages_dropped"], setting
+            assert reference["messages_duplicated"], setting
+            assert reference["messages_jittered"], setting
+        else:
+            assert reference["messages_total"] == 2 * 12, setting
+        for name, fields in outcomes.items():
+            assert fields == reference, (setting, name)
 
 
 @pytest.mark.perf_smoke
@@ -210,19 +262,48 @@ def test_compiled_and_pipeline_sends_agree(edge, wiring):
     ],
 )
 def test_compiled_and_pipeline_sends_fail_alike(edge, error, text):
+    """The same error text in every runtime and setting: with ``packet``
+    (and under the overlay) the oversized message is a nested payload."""
     for wiring in sorted(_TOPOLOGIES):
-        messages = set()
-        for network in _networks(edge, wiring).values():
-            with pytest.raises(error) as caught:
-                network.run(require_leader=False)
-            messages.add(str(caught.value))
-        assert len(messages) == 1, (wiring, messages)
-        assert text in messages.pop()
+        for setting in _SETTINGS:
+            messages = set()
+            for network in _networks(edge, wiring, setting).values():
+                with pytest.raises(error) as caught:
+                    network.run(require_leader=False)
+                messages.add(str(caught.value))
+            assert len(messages) == 1, (wiring, setting, messages)
+            assert text in messages.pop()
+
+
+@pytest.mark.perf_smoke
+def test_a_chordal_ring_refuses_a_port_past_its_degree():
+    """The compiled port check bakes the topology's port count, not
+    ``n - 1``: a chordal ring has fewer ports than a complete network."""
+    ring = ChordalRingTopology(12)
+    assert ring.num_ports < 11
+    for trace in (True, False):
+        network = Network(
+            _EdgeProtocol("bad_port"), ChordalRingTopology(12), trace=trace,
+            wakeup={0: 0.0},
+        )
+        with pytest.raises(
+            SimulationError, match=f"used invalid port {ring.num_ports}$"
+        ):
+            network.run(require_leader=False)
 
 
 # ---------------------------------------------------------------------------
 # Tripwires: the fast path is taken, and only when it may be.
 # ---------------------------------------------------------------------------
+
+
+def _lossy_network(n: int, seed: int) -> Network:
+    """The ``lossy`` benchmark's build: G(k=8) under the overlay, 10% loss,
+    5% duplication, jitter and a run-RNG ``UniformDelay``."""
+    topology, kwargs = SCENARIOS["lossy"].build(n, seed, False)
+    return Network(
+        ReliableDelivery(ProtocolG(k=8)), topology, seed=seed, **kwargs
+    )
 
 
 def _send_fns(network: Network) -> dict:
@@ -239,8 +320,9 @@ def _send_fns(network: Network) -> dict:
         lambda: Network(ProtocolB(), complete_with_sense_of_direction(64)),
         lambda: Network(ProtocolE(), complete_without_sense(64, seed=3)),
         lambda: Network(ProtocolG(), complete_without_sense(64, seed=3)),
+        lambda: _lossy_network(64, seed=3),
     ],
-    ids=["C", "B", "E-no-sense", "G"],
+    ids=["C", "B", "E-no-sense", "G", "lossy"],
 )
 def test_hot_protocols_take_the_compiled_send(build):
     pipeline = {
@@ -256,14 +338,21 @@ def test_hot_protocols_take_the_compiled_send(build):
     "kwargs",
     [
         {"trace": True},
-        {"faults": FaultPlan(seed=1)},
+        {"faults": FaultPlan(seed=1, drop=0.1, duplicate=0.05, jitter=0.25)},
     ],
     ids=["trace", "faults"],
 )
-def test_traced_and_faulty_runs_take_the_pipeline(kwargs):
-    network = Network(ProtocolC(), complete_with_sense_of_direction(64), **kwargs)
+def test_traced_runs_take_the_pipeline_and_faulty_runs_compile(kwargs):
+    """Tracing keeps every send on the pipeline; a fault plan compiles its
+    verdict into the send instead."""
+    network = Network(
+        ReliableDelivery(ProtocolC()), complete_with_sense_of_direction(64),
+        **kwargs,
+    )
     fns = _send_fns(network)
-    assert all(fn is SendPath._transmit for fn in fns.values()), fns
+    assert set(fns) == {Packet, Ack}
+    traced = "trace" in kwargs
+    assert all((fn is SendPath._transmit) is traced for fn in fns.values()), fns
 
 
 @pytest.mark.perf_smoke
@@ -276,3 +365,72 @@ def test_networks_of_one_shape_share_compiled_sends():
     for cls, fn in first.items():
         assert fn is not SendPath._transmit
         assert second[cls] is fn, cls.__name__
+
+
+#: Runs every registered protocol at N=64 with sense of direction (cyclic
+#: wiring), no fault plan, no tracing and the default ``ConstantDelay``,
+#: serially and on two in-process shards, and prints per runtime how many
+#: sends were compiled and a sha256 of their generated source.  It runs in
+#: a fresh interpreter because the shard tail bakes in codec type ids,
+#: which depend on every ``Message`` subclass imported (tests add some).
+_PLAIN_SOURCES_SCRIPT = r"""
+import hashlib
+import json
+
+import repro.sim.network as network
+from repro.core.protocol import registered_protocols
+from repro.sim.shard import ShardedNetwork
+from repro.topology.complete import complete_with_sense_of_direction
+
+sources = {"serial": {}, "shard": {}}
+runtime = "serial"
+
+
+def spy(source, filename, mode):
+    sources[runtime][filename] = source
+    return compile(source, filename, mode)
+
+
+network.compile = spy
+for name, cls in sorted(registered_protocols().items()):
+    for runtime in sources:
+        network._SEND_CACHE.clear()
+        topology = complete_with_sense_of_direction(64)
+        if runtime == "serial":
+            network.Network(cls(), topology, seed=1).run()
+        else:
+            ShardedNetwork(cls(), topology, shards=2, workers=0, seed=1).run()
+print(json.dumps({
+    runtime: [
+        len(found),
+        hashlib.sha256(
+            "".join(f"{k}\n{v}\n" for k, v in sorted(found.items())).encode()
+        ).hexdigest(),
+    ]
+    for runtime, found in sources.items()
+}))
+"""
+
+#: The output of that script on the compiled send before fault verdicts,
+#: nested payloads, run-RNG uniform delays and direct table reads joined
+#: it: those must not change a single byte a plain cyclic run compiles.
+_PLAIN_SOURCES = {
+    "serial": [
+        39, "e6fc8d1bbf7c6b32cbfd20390356f0433940461307501b7902857df244a0d3f7"
+    ],
+    "shard": [
+        39, "ab6ad617051c6382686cb14680097c6ddeeea03ebb1852933cfcedc7b3afdccc"
+    ],
+}
+
+
+@pytest.mark.perf_smoke
+def test_plain_runs_compile_the_pinned_sources():
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, path)))}
+    out = subprocess.run(
+        [sys.executable, "-c", _PLAIN_SOURCES_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == _PLAIN_SOURCES

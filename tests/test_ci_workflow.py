@@ -141,6 +141,24 @@ class TestCommands:
             "diff serial_e.txt sharded_e1.txt",
         ]
 
+    def test_perf_smoke_leg_reruns_the_lossy_scenario(self, jobs):
+        # The compiled faulty send must print the same lossy election in
+        # two processes with different hash seeds.
+        lossy = [
+            s for s in _steps(jobs["smoke"])
+            if "run" in s and "--name lossy" in s["run"]
+        ]
+        assert len(lossy) == 1
+        assert lossy[0]["if"] == "matrix.marker == 'perf_smoke'"
+        assert lossy[0]["env"]["PYTHONPATH"] == "src"
+        lines = [line.strip() for line in lossy[0]["run"].splitlines()]
+        run = "python -m repro scenario --protocol G --name lossy --n 128 --seed 3"
+        assert lines == [
+            f"PYTHONHASHSEED=1 {run} > lossy_a.txt",
+            f"PYTHONHASHSEED=2 {run} > lossy_b.txt",
+            "diff lossy_a.txt lossy_b.txt",
+        ]
+
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
         lines = list(_run_lines(jobs["lint"]))
         assert any(line.strip() == "python -m repro lint" for line in lines)

@@ -12,6 +12,7 @@ from repro.topology.ports import (
     IdOrderedPorts,
     RandomPorts,
     UpDownPorts,
+    shuffle,
     validate_port_map,
 )
 
@@ -88,3 +89,50 @@ class TestRandomPorts:
         a = RandomPorts().assign(9, 2, ids, random.Random(42))
         b = RandomPorts().assign(9, 2, ids, random.Random(42))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "port_map",
+    [[1, 1, 2, 3], [1, 2, 3, 5], [1, 2, 3, -1], [0, 1, 2, 3]],
+    ids=["repeat", "too-high", "negative", "self"],
+)
+def test_bad_port_maps_are_named(port_map):
+    validate_port_map(5, 0, [2, 3, 4, 1])
+    with pytest.raises(ValueError) as caught:
+        validate_port_map(5, 0, port_map)
+    assert str(caught.value) == (
+        "port map for position 0 is not a permutation of the remaining 4 "
+        f"positions: {port_map!r}"
+    )
+
+
+def test_a_port_map_of_the_wrong_length_is_named():
+    with pytest.raises(ValueError, match=r"has 3 entries, expected 4: \[1, 2, 3\]"):
+        validate_port_map(5, 0, [1, 2, 3])
+
+
+# The hidden-wiring build's inlined shuffle (in the perf_smoke slice: it
+# is the build half of the lossy workload's fast path).
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("n", [2, 3, 17, 1024])
+def test_inlined_shuffle_draws_exactly_like_random_shuffle(n):
+    for seed in range(6):
+        reference, inlined = random.Random(seed), random.Random(seed)
+        expected, actual = list(range(n)), list(range(n))
+        reference.shuffle(expected)
+        shuffle(actual, inlined)
+        assert actual == expected, seed
+        assert inlined.getstate() == reference.getstate(), seed
+
+
+@pytest.mark.perf_smoke
+def test_shuffle_defers_to_an_rng_subclass():
+    class Reversing(random.Random):
+        def shuffle(self, x):
+            x.reverse()
+
+    items = list(range(5))
+    shuffle(items, Reversing(1))
+    assert items == [4, 3, 2, 1, 0]
