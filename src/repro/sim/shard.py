@@ -634,7 +634,14 @@ class _Shard(SendPath):
         if timers:
             due.extend(timers)
         due.sort()
-        processed = self._dispatch(due, end, budget)
+        try:
+            processed = self._dispatch(due, end, budget)
+        except Exception as exc:
+            # Shards run a window independently, so several may fail in
+            # one; the coordinator re-raises the failure the serial run
+            # would have met first, by the rank of its failing event.
+            exc.shard_rank = self._rank()
+            raise
         heap = scheduler._queue.heap  # timers only; deliveries stay in lists
         if processed:
             self._last_time = scheduler.now
@@ -757,12 +764,20 @@ class _LocalHandle:
         self._shard = _Shard(cfg, index)
 
     def window(self, start, end, budget, incoming, local_keys) -> None:
-        self._reply = self._shard.run_window(
-            start, end, budget, incoming, local_keys
-        )
+        # A failure waits for collect(), as a forked worker's would, so
+        # every shard runs the window before the coordinator picks one.
+        try:
+            self._reply = self._shard.run_window(
+                start, end, budget, incoming, local_keys
+            )
+        except Exception as exc:
+            self._reply = exc
 
     def collect(self):
-        return self._reply
+        reply = self._reply
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def finish(self) -> dict[str, Any]:
         return self._shard.finish()
@@ -788,25 +803,30 @@ def _worker_main(conn, cfg: _RunConfig, index: int) -> None:
         import traceback
 
         try:
-            conn.send(
-                ("error", type(exc).__name__, str(exc), traceback.format_exc())
-            )
+            conn.send((
+                "error", type(exc).__name__, str(exc),
+                traceback.format_exc(), getattr(exc, "shard_rank", None),
+            ))
         except Exception:
             pass
     finally:
         conn.close()
 
 
-def _relayed_error(name: str, message: str, tb: str) -> BaseException:
+def _relayed_error(
+    name: str, message: str, tb: str, rank: tuple | None = None
+) -> BaseException:
     """Rebuild a worker's exception so forked runs raise what in-process
     runs raise.
 
     The name is resolved in :mod:`repro.core.errors`, then among the
     builtins; anything else (or a type that will not take one message
     argument) surfaces as :class:`SimulationError`.  The worker's
-    traceback rides along as a note.
+    traceback rides along as a note, and the rank of the failing event
+    (if any) as ``shard_rank``.
     """
     exc_type = getattr(_errors, name, None) or getattr(builtins, name, None)
+    exc = None
     if isinstance(exc_type, type) and issubclass(exc_type, BaseException):
         try:
             exc = exc_type(message)
@@ -814,8 +834,23 @@ def _relayed_error(name: str, message: str, tb: str) -> BaseException:
             pass
         else:
             exc.add_note(f"raised in a shard worker:\n{tb}")
-            return exc
-    return SimulationError(f"shard worker failed: {message}\n{tb}")
+    if exc is None:
+        exc = SimulationError(f"shard worker failed: {message}\n{tb}")
+    if rank is not None:
+        exc.shard_rank = rank
+    return exc
+
+
+def _first_failure(errors: list[Exception]) -> Exception:
+    """The failure the serial run meets first among one window's shard
+    failures: the lowest event rank (events in one window never affect
+    another shard's events in it); a failure outside event dispatch
+    ranks before all."""
+    def order(exc: Exception) -> tuple:
+        rank = getattr(exc, "shard_rank", None)
+        return (False, ()) if rank is None else (True, rank)
+
+    return min(errors, key=order)
 
 
 class _ForkHandle:
@@ -843,8 +878,7 @@ class _ForkHandle:
                 "shard worker exited unexpectedly (killed or crashed hard)"
             ) from None
         if reply[0] == "error":
-            _, name, message, tb = reply
-            raise _relayed_error(name, message, tb)
+            raise _relayed_error(*reply[1:])
         return reply
 
     def window(self, start, end, budget, incoming, local_keys) -> None:
@@ -1113,9 +1147,17 @@ class ShardedNetwork:
                 )
             pending_in = [[None] * k for _ in range(k)]
             local_in = [None] * k
+            replies = []
+            errors = []
+            for handle in handles:
+                try:
+                    replies.append(handle.collect())
+                except Exception as exc:
+                    errors.append(exc)
+            if errors:
+                raise _first_failure(errors)
             outs: list[tuple[dict[int, tuple], tuple | None]] = []
-            for index, handle in enumerate(handles):
-                out, local, stats = handle.collect()
+            for index, (out, local, stats) in enumerate(replies):
                 outs.append((out, local))
                 total_processed += stats["processed"]
                 next_times[index] = stats["next_time"]

@@ -31,8 +31,8 @@ Reductions.  Three commutativity arguments prune the search:
    ``receive`` on a channel head would change *nothing* — receiver state
    identical, nothing sent, no leader declared — the delivery is a pure
    queue pop, and it is fired eagerly instead of branching.  Inertness is
-   read off the world's memoised local-transition table
-   (:meth:`~repro.verification.world.LockStepWorld.peek_transition`):
+   read off the world's memoised local-transition table (the one
+   :meth:`~repro.verification.world.LockStepWorld.peek_transition` reads):
    ``receive`` is a pure function of ``(receiver state, arrival port,
    message)``, so the question is answered exactly, at most once per
    distinct triple across the whole campaign, and a cache hit is a dict
@@ -82,17 +82,23 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.errors import ProtocolViolation
+from repro.core.messages import message_bits
 from repro.core.protocol import ElectionProtocol
 from repro.harness.parallel import run_sweep
 from repro.topology.complete import CompleteTopology
-from repro.verification.store import FingerprintTable
+from repro.verification.store import _EMPTY, _ZERO_ALIAS, FingerprintTable
 from repro.verification.symmetry import (
     Permutation,
     canonical_state,
     ensure_prune_sound,
     symmetry_group,
 )
-from repro.verification.world import Action, LockStepWorld, independent
+from repro.verification.world import (
+    _DELIVER_ACTIONS,
+    _WAKE_ACTIONS,
+    Action,
+    LockStepWorld,
+)
 
 #: Expand the serial frontier until it holds this many strata per worker
 #: before fanning out (more strata = better load balance, longer serial
@@ -185,164 +191,283 @@ class _SearchCore:
         #: Fingerprints of quiescent states (parallel merge dedups on it).
         self.terminal_fps: set[int] = set()
 
-    # -- compression ---------------------------------------------------------
-
-    def _compress_state(
-        self, world: LockStepWorld, action: Action | None
-    ) -> None:
-        """Eagerly fire every invisible transition enabled at ``world``.
-
-        Stale wake-ups first (always sound: ``Node.wake`` is idempotent),
-        then inert deliveries (sound under the stale-monotonicity
-        assumption in the module docstring).  ``action`` is the transition
-        that produced ``world``; because every explored state is fully
-        compressed on arrival, a child state can only have inert heads on
-        channels *touching the actor* of that transition (its node state
-        changed, its channel heads moved, its sends created new heads) —
-        so only those links are scanned, not the whole queue map.
-        """
-        report = self.report
-        pending = world.pending_wakes
-        if pending:
-            nodes = world.nodes
-            stale = [p for p in pending if nodes[p].awake]
-            if stale:
-                world.drop_wakes(stale)
-                report.compressed_steps += len(stale)
-        queues = world.queues
-        if not self.compress or not queues:
-            return
-        if action is None:
-            links = list(queues)
-        else:
-            d = action[1] if action[0] == "wake" else action[1][1]
-            links = [link for link in queues if d in link]
-        # An inert pop changes nothing but its own channel's head, so inert
-        # pops commute: each link drains in place, in any order.
-        peek, pop_head = world.peek_transition, world.pop_head
-        for link in links:
-            receiver_fp = world.node_hash(link[1])
-            while True:
-                # The world's memoised local-transition table answers the
-                # inertness question directly: a delivery is inert iff its
-                # effect is (unchanged receiver hash, no sends, no leader
-                # declarations).  A non-inert head (including one that
-                # would declare a second leader) is left enabled and
-                # explored as a real branch.
-                new_fp, sends, declared = peek(link)
-                if sends or declared or new_fp != receiver_fp:
-                    break
-                pop_head(link)
-                report.compressed_steps += 1
-                if link not in queues:
-                    break
-
-    # -- memoisation ---------------------------------------------------------
-
-    def arrive(
+    def run(
         self,
-        world: LockStepWorld,
-        sleep: set[Action],
-        action: Action | None = None,
-    ) -> _Frame | None:
-        """Memoise ``world``; return a frame if its subtree needs work.
+        world: LockStepWorld | None,
+        stack: list[_Frame],
+        spill: deque[_Frame] | None = None,
+    ) -> None:
+        """Arrive at ``world`` (the root, if given), then drive the DFS
+        over ``stack`` to exhaustion or budget.
 
-        ``action`` is the transition that produced ``world`` (None for the
-        root), which bounds the compression scan to the links it touched.
-        The returned frame takes ownership of the ``sleep`` set.
+        Frames that still have branches to take go onto ``stack``, or into
+        ``spill`` when one is given: the parallel search expands its
+        frontier one frame at a time that way, through this same loop.
+
+        Each iteration takes one transition inline — branch, pop the
+        channel head or clear the wake-up flag, look the local transition
+        up in the world's memo, install the actor's new node, push the
+        replayed sends (each still audited with ``message_bits``) — and
+        then *arrives* at the child: compress, probe the fingerprint table
+        once, build the enabled actions and the child's frame.
+        :meth:`LockStepWorld.apply` is the reference for the transition
+        half; ``tests/verification/test_fused_search.py`` pins this loop
+        against a search built from it, visited table included.
+
+        Compression (under POR) fires every invisible transition enabled
+        at the child: stale wake-ups first (always sound: ``Node.wake`` is
+        idempotent), then inert deliveries (sound under the
+        stale-monotonicity assumption in the module docstring).  Every
+        arrived state is fully compressed, so the child of a fully
+        compressed parent can only hold a stale wake-up or an inert head
+        where the transition changed something:
+
+        * only the actor's node changed, so only the actor's pending
+          wake-up can have gone stale;
+        * a head's inertness is a function of (receiver state, head
+          message) alone.  The links *into* the actor have a new receiver
+          state, so every non-empty one is scanned; a link the step gave a
+          new head (a send onto an empty link, the actor being its
+          source) is scanned too.  Any other link has the head and the
+          receiver it had in the parent, where it was already found
+          non-inert — in particular the actor's outgoing links that were
+          non-empty before the step, which only had sends appended.
+
+        An inert pop changes nothing but its own channel's head, so inert
+        pops commute: each scanned link drains in place, in any order.
+        The root (no parent) is scanned whole.
         """
-        if self.por:
-            self._compress_state(world, action)
-        if self.prune_symmetric:
-            key = hash(canonical_state(world, self.group))
-        else:
-            key = world.fingerprint()
-        visited = self.visited
-        stored = visited.get(key)
-        if stored == 0:
-            return None  # a revisit that every branch already covered
-        actions = world.enabled_actions()
-        # One pass builds the sleep mask (sleep ∩ actions, packed over the
-        # canonical order) and the candidates: the non-sleeping actions,
-        # restricted on a revisit to those the stored mask slept.
-        mask = 0
-        if stored is None and not sleep:
-            candidates = actions
-        else:
-            allowed = -1 if stored is None else stored
-            candidates = []
-            bit = 1
-            for enabled in actions:
-                if enabled in sleep:
-                    mask |= bit
-                elif allowed & bit:
-                    candidates.append(enabled)
-                bit <<= 1
-        if stored is not None:
-            if not candidates:
-                return None
-            visited.put(key, stored & mask)
-            return _Frame(world, candidates, 0, sleep)
-        report = self.report
-        report.states_explored += 1
-        if self.group is not None and not self.prune_symmetric:
-            self.canonical_seen.add(hash(canonical_state(world, self.group)))
-        if not actions:
-            visited.put(key, 0)
-            self.terminal_fps.add(key)
-            _check_terminal(world, self.protocol, report)
-            return None
-        visited.put(key, mask)
-        if not candidates:
-            return None
-        return _Frame(world, candidates, 0, sleep)
-
-    # -- the DFS loop --------------------------------------------------------
-
-    def run(self, frame: _Frame | None) -> None:
-        """Drive the DFS from one arrived frame to exhaustion or budget."""
         report = self.report
         visited = self.visited
         max_states = self.max_states
         por = self.por
-        arrive = self.arrive
-        stack: list[_Frame] = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            candidates = frame.candidates
-            index = frame.index
-            action = candidates[index]
-            index += 1
-            last = index == len(candidates)
-            if last:
-                stack.pop()
-                child = frame.world  # safe: this frame takes no more branches
+        compress = self.compress
+        group = self.group
+        prune = self.prune_symmetric
+        census = group is not None and not prune
+        canonical_seen = self.canonical_seen
+        push = stack.append if spill is None else spill.append
+        # Every world of one search shares its root's topology and memos.
+        origin = world if world is not None else stack[0].world
+        topology = origin.topology
+        n = topology.n
+        port_to = topology.port_to
+        deliver_memo = origin._deliver_memo
+        wake_memo = origin._wake_memo
+        reps = origin._reps
+        into = [
+            [(src, dst) for src in range(n) if src != dst] for dst in range(n)
+        ]
+        wake_action = _WAKE_ACTIONS.__getitem__
+        deliver_action = _DELIVER_ACTIONS.__getitem__
+        action: Action | None = None  # what produced ``world``; None: root
+        sleep: set[Action] = set()
+        while True:
+            if world is None:
+                # -- the next branch -------------------------------------------
+                if not stack:
+                    return
+                frame = stack[-1]
+                candidates = frame.candidates
+                index = frame.index
+                action = candidates[index]
+                index += 1
+                parent_sleep = frame.sleep
+                kind, arg = action
+                d = arg if kind == "wake" else arg[1]
+                if parent_sleep:
+                    # Sleeping actions independent of ``action`` (a
+                    # different actor; see
+                    # :func:`~repro.verification.world.independent`) stay
+                    # asleep in the child.
+                    sleep = {
+                        slept
+                        for slept in parent_sleep
+                        if (slept[1] if slept[0] == "wake" else slept[1][1]) != d
+                    }
+                else:
+                    sleep = set()
+                if index == len(candidates):
+                    stack.pop()
+                    world = frame.world  # safe: the frame takes no more branches
+                else:
+                    frame.index = index
+                    world = frame.world.branch()
+                    if por:
+                        parent_sleep.add(action)
+            queues = world.queues
+            hashes = world.hashes
+            node_fp = world._node_fp
+            fp = world._fp
+            if action is not None:
+                # -- the transition (LockStepWorld.apply, inline) ---------------
+                report.transitions += 1
+                old = node_fp[d]
+                if kind == "deliver":
+                    queue = queues[arg]
+                    column = hashes[arg]
+                    fp ^= hash((2, arg, column))
+                    if len(column) > 1:
+                        rest = hashes[arg] = column[1:]
+                        queues[arg] = queue[1:]
+                        fp ^= hash((2, arg, rest))
+                    else:
+                        del queues[arg], hashes[arg]
+                    src = arg[0]
+                    key = (d, old, src, column[0])
+                    entry = deliver_memo.get(key)
+                    if entry is None:
+                        entry = deliver_memo[key] = world._run_transition(
+                            d, port_to(d, src), queue[0]
+                        )
+                else:
+                    fp ^= hash((3, d))
+                    world.pending_wakes = world.pending_wakes - {d}
+                    key = (d, old)
+                    entry = wake_memo.get(key)
+                    if entry is None:
+                        entry = wake_memo[key] = world._run_transition(
+                            d, -1, None
+                        )
+                new_fp, sends, declared = entry
+                if new_fp != old:
+                    world.nodes[d] = reps[new_fp]
+                    node_fp[d] = new_fp
+                    fp ^= hash((1, d, old)) ^ hash((1, d, new_fp))
+                heads: list[tuple[int, int]] = []  # links given a new head
+                if sends:
+                    for link, message, message_fp in sends:
+                        message_bits(message, n)  # O(log N) audit, as in sim
+                        column = hashes.get(link)
+                        if column is None:
+                            queues[link] = (message,)
+                            column = hashes[link] = (message_fp,)
+                            fp ^= hash((2, link, column))
+                            heads.append(link)
+                        else:
+                            queues[link] += (message,)
+                            new = hashes[link] = column + (message_fp,)
+                            fp ^= hash((2, link, column)) ^ hash((2, link, new))
+                    world.messages_sent += len(sends)
+                if declared:
+                    for _ in range(declared):
+                        world.on_leader(d)
+            # -- compression ------------------------------------------------------
+            if por:
+                pending = world.pending_wakes
+                if pending:
+                    nodes = world.nodes
+                    if action is None:
+                        stale = [p for p in pending if nodes[p].awake]
+                    elif d in pending and nodes[d].awake:
+                        stale = [d]
+                    else:
+                        stale = None
+                    if stale:
+                        for p in stale:
+                            fp ^= hash((3, p))
+                        world.pending_wakes = pending - frozenset(stale)
+                        report.compressed_steps += len(stale)
+                if compress and queues:
+                    if action is None:
+                        scan = list(queues)
+                    else:
+                        scan = into[d] + heads if heads else into[d]
+                    for link in scan:
+                        column = hashes.get(link)
+                        if column is None:
+                            continue
+                        src, dst = link
+                        receiver_fp = node_fp[dst]
+                        while True:
+                            # The memo answers the inertness question: a
+                            # delivery is inert iff its effect is
+                            # (unchanged receiver hash, no sends, no
+                            # declarations).  A non-inert head (including
+                            # one that would declare a second leader) is
+                            # left enabled and explored as a real branch.
+                            key = (dst, receiver_fp, src, column[0])
+                            entry = deliver_memo.get(key)
+                            if entry is None:
+                                entry = deliver_memo[key] = world._run_transition(
+                                    dst, port_to(dst, src), queues[link][0]
+                                )
+                            if entry[1] or entry[2] or entry[0] != receiver_fp:
+                                break
+                            report.compressed_steps += 1
+                            fp ^= hash((2, link, column))
+                            if len(column) == 1:
+                                del queues[link], hashes[link]
+                                break
+                            column = hashes[link] = column[1:]
+                            queues[link] = queues[link][1:]
+                            fp ^= hash((2, link, column))
+            world._fp = fp
+            # -- memoisation ----------------------------------------------------
+            state_key = hash(canonical_state(world, group)) if prune else fp
+            # One probe finds the state's slot: its entry on a revisit, the
+            # empty slot to insert at otherwise (see FingerprintTable.get).
+            key = state_key if state_key != _EMPTY else _ZERO_ALIAS
+            keys = visited._keys
+            slot_mask = visited._mask
+            slot = key & slot_mask
+            while True:
+                present = keys[slot]
+                if present == key:
+                    stored = visited._values[slot]
+                    if stored == -1:
+                        stored = visited._overflow[key]
+                    break
+                if present == _EMPTY:
+                    stored = None
+                    break
+                slot = (slot + 1) & slot_mask
+            arrived = world
+            world = None
+            if stored == 0:
+                continue  # a revisit that every branch already covered
+            # LockStepWorld.enabled_actions(), inline: interned wake-ups,
+            # then deliveries, both sorted (explored worlds never drop).
+            pending = arrived.pending_wakes
+            actions = list(map(wake_action, sorted(pending))) if pending else []
+            if queues:
+                actions += map(deliver_action, sorted(queues))
+            # One pass builds the sleep mask (sleep ∩ actions, packed over
+            # the canonical order) and the candidates: the non-sleeping
+            # actions, restricted on a revisit to those the stored mask
+            # slept.
+            mask = 0
+            if stored is None and not sleep:
+                candidates = actions
             else:
-                frame.index = index
-                child = frame.world.branch()
-            sleep = frame.sleep
-            if sleep:
-                # Sleeping actions independent of ``action`` (a different
-                # actor; see :func:`~repro.verification.world.independent`)
-                # stay asleep in the child.
-                d = action[1] if action[0] == "wake" else action[1][1]
-                child_sleep = {
-                    slept
-                    for slept in sleep
-                    if (slept[1] if slept[0] == "wake" else slept[1][1]) != d
-                }
+                allowed = -1 if stored is None else stored
+                candidates = []
+                bit = 1
+                for enabled in actions:
+                    if enabled in sleep:
+                        mask |= bit
+                    elif allowed & bit:
+                        candidates.append(enabled)
+                    bit <<= 1
+            if stored is not None:
+                if candidates:
+                    visited.put_at(slot, key, stored & mask)
+                    push(_Frame(arrived, candidates, 0, sleep))
+                continue
+            report.states_explored += 1
+            if census:
+                canonical_seen.add(hash(canonical_state(arrived, group)))
+            if not actions:
+                visited.put_at(slot, key, 0)
+                self.terminal_fps.add(state_key)
+                _check_terminal(arrived, self.protocol, report)
             else:
-                child_sleep = set()
-            if por and not last:
-                sleep.add(action)
-            child.apply(action)
-            report.transitions += 1
-            child_frame = arrive(child, child_sleep, action)
+                visited.put_at(slot, key, mask)
+                if candidates:
+                    push(_Frame(arrived, candidates, 0, sleep))
             if len(visited) > max_states:
                 report.complete = False
                 return
-            if child_frame is not None:
-                stack.append(child_frame)
 
 
 def explore_protocol(
@@ -417,7 +542,7 @@ def explore_protocol(
 
     workers = int(workers) if workers else 1
     if workers <= 1:
-        core.run(core.arrive(root, set()))
+        core.run(root, [])
         report.terminal_states = len(core.terminal_fps)
         _finish_report(report, core)
         return report
@@ -450,33 +575,14 @@ def _explore_parallel(
     report = core.report
     report.workers = workers
     frontier: deque[_Frame] = deque()
-    first = core.arrive(root, set())
-    if first is not None:
-        frontier.append(first)
+    core.run(root, [], spill=frontier)
     target = _STRATA_PER_WORKER * workers
     while (
         frontier
         and len(frontier) < target
         and len(core.visited) <= min(core.max_states, _MAX_EXPANSION_STATES)
     ):
-        frame = frontier.popleft()
-        world, sleep = frame.world, frame.sleep
-        for i, action in enumerate(frame.candidates):
-            last = i == len(frame.candidates) - 1
-            child = world if last else world.branch()
-            if core.por:
-                child_sleep = {
-                    slept for slept in sleep if independent(action, slept)
-                }
-            else:
-                child_sleep = set()
-            child.apply(action)
-            report.transitions += 1
-            child_frame = core.arrive(child, child_sleep, action)
-            if core.por:
-                sleep.add(action)
-            if child_frame is not None:
-                frontier.append(child_frame)
+        core.run(None, [frontier.popleft()], spill=frontier)
     if len(core.visited) > core.max_states:
         report.complete = False
         report.terminal_states = len(core.terminal_fps)
@@ -503,7 +609,7 @@ def _explore_parallel(
             )
             violation = None
             try:
-                worker.run(frame)
+                worker.run(None, [frame])
             except ProtocolViolation as exc:
                 violation = exc
             return (

@@ -20,6 +20,11 @@ sound because the stored sleep set is only ever (a) intersected with
 enabled-action subsets on revisit and (b) shrunk further; bits for actions
 not enabled at the state can never be read.
 
+The explorer's DFS probes the key column inline, once per arrival (the
+probe loop of :meth:`FingerprintTable.get`), and writes through
+:meth:`FingerprintTable.put_at` at the slot that probe found; ``get`` and
+``put`` stay the reference API for merges and tests.
+
 ``merge`` unions another table in (parallel workers return their private
 tables; the parent deduplicates), keeping the *smaller* mask-population on
 conflict — the weaker sleep constraint, which is the sound direction when
@@ -85,7 +90,7 @@ class FingerprintTable:
 
     def get(self, fingerprint: int) -> int | None:
         """The stored sleep mask, or None when the state is unvisited."""
-        # Runs once per explored transition, so the probe is inlined.
+        # The explorer's DFS runs this same probe inline (see put_at).
         key = fingerprint if fingerprint != _EMPTY else _ZERO_ALIAS
         keys = self._keys
         mask = self._mask
@@ -102,7 +107,11 @@ class FingerprintTable:
     def put(self, fingerprint: int, mask: int) -> None:
         """Insert or overwrite one entry."""
         key = self._normalize(fingerprint)
-        index = self._slot(key)
+        self.put_at(self._slot(key), key, mask)
+
+    def put_at(self, index: int, key: int, mask: int) -> None:
+        """Write ``mask`` for the normalised ``key`` at the slot a probe
+        for it found: its own slot, or the empty slot ending its run."""
         if self._keys[index] == _EMPTY:
             self._keys[index] = key
             self._count += 1
@@ -171,6 +180,6 @@ class FingerprintTable:
         table._values = array("q")
         table._values.frombytes(values_bytes)
         table._mask = len(table._keys) - 1
-        table._count = sum(1 for key in table._keys if key != _EMPTY)
+        table._count = len(table._keys) - table._keys.count(_EMPTY)
         table._overflow = overflow
         return table

@@ -447,7 +447,6 @@ class LockStepWorld:
         self.hashes: dict[tuple[int, int], tuple[int, ...]] = {}
         self.pending_wakes: frozenset[int] = frozenset(base_positions)
         self.leaders: tuple[int, ...] = ()
-        self.steps = 0
         self.messages_sent = 0
         self._node_fp: list[int] = [
             hash(self.node_state(p)) for p in range(topology.n)
@@ -495,7 +494,6 @@ class LockStepWorld:
         child.hashes = self.hashes.copy()
         child.pending_wakes = self.pending_wakes
         child.leaders = self.leaders
-        child.steps = self.steps
         child.messages_sent = self.messages_sent
         child._node_fp = self._node_fp.copy()
         child._fp = self._fp
@@ -570,23 +568,20 @@ class LockStepWorld:
 
         Only sound when the delivery is known to be inert — i.e. running
         ``receive`` on the head message would change nothing but the queue
-        (see the compression layer in :mod:`repro.verification.explore`).
-        Counts as a step so logical time still advances per transition.
+        (see the compression layer in :mod:`repro.verification.explore`,
+        whose DFS pops inert heads inline; this is the reference step).
         """
-        self.steps += 1
         self._pop_queue(link)
 
     def drop_wakes(self, positions) -> None:
         """Clear pending wake-up flags without stepping the nodes.
 
-        Used by the explorer's stale-wake compression: the nodes are
-        already awake, so the flags are pure bookkeeping.  Each cleared
-        flag counts as a step (a transition happened, invisibly).
+        The reference step of the explorer's stale-wake compression: the
+        nodes are already awake, so the flags are pure bookkeeping.
         """
         for position in positions:
             self._fp ^= hash((3, position))
         self.pending_wakes = self.pending_wakes - frozenset(positions)
-        self.steps += len(positions)
 
     def _run_transition(
         self, position: int, port: int, message: Message | None
@@ -652,9 +647,15 @@ class LockStepWorld:
 
     def apply(self, action: Action) -> None:
         """Take one transition: fire a wake-up, deliver a channel head, or
-        (fault-budgeted worlds) destroy a channel head."""
+        (fault-budgeted worlds) destroy a channel head.
+
+        The fuzzer, the replayer and ``count_unpruned_interleavings`` step
+        through here.  The explorer's DFS (``_SearchCore.run``) takes the
+        same transition inline, over the same columns, memos and
+        fingerprint components; ``tests/verification/test_fused_search.py``
+        pins the two to the same explored graph.
+        """
         kind, arg = action
-        self.steps += 1
         if kind == "deliver":
             message, message_fp = self._pop_queue(arg)
             entry = self._delivery(arg[0], arg[1], message, message_fp)
@@ -676,7 +677,8 @@ class LockStepWorld:
         """The effect delivering ``link``'s head would have, without taking
         the step.  A delivery is *inert* exactly when the returned entry is
         ``(current node hash, no sends, no declarations)`` — the test the
-        explorer's compression layer runs per channel head."""
+        explorer's compression layer runs, inline, per scanned channel
+        head."""
         return self._delivery(
             link[0], link[1], self.queues[link][0], self.hashes[link][0]
         )

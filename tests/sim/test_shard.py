@@ -27,7 +27,7 @@ import pytest
 
 from dataclasses import dataclass
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adversary import wakeup as adversary_wakeup
 from repro.adversary.delays import congested_links, worst_case_unit
@@ -997,6 +997,8 @@ def _differential_inputs(name, n, seed, faults, reliable, streams):
 @pytest.mark.shard_smoke
 @settings(max_examples=60, deadline=None)
 @given(_differential_configs())
+# Two shards fail in one window; the earlier-ranked failure must win.
+@example(("E", 23, 2, 998, (0.0, 0.05, 0.25), False, False))
 def test_generated_configs_shard_exactly(config):
     """Sharded equals serial on drawn (protocol, N, shard count, seed),
     with or without a fault plan, the overlay and per-link delay streams."""

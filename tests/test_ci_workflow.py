@@ -159,6 +159,26 @@ class TestCommands:
             "diff lossy_a.txt lossy_b.txt",
         ]
 
+    def test_verify_smoke_leg_diffs_hash_seeds_and_workers(self, jobs):
+        # The exhaustive checker must report the same A@5 graph under two
+        # hash seeds and when stratified across two workers.
+        verify = [
+            s for s in _steps(jobs["smoke"])
+            if "run" in s and "repro verify --protocol A" in s["run"]
+        ]
+        assert len(verify) == 1
+        assert verify[0]["if"] == "matrix.marker == 'verify_smoke'"
+        assert verify[0]["env"]["PYTHONPATH"] == "src"
+        lines = [line.strip() for line in verify[0]["run"].splitlines()]
+        run = "python -m repro verify --protocol A --n 5"
+        assert lines == [
+            f"PYTHONHASHSEED=1 {run} > verify_a.txt",
+            f"PYTHONHASHSEED=2 {run} > verify_b.txt",
+            f"{run} --workers 2 > verify_w.txt",
+            "diff verify_a.txt verify_b.txt",
+            "diff verify_a.txt verify_w.txt",
+        ]
+
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):
         lines = list(_run_lines(jobs["lint"]))
         assert any(line.strip() == "python -m repro lint" for line in lines)

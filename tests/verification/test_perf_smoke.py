@@ -14,12 +14,16 @@ writes ``BENCH_verify.json``).
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
 from repro.protocols.sense.protocol_a import ProtocolA
 from repro.topology.complete import complete_with_sense_of_direction
 from repro.verification import explore_protocol
+from repro.verification.explore import _SearchCore
+from repro.verification.store import FingerprintTable
+from repro.verification.world import LockStepWorld
 
 #: states/sec floor — the PR 1 explorer already beat this comfortably.
 MIN_STATES_PER_SEC = 3_000.0
@@ -38,3 +42,35 @@ def test_explorer_sustains_minimum_throughput():
         f"explorer throughput collapsed: {report.states_explored / dt:.0f} "
         f"states/sec on A@4 (floor {MIN_STATES_PER_SEC:.0f})"
     )
+
+
+@pytest.mark.perf_smoke
+def test_explorer_takes_each_transition_inline(monkeypatch):
+    """The DFS's transitions stay fused: a default search calls none of
+    the per-transition reference steps it replaced.
+
+    ``LockStepWorld.apply`` and ``peek_transition`` stay the reference for
+    fuzzing, replay and the differential test, and ``FingerprintTable.get``
+    and ``put`` for merges; a search that routes its transitions back
+    through them (or through a per-transition ``_SearchCore.arrive``) has
+    lost the fused loop, whatever its states/sec.
+    """
+    calls: Counter[str] = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name, None)
+
+        def counted(*args, **kwargs):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted, raising=False)
+
+    count(LockStepWorld, "apply")
+    count(LockStepWorld, "peek_transition")
+    count(FingerprintTable, "get")
+    count(FingerprintTable, "put")
+    count(_SearchCore, "arrive")
+    report = explore_protocol(ProtocolA(), complete_with_sense_of_direction(4))
+    assert report.complete and report.transitions > 1_000
+    assert not calls, f"per-transition calls in the fused DFS: {dict(calls)}"

@@ -91,6 +91,20 @@ def test_packed_unpacked_roundtrip():
     assert len(clone) == len(table)
     for key in (0, 123, -9):
         assert clone.get(key) == table.get(key)
+    # a table that has grown keeps its count, capacity and entries too
+    rng = random.Random(2)
+    entries = {rng.getrandbits(63) - 2**62: i for i in range(3_000)}
+    for key, mask in entries.items():
+        table.put(key, mask)
+    assert table.capacity > 8
+    clone = FingerprintTable.unpacked(table.packed())
+    assert len(clone) == len(table) == len(entries) + 3
+    assert clone.capacity == table.capacity
+    for key, mask in entries.items():
+        assert clone.get(key) == mask
+    assert clone.get(123) == 1 << 70
+    clone.put(1, 1)  # and keeps inserting like the original
+    assert len(clone) == len(table) + 1
 
 
 def test_bytes_used_tracks_flat_footprint():
