@@ -39,10 +39,12 @@ tracing; with a plan installed the compiled send runs its verdict inline.
 
 One runtime core: :class:`SendPath` holds what the serial :class:`Network`
 and the sharded kernel's shards (:mod:`repro.sim.shard`) share — the
-per-run state, the send pipeline, the leader-uniqueness check
-(:func:`leader_conflict`) and the final tally, which :func:`fold_result`
-turns into the :class:`~repro.core.results.ElectionResult`.  Each runtime
-adds only its own scheduling and dispatch.
+per-run state, the send pipeline, the delivery, wake and crash handlers
+that :class:`~repro.sim.scheduler.Scheduler` dispatches in both, the
+leader-uniqueness check (:func:`leader_conflict`) and the final tally,
+which :func:`fold_result` turns into the
+:class:`~repro.core.results.ElectionResult`.  Each runtime adds only where
+its sends go and how its timers rank.
 
 Hot-path design (see docs/performance.md): the first send of each message
 class compiles a fused send function for it (:func:`_compile_send`), shared
@@ -51,10 +53,11 @@ fault verdict when a plan is installed, nested envelope payloads (audited
 with :func:`message_bits`), run-RNG :class:`UniformDelay` draws and direct
 reads of a table wiring; only tracing and values outside the declared
 field types take the :meth:`SendPath._transmit` pipeline.  Deliveries ride
-the heap as plain tuples handled by one preallocated bound method; tracing
-is a single attribute test when disabled; per-link FIFO state is two flat
-dicts; and message/bit/depth counters accumulate in plain attributes that
-are tallied once, at quiescence.
+the heap as plain tuples handled by one preallocated bound method that
+calls an awake node's ``on_message`` inline; tracing is a single attribute
+test when disabled; per-link FIFO state is two flat dicts; and
+message/bit/depth counters accumulate in plain attributes that are
+tallied once, at quiescence.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ from repro.core.node import Node, NodeContext
 from repro.core.protocol import ElectionProtocol
 from repro.core.results import ElectionResult
 from repro.sim.delays import ConstantDelay, DelayModel, UniformDelay
-from repro.sim.events import Event
 from repro.sim.faults import COMPILED_TWIN, COMPILED_VERDICT, FaultPlan
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import node_stream
@@ -412,12 +414,18 @@ class SendPath:
     :meth:`_send_tail`.  There is exactly one definition of what a send
     does, which is what keeps the runtimes byte-identical.
 
-    Hosts set ``protocol`` and ``nodes`` (their owned nodes, in position
-    order).  Hosts without tracing leave the class-level
-    ``_tracing = False`` in place and never touch ``tracer``.
-    """
+    Both runtimes dispatch the same heap entries through one
+    :meth:`~repro.sim.scheduler.Scheduler.run` loop into the handlers
+    here: :meth:`_deliver_entry`, :meth:`_wake_entry` and
+    :meth:`_crash_entry` (timers stay per runtime, since a shard ranks
+    them).  Each handler records its entry as ``_current_entry``, which a
+    shard reads as the rank of the sends the event makes.
 
-    _tracing = False
+    Hosts set ``protocol``, ``nodes`` (their owned nodes, in position
+    order) and ``_node_at`` (a table indexed by position, holding the
+    owned nodes).  Hosts that trace set ``_tracing`` and ``tracer``;
+    the others never touch ``tracer``.
+    """
 
     def __init__(
         self,
@@ -483,6 +491,9 @@ class SendPath:
         elif type(delays) is UniformDelay and delays.uses_run_rng:
             self._inline_latency = (delays.low, delays.high - delays.low)
         self._current_depth = 0
+        self._tracing = False
+        #: The entry being dispatched (see the class docstring).
+        self._current_entry: tuple | None = None
 
     def _dispatch_send(
         self,
@@ -640,6 +651,57 @@ class SendPath:
                 arrival + dup_jitter, far, far_port, message, sender_id
             )
 
+    # -- entry handlers (one definition for both runtimes) -----------------
+
+    def _deliver_entry(self, entry: tuple) -> None:
+        """Hand a message to its destination node (or drop it if failed).
+
+        ``entry`` is ``(time, key, action, depth, position, port,
+        message)``; the serial network appends the sender id, which only
+        tracing reads.  An awake node's ``on_message`` runs inline, with no
+        ``Node.receive`` frame, and the depth needs no restore because
+        every handler sets its own.
+        """
+        self._current_entry = entry
+        depth = entry[3]
+        position = entry[4]
+        if depth > self._max_depth:
+            self._max_depth = depth
+        if self._has_failures and (
+            position in self.failed_positions or position in self._crashed
+        ):
+            return
+        self._current_depth = depth
+        node = self._node_at[position]
+        if self._tracing:
+            self.tracer.record(
+                entry[0], "deliver", self._ids[position],
+                message=entry[6].type_name, sender=entry[7],
+            )
+        if node.awake:
+            node.on_message(entry[5], entry[6])
+        else:
+            self.metrics.on_wake(entry[0])
+            node.receive(entry[5], entry[6])
+
+    def _wake_entry(self, entry: tuple) -> None:
+        """Wake a base node, unless it crashed or a message woke it first."""
+        self._current_entry = entry
+        self._current_depth = 0
+        position = entry[4]
+        node = self._node_at[position]
+        if position not in self._crashed and not node.awake:
+            self.metrics.on_wake(entry[0])
+            node.wake(spontaneous=True)
+
+    def _crash_entry(self, entry: tuple) -> None:
+        """Crash-stop a node: it drops every later delivery and timer."""
+        self._current_entry = entry
+        position = entry[4]
+        self._crashed.add(position)
+        if self._tracing:
+            self.tracer.record(entry[0], "crash", self._ids[position])
+
     def _on_leader_declared(self, position: int) -> None:
         """Record the first declaration; a second leader is a violation."""
         declared = (position, self.scheduler.now, self._current_depth)
@@ -790,6 +852,7 @@ class Network(SendPath):
             protocol.create_node(_BoundContext(self, position))
             for position in range(topology.n)
         ]
+        self._node_at = self.nodes
 
     # -- wiring ---------------------------------------------------------------
 
@@ -868,46 +931,8 @@ class Network(SendPath):
             position in self.failed_positions or position in self._crashed
         ):
             return
-        previous_depth = self._current_depth
         self._current_depth = entry[3]
-        try:
-            entry[5]()
-        finally:
-            self._current_depth = previous_depth
-
-    def _deliver_entry(self, entry: tuple) -> None:
-        """Hand a message to its destination node (or drop it if failed).
-
-        ``entry`` is the raw heap tuple; the payload packed by
-        :meth:`_transmit` sits at slots 4+ (see :mod:`repro.sim.events`).
-        """
-        depth = entry[3]
-        position = entry[4]
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if self._has_failures and (
-            position in self.failed_positions or position in self._crashed
-        ):
-            return
-        node = self.nodes[position]
-        message = entry[6]
-        was_asleep = not node.awake
-        previous_depth = self._current_depth
-        self._current_depth = depth
-        try:
-            if was_asleep:
-                self.metrics.on_wake(self.scheduler.now)
-            if self._tracing:
-                self.tracer.record(
-                    self.scheduler.now,
-                    "deliver",
-                    self._ids[position],
-                    message=message.type_name,
-                    sender=entry[7],
-                )
-            node.receive(entry[5], message)
-        finally:
-            self._current_depth = previous_depth
+        entry[5]()
 
     # -- running ---------------------------------------------------------------
 
@@ -923,29 +948,13 @@ class Network(SendPath):
             raise SimulationError("a Network instance can only run once")
         self._ran = True
 
-        schedule = self._resolve_wakeup()
-        for position, time in schedule.items():
-
-            def wake(event: Event, position=position):
-                node = self.nodes[position]
-                if position not in self._crashed and not node.awake:
-                    self.metrics.on_wake(self.scheduler.now)
-                    node.wake(spontaneous=True)
-
-            self.scheduler.schedule_at(time, wake, tiebreak=-1)
-
+        schedule_payload = self._schedule_payload
+        for position, time in self._resolve_wakeup().items():
+            schedule_payload(time, self._wake_entry, 0, (position,), -1)
+        # Crashes win ties against wakes and deliveries at the same instant:
+        # the adversary kills the node before it can act.
         for position, time in self.crash_schedule.items():
-
-            def crash(event: Event, position=position):
-                self._crashed.add(position)
-                self.tracer.record(
-                    self.scheduler.now, "crash", self.topology.id_at(position)
-                )
-
-            # Crashes win ties against deliveries at the same instant: the
-            # adversary kills the node before it can act.
-            self.scheduler.schedule_at(time, crash, tiebreak=-2)
-
+            schedule_payload(time, self._crash_entry, 0, (position,), -2)
         self.scheduler.run(until=until)
         result = fold_result(
             self.protocol,

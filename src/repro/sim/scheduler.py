@@ -5,6 +5,14 @@ virtual clock and a hard event budget.  The budget turns protocol livelocks
 into loud :class:`~repro.core.errors.LivelockError` failures instead of hung
 test runs.
 
+It is the one dispatch loop of both runtimes.  The serial network runs it
+to quiescence (or to an inclusive ``until``); a shard runs each
+conservative window ``[start, end)`` as ``run(until=nextafter(end,
+-inf))``: no float lies strictly between that horizon and ``end``, so the
+inclusive test is the strict ``time < end`` one.  An entry at exactly
+``end`` waits for the next window, and a timer a handler arms for a time
+before ``end`` fires in this one.
+
 The run loop is the kernel's single hottest frame: it binds the heap and the
 pop to locals, indexes entries positionally (see the entry layout in
 :mod:`repro.sim.events`), and keeps the event counter in a local that is
@@ -17,7 +25,7 @@ import heapq
 from typing import Callable
 
 from repro.core.errors import LivelockError, SimulationError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 
 
 class Scheduler:
@@ -46,11 +54,6 @@ class Scheduler:
         return self._processed
 
     @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
-
-    @property
     def max_events(self) -> int:
         """The current event budget (see :meth:`set_max_events`)."""
         return self._max_events
@@ -72,66 +75,6 @@ class Scheduler:
             )
         self._max_events = budget
 
-    def advance_clock(self, time: float) -> None:
-        """Move the virtual clock forward (window dispatch path).
-
-        The sharded kernel dispatches window events from a sorted list
-        rather than through :meth:`run`; it still owns this scheduler for
-        timers and the clock, so the clock must follow dispatch.  Moving
-        backwards is the same kernel bug it is everywhere else.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"attempt to move the clock backwards to t={time} "
-                f"(now={self._now})"
-            )
-        self._now = time
-
-    def consume_budget(self, count: int) -> None:
-        """Account ``count`` externally dispatched events against the budget.
-
-        Raises :class:`LivelockError` exactly like :meth:`run` does when
-        the budget is exhausted; used by the sharded window loop to keep
-        ``events_processed`` truthful for events it dispatched itself.
-        """
-        self._processed += count
-        if self._processed > self._max_events:
-            raise LivelockError(
-                f"event budget of {self._max_events} exhausted at "
-                f"t={self._now}; the protocol is livelocked"
-            )
-
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[Event], None],
-        *,
-        tiebreak: int = 0,
-        depth: int = 0,
-    ) -> Event:
-        """Schedule ``action`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"attempt to schedule an event at t={time} in the past "
-                f"(now={self._now})"
-            )
-        return self._queue.push(time, action, tiebreak=tiebreak, depth=depth)
-
-    def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[Event], None],
-        *,
-        tiebreak: int = 0,
-        depth: int = 0,
-    ) -> Event:
-        """Schedule ``action`` after a non-negative ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(
-            self._now + delay, action, tiebreak=tiebreak, depth=depth
-        )
-
     def schedule_payload(
         self,
         time: float,
@@ -140,11 +83,11 @@ class Scheduler:
         payload: tuple,
         tiebreak: int = 0,
     ) -> None:
-        """Fast path: schedule ``action`` with ``payload`` packed in the entry.
+        """Schedule ``action`` at ``time`` with ``payload`` in the entry.
 
-        Used by the network's send path; one tuple allocation per message,
-        no :class:`Event` wrapper, no closure.  ``action`` receives the raw
-        entry and reads the payload from slots 4+.
+        One tuple allocation per entry and no closure: ``action`` receives
+        the raw entry and reads the payload from slots 4+.  ``tiebreak``
+        orders same-instant entries (see :mod:`repro.sim.events`).
         """
         if time < self._now:
             raise SimulationError(
@@ -152,17 +95,6 @@ class Scheduler:
                 f"(now={self._now})"
             )
         self._queue.push_entry(time, action, depth, payload, tiebreak)
-
-    def pop_due(self, horizon: float) -> list[tuple]:
-        """Batch-pop every pending entry with ``time < horizon``, in order.
-
-        The sharded window loop owns its own dispatch (it merges these
-        entries with the window's delivery list), so unlike :meth:`run`
-        this neither advances the clock nor touches the budget — the
-        caller accounts for what it dispatches via :meth:`advance_clock`
-        and :meth:`consume_budget`.
-        """
-        return self._queue.pop_until(horizon)
 
     def run(self, *, until: float | None = None) -> None:
         """Process events until the queue drains (or past ``until``).

@@ -24,16 +24,21 @@ synchronization**:
   keys back with the next window op: local keys to the sending shard,
   packed and slow batches (with their keys) to the destination shard.
 
-Each shard runs one window engine (:class:`_Shard`), built on the
-:class:`~repro.sim.network.SendPath` runtime core it shares with the
-serial kernel; the coordinator folds the shards' tallies with the same
-:func:`~repro.sim.network.fold_result`.  Sends of flat messages whose
+Each shard (:class:`_Shard`) is the :class:`~repro.sim.network.SendPath`
+runtime core it shares with the serial kernel plus its window buffers, and
+the coordinator folds the shards' tallies with the same
+:func:`~repro.sim.network.fold_result`.  A window is one
+:meth:`~repro.sim.scheduler.Scheduler.run` call over the shard's heap with
+the strict horizon ``time < end``: the window's incoming deliveries go onto
+that heap as serial-layout entries carrying their global keys, next to the
+shard's wakes, crashes and timers, and the shared delivery, wake and crash
+handlers dispatch them in global merge order.  Sends of flat messages whose
 fields are declared ``int`` or ``bool`` go through the per-class compiled,
 fused send that :class:`~repro.sim.network.SendPath` generates for both
 runtimes, ending in the shard's lane tail; every other send takes the
 shared pipeline.  A window's incoming packed records are decoded in one
 pass that builds messages with compiled per-``(type_id, tagword)``
-constructors.  Dispatch stays strictly per-event in global merge order.
+constructors.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
@@ -50,12 +55,15 @@ per-send *merge keys*:
 
 * an event dispatched from a globally-keyed entry has rank
   ``(time, key)``;
-* a timer fired at ``t`` set by an event of rank ``R`` as its ``i``-th
-  timer has rank ``(t, TIMER_MARK, R, i)`` — ``TIMER_MARK`` exceeds every
-  delivery key and is negative for none, so ranks of any two *distinct*
-  events always compare without reaching ragged positions;
-* the ``j``-th send of an event of rank ``R`` carries merge key
-  ``R + (j,)``.
+* a timer fired at ``t`` set by an event of rank ``R`` has rank
+  ``(t, TIMER_MARK, R, i)`` — ``TIMER_MARK`` exceeds every delivery key
+  and is negative for none, so ranks of any two *distinct* events always
+  compare without reaching ragged positions;
+* a send of an event of rank ``R`` carries merge key ``R + (j,)``.
+
+``i`` and ``j`` are the shard's timer and send counters.  They are never
+reset: merge keys of distinct ranks differ before the counter, so a
+counter only has to increase within one event's rank.
 
 Sorting one window's sends by merge key reproduces the serial scheduling
 order of those sends; assigning consecutive global keys in that order (the
@@ -88,6 +96,7 @@ from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields as _dataclass_fields
 from itertools import repeat
+from math import inf, nextafter
 from time import perf_counter
 from typing import Any
 
@@ -349,21 +358,22 @@ class _RunConfig:
 
 
 class _Shard(SendPath):
-    """One shard's runtime: the shared core plus the window loop.
+    """One shard's runtime: the shared core plus its window buffers.
 
-    Shard ``index`` owns the strided positions ``range(index, n, k)``;
-    node ``p`` sits at ``nodes[p // k]``.  The per-run state, send
-    pipeline (port check, bit audit, FIFO arrival, fault verdicts),
-    leader check and final tally are :class:`SendPath`, shared verbatim
-    with the serial kernel.  This class adds only its scheduling and
-    dispatch: the window loop, timer ranks, and a :meth:`_dispatch_send`
-    bound to the window buffers — the local lane for the shard's own
-    nodes, the packed or slow lane for the others — with its compiled
-    twin, :meth:`_send_tail`.
+    Shard ``index`` owns the strided positions ``range(index, n, k)``.
+    The per-run state, send pipeline (port check, bit audit, FIFO
+    arrival, fault verdicts), the delivery, wake and crash handlers, the
+    leader check and the final tally are :class:`SendPath`, shared
+    verbatim with the serial kernel, and a window is one
+    :meth:`~repro.sim.scheduler.Scheduler.run` call over the same heap
+    layout.  This class adds only its send tail — a
+    :meth:`_dispatch_send` bound to the window buffers (the local lane for
+    the shard's own nodes, the packed or slow lane for the others) and
+    its compiled twin, :meth:`_send_tail` — the timer rank, and the
+    buffers' decode and hand-off at the barrier.
 
-    A delivery entry is ``(time, key, (depth, position, port, message))``;
-    wake, crash and timer entries keep the scheduler's flat layout
-    ``(time, key, action, depth, *payload)``.
+    ``_send_seq`` and ``_timer_seq`` are the send and timer counters of
+    the merge keys; the module docstring says why they are never reset.
     """
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
@@ -380,14 +390,11 @@ class _Shard(SendPath):
         self.index = index
         #: Owned positions, in the order of ``nodes``.
         self.positions = range(index, self._n, cfg.shards)
-        #: The entry being dispatched, whose ``[0:2]`` is the send rank —
-        #: or None while a timer callback runs, whose rank is the 4-tuple
-        #: in ``_current_rank`` (see :meth:`_rank`).
-        self._current_entry: tuple | None = None
+        #: The rank of a timer callback's sends, while ``_current_entry``
+        #: is None (see :meth:`_rank`).
         self._current_rank: tuple = ()
         self._send_seq = 0
         self._timer_seq = 0
-        self._last_time = 0.0
         self._busy = 0.0
         #: The window's outgoing buffers, one slot per destination shard.
         self._out: list[_OutBuffer | None] = [None] * cfg.shards
@@ -395,20 +402,24 @@ class _Shard(SendPath):
         #: the global keys the next window op brings.
         self._held_arrivals = array("d")
         self._held: list[tuple] = []
+        self._deliver = self._deliver_entry
         protocol = cfg.protocol
         self.nodes: list[Node] = [
             protocol.create_node(_BoundContext(self, position))
             for position in self.positions
         ]
-        #: Globally-keyed entries waiting for their window, serial layout:
-        #: ``(time, key, action, depth, *payload)``.
-        self.future: list[tuple] = [
+        self._node_at: list[Node | None] = [None] * self._n
+        self._node_at[index::cfg.shards] = self.nodes
+        heap = self.scheduler._queue.heap
+        heap += [
             (time, key, self._wake_entry, 0, position)
             for time, key, position in cfg.wakes[index]
-        ] + [
+        ]
+        heap += [
             (time, key, self._crash_entry, 0, position)
             for time, key, position in cfg.crashes[index]
         ]
+        heapq.heapify(heap)
 
     # -- the send path (SendPath pipeline, buffered dispatch) --------------
 
@@ -499,6 +510,8 @@ class _Shard(SendPath):
             {"_OutBuffer": _OutBuffer},
         )
 
+    # -- timers: the one handler that ranks differently ---------------------
+
     def _schedule_timer(
         self, position: int, delay: float, callback: Callable[[], None]
     ) -> None:
@@ -515,49 +528,46 @@ class _Shard(SendPath):
             1,
         )
 
-    # -- dispatch handlers (mirror the serial kernel's) --------------------
-
-    def _wake_entry(self, entry: tuple) -> None:
-        position = entry[4]
-        node = self.nodes[position // self._shards]
-        if position not in self._crashed and not node.awake:
-            self.metrics.on_wake(self.scheduler.now)
-            node.wake(spontaneous=True)
-
-    def _crash_entry(self, entry: tuple) -> None:
-        self._crashed.add(entry[4])
-
     def _timer_entry(self, entry: tuple) -> None:
+        # Timer callbacks send under the timer's own 4-tuple rank.
+        self._current_entry = None
+        self._current_rank = entry[6]
         position = entry[4]
         if self._has_failures and (
             position in self.failed_positions or position in self._crashed
         ):
             return
-        # Timer callbacks send under the timer's own 4-tuple rank.
-        self._current_entry = None
-        self._current_rank = entry[6]
         self._current_depth = entry[3]
         entry[5]()
 
-    # -- the window loop ---------------------------------------------------
+    # -- the window --------------------------------------------------------
 
     def _decode_incoming(
         self, incoming: list[tuple | None], local_keys: array | None
     ) -> None:
-        """Turn held local sends and routed batches into delivery entries.
+        """Push held local sends and routed batches onto the heap.
 
-        The window loop sorts ``due`` by ``(time, key)`` before dispatch
-        and treats ``future`` as an unordered pool, so entries are built
-        column by column: the held local lane zips straight with its
-        keys, and a packed batch's metadata is gathered per field over
-        the ``offs`` side array.  Each packed message is built by its
-        ``(type_id, tagword)``'s compiled constructor straight from the
-        packed ints; consecutive records of one kind (a broadcast) share
-        the constructor lookup.
+        Every record becomes a serial-layout delivery entry ``(time,
+        global_key, deliver, depth, position, port, message)``, built at C
+        level: one ``map`` of ``tuple.__add__`` appends each held local
+        payload to its ``(time, key, deliver)`` head (it measured faster
+        than transposing the lane with ``zip(*held)``, whose per-tuple
+        iterators also feed the garbage collector), and a packed batch's
+        metadata is gathered per field over the ``offs`` side array.  Each
+        packed message is built by its ``(type_id, tagword)``'s compiled
+        constructor straight from the packed ints; consecutive records of
+        one kind (a broadcast) share the constructor lookup.  One
+        ``heapify`` orders the lot with the pending timers and deliveries.
         """
-        future = self.future
+        heap = self.scheduler._queue.heap
+        size = len(heap)
+        deliver = repeat(self._deliver)
         if local_keys is not None:
-            future.extend(zip(self._held_arrivals, local_keys, self._held))
+            heap += map(
+                tuple.__add__,
+                zip(self._held_arrivals, local_keys, deliver),
+                self._held,
+            )
             self._held = []
         builders = self.codec._builders
         make_builder = self.codec.builder
@@ -578,22 +588,19 @@ class _Shard(SendPath):
                             build = make_builder(ints[o + 3], ints[o + 4])
                         last = kind
                     append(build(ints, o + _REC_HEAD))
-                future.extend(
-                    zip(
-                        arrivals,
-                        packed_keys,
-                        zip(
-                            [ints[o + 2] for o in offs],
-                            [ints[o] for o in offs],
-                            [ints[o + 1] for o in offs],
-                            messages,
-                        ),
-                    )
+                heap += zip(
+                    arrivals, packed_keys, deliver,
+                    [ints[o + 2] for o in offs],
+                    [ints[o] for o in offs],
+                    [ints[o + 1] for o in offs],
+                    messages,
                 )
-            future.extend(
-                (record[1], key, record[2])
+            heap += (
+                (record[1], key, self._deliver, *record[2])
                 for record, key in zip(slow, slow_keys)
             )
+        if len(heap) != size:
+            heapq.heapify(heap)
 
     def run_window(
         self,
@@ -615,37 +622,21 @@ class _Shard(SendPath):
         t0 = perf_counter()
         self._decode_incoming(incoming, local_keys)
         scheduler = self.scheduler
-        scheduler.set_max_events(scheduler.events_processed + budget)
-        future = self.future
-        if future:
-            due = [e for e in future if e[0] < end]
-            if len(due) == len(future):
-                self.future = []
-            elif due:
-                self.future = [e for e in future if e[0] >= end]
-        else:
-            due = []
-        # Already-armed timers join the window's sorted batch up front
-        # (entry tuples carry the timer tiebreak in their key, so one sort
-        # interleaves them exactly as the serial heap would); only timers
-        # armed *during* this window still arrive through the heap check
-        # inside the loop.
-        timers = scheduler.pop_due(end)
-        if timers:
-            due.extend(timers)
-        due.sort()
+        before = scheduler.events_processed
+        scheduler.set_max_events(before + budget)
         try:
-            processed = self._dispatch(due, end, budget)
+            scheduler.run(until=nextafter(end, -inf))
         except Exception as exc:
+            if isinstance(exc, LivelockError):  # name the run's budget
+                exc = LivelockError(
+                    f"event budget of {self.cfg.max_events} exhausted at "
+                    f"t={scheduler.now}; the protocol is livelocked"
+                )
             # Shards run a window independently, so several may fail in
             # one; the coordinator re-raises the failure the serial run
             # would have met first, by the rank of its failing event.
             exc.shard_rank = self._rank()
-            raise
-        heap = scheduler._queue.heap  # timers only; deliveries stay in lists
-        if processed:
-            self._last_time = scheduler.now
-            scheduler.consume_budget(processed)
+            raise exc
         out: dict[int, tuple] = {}
         local = None
         for dest, buf in enumerate(self._out):
@@ -665,90 +656,26 @@ class _Shard(SendPath):
                 )
         self._out = [None] * self._shards
         self._busy += perf_counter() - t0
-        next_time = None
-        if self.future:
-            next_time = min(e[0] for e in self.future)
-        if heap and (next_time is None or heap[0][0] < next_time):
-            next_time = heap[0][0]
+        heap = scheduler._queue.heap
         stats = {
-            "processed": processed,
-            "next_time": next_time,
-            "last_time": self._last_time,
+            "processed": scheduler.events_processed - before,
+            "next_time": heap[0][0] if heap else None,
             "leader": self._leader,
         }
         return out, local, stats
 
-    def _dispatch(self, due: list[tuple], end: float, budget: int) -> int:
-        """Fire the window's sorted ``due`` list, merged with heap timers.
-
-        Timers armed *during* the window sit on the heap; the per-entry
-        peek interleaves them into the exact ``(time, key)`` order the
-        serial heap would have produced.  Deliveries run inline (no
-        handler or ``Node.receive`` frame for an awake node); the
-        failed/crashed guard costs one bool test in failure-free runs.
-        Returns the number of events fired (the coordinator's budget
-        accounting needs it).
-        """
-        scheduler = self.scheduler
-        heap = scheduler._queue.heap
-        heappop = heapq.heappop
-        nodes = self.nodes
-        k = self._shards
-        on_wake = self.metrics.on_wake
-        has_failures = self._has_failures
-        failed = self.failed_positions
-        crashed = self._crashed
-        processed = 0
-        i = 0
-        ndue = len(due)
-        while True:
-            if i < ndue:
-                entry = due[i]
-                if heap and heap[0][0] < end and heap[0] < entry:
-                    entry = heappop(heap)
-                else:
-                    i += 1
-            elif heap and heap[0][0] < end:
-                entry = heappop(heap)
-            else:
-                break
-            t = entry[0]
-            scheduler._now = t
-            processed += 1
-            if processed > budget:
-                raise LivelockError(
-                    f"event budget of {self.cfg.max_events} exhausted at "
-                    f"t={t}; the protocol is livelocked"
-                )
-            self._send_seq = 0
-            self._timer_seq = 0
-            self._current_entry = entry
-            payload = entry[2]
-            if type(payload) is tuple:
-                depth, position, port, message = payload
-                if depth > self._max_depth:
-                    self._max_depth = depth
-                if has_failures and (position in failed or position in crashed):
-                    continue
-                self._current_depth = depth
-                node = nodes[position // k]
-                if node.awake:
-                    node.on_message(port, message)
-                else:
-                    on_wake(t)
-                    node.receive(port, message)
-            else:
-                self._current_depth = 0
-                entry[2](entry)
-        self._current_entry = None
-        return processed
-
     def finish(self) -> dict[str, Any]:
-        """This shard's :meth:`SendPath._tally`, for the coordinator."""
+        """This shard's :meth:`SendPath._tally`, for the coordinator.
+
+        ``last_time`` is the time of the shard's last event, whose rank
+        every handler leaves behind (the window horizon moved the clock
+        past it).
+        """
+        processed = self.scheduler.events_processed
         return {
             **self._tally(self.positions, self.cfg.collect_snapshots),
             "busy": self._busy,
-            "last_time": self._last_time,
+            "last_time": self._rank()[0] if processed else 0.0,
         }
 
 
@@ -998,6 +925,14 @@ class ShardedNetwork:
             raise ConfigurationError(
                 f"shards must be an integer in [1, n={topology.n}], "
                 f"got {shards!r}"
+            )
+        if workers is not None and (
+            not isinstance(workers, int)
+            or isinstance(workers, bool)
+            or workers < 0
+        ):
+            raise ConfigurationError(
+                f"workers must be None or an integer >= 0, got {workers!r}"
             )
         delays = delays if delays is not None else ConstantDelay(1.0)
         if delays.uses_run_rng:

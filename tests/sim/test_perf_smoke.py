@@ -16,7 +16,9 @@ The other tests pin the compiled per-class sends (``SendPath._send_fn``):
 they must agree with the ``SendPath._transmit`` pipeline on every input,
 edge values, nested payloads, fault plans and run-RNG delays included;
 the hot protocols and the lossy build must actually take them; and a
-plain run must compile exactly the source it compiled before.
+plain run must compile exactly the source it compiled before.  Two more
+pin the one dispatch loop: every sharded event runs through
+``Scheduler.run``, and a serial run's heap holds only bound handlers.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from repro.protocols.sense.protocol_c import ProtocolC
 from repro.sim.delays import UniformDelay
 from repro.sim.faults import FaultPlan, isolate
 from repro.sim.network import Network, SendPath
-from repro.sim.shard import ShardedNetwork
+from repro.sim.scheduler import Scheduler
+from repro.sim.shard import ShardedNetwork, _Shard
 from repro.topology.chordal_ring import ChordalRingTopology
 from repro.topology.complete import (
     complete_with_sense_of_direction,
@@ -365,6 +368,66 @@ def test_networks_of_one_shape_share_compiled_sends():
     for cls, fn in first.items():
         assert fn is not SendPath._transmit
         assert second[cls] is fn, cls.__name__
+
+
+# ---------------------------------------------------------------------------
+# One dispatch loop for both runtimes.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.perf_smoke
+def test_every_shard_event_passes_through_the_scheduler_loop(monkeypatch):
+    """A shard's window is a ``Scheduler.run`` call, not a loop of its own."""
+    assert not [
+        name for name in ("_dispatch", "_wake_entry", "_crash_entry",
+                          "_deliver_entry")
+        if name in vars(_Shard)
+    ]
+    for name in ("pop_due", "advance_clock", "consume_budget"):
+        assert not hasattr(Scheduler, name), name
+    through_run = 0
+    real_run = Scheduler.run
+
+    def counting_run(self, **kwargs):
+        nonlocal through_run
+        before = self.events_processed
+        try:
+            real_run(self, **kwargs)
+        finally:
+            through_run += self.events_processed - before
+
+    monkeypatch.setattr(Scheduler, "run", counting_run)
+    network = ShardedNetwork(
+        ProtocolC(), complete_with_sense_of_direction(256), shards=2, workers=0
+    )
+    network.run()
+    assert network.stats["events_total"] > 0
+    assert through_run == network.stats["events_total"]
+
+
+@pytest.mark.perf_smoke
+def test_a_serial_run_schedules_no_closure_entries(monkeypatch):
+    """Every heap entry a serial run holds — wakes, crashes, deliveries,
+    timers — is dispatched by a bound handler of its network."""
+    actions = []
+    real_run = Scheduler.run
+
+    def spying_run(self, **kwargs):
+        actions.extend(entry[2] for entry in self._queue.heap)
+        real_run(self, **kwargs)
+        actions.extend(entry[2] for entry in self._queue.heap)
+
+    monkeypatch.setattr(Scheduler, "run", spying_run)
+    network = Network(
+        ReliableDelivery(ProtocolC()), complete_with_sense_of_direction(64),
+        crash_schedule={5: 1.0},
+        faults=FaultPlan(seed=1, drop=0.1),
+    )
+    network.run(until=2.5, require_leader=False)
+    kinds = {action.__func__.__name__ for action in actions}
+    assert kinds >= {"_wake_entry", "_crash_entry", "_deliver_entry",
+                     "_timer_entry"}, kinds
+    assert all(action.__self__ is network for action in actions)
 
 
 #: Runs every registered protocol at N=64 with sense of direction (cyclic

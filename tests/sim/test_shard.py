@@ -470,8 +470,11 @@ class TestGlobalBudget:
                 ProtocolC(), complete_with_sense_of_direction(64),
                 max_events=100,
             )
-        for shards in (2, 4):
-            with pytest.raises(LivelockError):
+        for shards in (1, 2, 4):
+            # Whichever trips, a shard (alone at shards=1) or the
+            # coordinator, the message names the run's budget, as the
+            # serial one does.
+            with pytest.raises(LivelockError, match="event budget of 100 "):
                 run_sharded_election(
                     ProtocolC(), complete_with_sense_of_direction(64),
                     shards=shards, workers=0, max_events=100,
@@ -492,29 +495,13 @@ class TestGlobalBudget:
 
     def test_scheduler_set_max_events_rejects_past_budgets(self):
         scheduler = Scheduler(max_events=10)
-        scheduler.schedule_at(1.0, lambda event: None)
+        scheduler.schedule_payload(1.0, lambda entry: None, 0, ())
         scheduler.run()
         assert scheduler.events_processed == 1
         with pytest.raises(Exception, match="below the 1 events"):
             scheduler.set_max_events(0)
         scheduler.set_max_events(1)
         assert scheduler.max_events == 1
-
-    def test_scheduler_consume_budget_raises_like_run(self):
-        scheduler = Scheduler(max_events=3)
-        scheduler.consume_budget(3)
-        assert scheduler.events_processed == 3
-        with pytest.raises(LivelockError, match="event budget of 3"):
-            scheduler.consume_budget(1)
-
-    def test_scheduler_advance_clock_is_monotone(self):
-        from repro.core.errors import SimulationError
-
-        scheduler = Scheduler()
-        scheduler.advance_clock(5.0)
-        assert scheduler.now == 5.0
-        with pytest.raises(SimulationError, match="backwards"):
-            scheduler.advance_clock(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +628,26 @@ class TestGating:
             f"got {flag!r}",
         ):
             ShardedNetwork(ProtocolE(), topology, shards=flag)
+
+    @pytest.mark.parametrize("workers", [-1, True, 2.5, "2"])
+    def test_worker_count_must_be_none_or_a_non_negative_int(self, workers):
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"workers must be None or an integer >= 0, got {workers!r}",
+        ):
+            ShardedNetwork(
+                ProtocolC(), complete_with_sense_of_direction(8),
+                shards=2, workers=workers,
+            )
+
+    def test_cli_rejects_a_negative_worker_count(self):
+        from repro.__main__ import main
+
+        with pytest.raises(ConfigurationError, match="got -3"):
+            main([
+                "run", "--protocol", "C", "--n", "8",
+                "--shards", "2", "--shard-workers", "-3",
+            ])
 
     def test_lookahead_is_the_delay_models_min_latency(self):
         network = ShardedNetwork(
@@ -966,10 +973,32 @@ def _differential_configs(draw):
     ))
     reliable = draw(st.booleans())
     streams = draw(st.booleans())
-    return name, n, shards, seed, faults, reliable, streams
+    # Wakes and crashes share each shard's heap with the deliveries.
+    wake = draw(
+        st.just(("simultaneous",))
+        | st.tuples(
+            st.just("single_base"), st.integers(min_value=0, max_value=n - 1)
+        )
+        | st.just(("staggered_chain",))
+        | st.tuples(
+            st.just("random_subset"),
+            st.integers(min_value=1, max_value=n),
+            st.sampled_from((0.0, 0.5, 3.0)),
+        )
+    )
+    # Crashes on integer instants tie with ``ConstantDelay(1)`` arrivals
+    # (and with wakes at t=0), exercising crash < wake < delivery < timer.
+    crashes = draw(st.none() | st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=4).map(float),
+        min_size=1, max_size=3,
+    ))
+    return name, n, shards, seed, faults, reliable, streams, wake, crashes
 
 
-def _differential_inputs(name, n, seed, faults, reliable, streams):
+def _differential_inputs(
+    name, n, seed, faults, reliable, streams, wake, crashes
+):
     """``(protocol, topology, kwargs)`` for one drawn configuration; every
     call builds fresh objects (the delay model included)."""
     protocol = {
@@ -981,7 +1010,13 @@ def _differential_inputs(name, n, seed, faults, reliable, streams):
         topology = complete_with_sense_of_direction(n)
     else:
         topology = complete_without_sense(n, seed=seed)
-    kwargs: dict = {"seed": seed}
+    kind, *args = wake
+    if kind == "random_subset":
+        count, window = args
+        wakeup = adversary_wakeup.random_subset(count, window=window)
+    else:
+        wakeup = getattr(adversary_wakeup, kind)(*args)
+    kwargs: dict = {"seed": seed, "wakeup": wakeup}
     if faults is not None:
         drop, duplicate, jitter = faults
         kwargs["faults"] = FaultPlan(
@@ -989,6 +1024,10 @@ def _differential_inputs(name, n, seed, faults, reliable, streams):
         )
         # Without the overlay the faults may leave no leader.
         kwargs["require_leader"] = reliable
+    if crashes is not None:
+        kwargs["crash_schedule"] = crashes
+        # A crashed candidate may leave no leader.
+        kwargs["require_leader"] = False
     if streams:
         kwargs["delays"] = UniformDelay(0.05, 1.0, min_latency=0.05)
     return protocol, topology, kwargs
@@ -998,21 +1037,24 @@ def _differential_inputs(name, n, seed, faults, reliable, streams):
 @settings(max_examples=60, deadline=None)
 @given(_differential_configs())
 # Two shards fail in one window; the earlier-ranked failure must win.
-@example(("E", 23, 2, 998, (0.0, 0.05, 0.25), False, False))
+@example((
+    "E", 23, 2, 998, (0.0, 0.05, 0.25), False, False, ("simultaneous",), None
+))
 def test_generated_configs_shard_exactly(config):
-    """Sharded equals serial on drawn (protocol, N, shard count, seed),
-    with or without a fault plan, the overlay and per-link delay streams."""
-    name, n, shards, seed, faults, reliable, streams = config
-    # Faults without the overlay may break a protocol's assumptions (a
-    # duplicated verdict, say); the violation must then read the same in
-    # both runtimes.  Every other configuration elects a verified leader
-    # and raises nothing.
-    unmasked = faults is not None and not reliable
+    """Sharded equals serial on drawn (protocol, N, shard count, seed, wake
+    schedule), with or without a fault plan, crashes, the overlay and
+    per-link delay streams."""
+    name, n, shards, seed, faults, reliable, streams, wake, crashes = config
+    # Faults without the overlay, or crashes, may break a protocol's
+    # assumptions (a duplicated verdict, a candidate that never answers);
+    # the violation must then read the same in both runtimes.  Every other
+    # configuration elects a verified leader and raises nothing.
+    unmasked = (faults is not None and not reliable) or crashes is not None
     tolerated = (ProtocolViolation, SimulationError) if unmasked else ()
 
     def outcome(run, **extra):
         protocol, topology, kwargs = _differential_inputs(
-            name, n, seed, faults, reliable, streams
+            name, n, seed, faults, reliable, streams, wake, crashes
         )
         try:
             return fingerprint(run(protocol, topology, **kwargs, **extra))

@@ -113,9 +113,9 @@ class TestCommands:
     def test_shard_smoke_leg_exercises_the_sharded_cli(self, jobs):
         # The sharded CLI's output must equal the serial CLI's, byte for
         # byte, on forked workers and on one in-process shard (every send
-        # on the local lane), with cyclic and with table wiring: an exit
-        # status alone would pass a sharded run that printed the wrong
-        # leader.
+        # on the local lane), with cyclic and with table wiring, and for
+        # Protocol G's multi-phase run: an exit status alone would pass a
+        # sharded run that printed the wrong leader.
         sharded = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--shards" in s["run"]
@@ -139,6 +139,14 @@ class TestCommands:
             "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
             "--shards 1 --shard-workers 0 > sharded_e1.txt",
             "diff serial_e.txt sharded_e1.txt",
+            "python -m repro run --protocol G --n 96 --no-sense --seed 5 "
+            "> serial_g.txt",
+            "python -m repro run --protocol G --n 96 --no-sense --seed 5 "
+            "--shards 2 --shard-workers 2 > sharded_g.txt",
+            "diff serial_g.txt sharded_g.txt",
+            "python -m repro run --protocol G --n 96 --no-sense --seed 5 "
+            "--shards 1 --shard-workers 0 > sharded_g1.txt",
+            "diff serial_g.txt sharded_g1.txt",
         ]
 
     def test_perf_smoke_leg_reruns_the_lossy_scenario(self, jobs):
