@@ -261,8 +261,8 @@ def fold_result(
     )
 
 
-#: Largest int magnitude a compiled send (and the sharded packed lane)
-#: takes as is; a wider one takes the pipeline (and the slow lane).
+#: Largest int magnitude a compiled send takes as is; a wider one takes
+#: the pipeline, which charges and delivers it the same way.
 _INT_LIMIT = 1 << 62
 
 #: Compiled send functions, keyed by the message class and every constant
@@ -505,14 +505,13 @@ class SendPath:
     ) -> None:
         raise NotImplementedError
 
-    def _send_tail(self, cls: type, kinds: tuple[str, ...]) -> tuple | None:
-        """This runtime's part of ``cls``'s compiled send, or None.
+    def _send_tail(self) -> tuple:
+        """This runtime's part of every compiled send.
 
         ``(cache key, extra guards, tail lines, namespace)``: the guards
         join the fast path's condition, and the tail lines hand the send
         (``far``, ``far_port``, ``m``, ``arrival``) to the runtime's
-        delivery machinery.  ``kinds`` gives each field's kind: ``"int"``,
-        ``"bool"`` or ``"message"`` (a nested envelope payload).
+        delivery machinery.
         """
         raise NotImplementedError
 
@@ -521,9 +520,9 @@ class SendPath:
 
         Compiled when the run is not traced and every field of ``cls`` is
         declared ``int``, ``bool`` or ``Message`` (at most
-        :data:`MAX_INT_FIELDS` ints), and the runtime has a tail for it;
-        :meth:`_transmit` otherwise.  A fault plan compiles its verdict
-        into the send, and a run-RNG :class:`UniformDelay` its draw.
+        :data:`MAX_INT_FIELDS` ints); :meth:`_transmit` otherwise.  A
+        fault plan compiles its verdict into the send, and a run-RNG
+        :class:`UniformDelay` its draw.
         """
         fn: Callable = SendPath._transmit
         kinds = tuple(_FIELD_KINDS.get(f.type) for f in _dataclass_fields(cls))
@@ -532,29 +531,26 @@ class SendPath:
             and None not in kinds
             and kinds.count("int") <= MAX_INT_FIELDS
         ):
-            tail = self._send_tail(cls, kinds)
-            if tail is not None:
-                topology = self.topology
-                if getattr(topology, "_cyclic", False):
-                    wiring = "cyclic"
-                elif type(topology) is CompleteTopology:
-                    wiring = "table"
-                else:
-                    wiring = "methods"
-                faulty = self._faults is not None
-                latency = self._inline_latency
-                num_ports = self._num_ports
-                key = (
-                    cls, self._n, num_ports, wiring, latency, faulty, tail[0]
+            tail = self._send_tail()
+            topology = self.topology
+            if getattr(topology, "_cyclic", False):
+                wiring = "cyclic"
+            elif type(topology) is CompleteTopology:
+                wiring = "table"
+            else:
+                wiring = "methods"
+            faulty = self._faults is not None
+            latency = self._inline_latency
+            num_ports = self._num_ports
+            key = (cls, self._n, num_ports, wiring, latency, faulty, tail[0])
+            fn = _SEND_CACHE.get(key)
+            if fn is None:
+                fn = _SEND_CACHE[key] = _compile_send(
+                    cls, kinds, self._n, num_ports, wiring, latency, faulty,
+                    tail,
                 )
-                fn = _SEND_CACHE.get(key)
-                if fn is None:
-                    fn = _SEND_CACHE[key] = _compile_send(
-                        cls, kinds, self._n, num_ports, wiring, latency,
-                        faulty, tail,
-                    )
-                # The compiled tally increments in place.
-                self._type_counts.setdefault(cls.__name__, 0)
+            # The compiled tally increments in place.
+            self._type_counts.setdefault(cls.__name__, 0)
         self._send_fns[cls] = fn
         return fn
 
@@ -878,7 +874,7 @@ class Network(SendPath):
             (far, far_port, message, sender_id),
         )
 
-    def _send_tail(self, cls: type, kinds: tuple[str, ...]) -> tuple:
+    def _send_tail(self) -> tuple:
         """A compiled serial send pushes its delivery entry itself.
 
         The entry is :meth:`_dispatch_send`'s, pushed with one ``heappush``

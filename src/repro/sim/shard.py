@@ -13,16 +13,17 @@ synchronization**:
   (the FIFO clamp and fault jitter only push arrivals later), so events
   inside a window ``[T, T + L)`` can never affect that same window.
 * Each shard therefore executes its window events independently, buffering
-  every send until the barrier instead of scheduling it.  A send to the
-  sender's own shard stays in the shard as a *local lane* tuple holding
-  the message object itself; only its merge key goes to the coordinator.
-  Cross-shard sends ride the *packed lane* (flat messages as integer
-  arrays) or the pickled *slow lane* (nested or wide messages, and every
-  timer-ranked send).
+  every send until the barrier instead of scheduling it.  A send is held
+  as one ``(depth, dest_pos, far_port, message)`` payload tuple, the
+  message object itself, next to its merge key.  A send to the sender's
+  own shard stays in the shard (the *local lane*): only its merge key
+  goes to the coordinator.  A send to another shard travels there in the
+  same layout (the *remote lane*).  Sends a timer makes have ragged
+  ranks and wait in the *timer lane*.
 * At the window barrier the coordinator sorts every lane's merge keys in
   one flat sort, assigns each record a global sequence key, and hands the
   keys back with the next window op: local keys to the sending shard,
-  packed and slow batches (with their keys) to the destination shard.
+  remote and timer batches (with their keys) to the destination shard.
 
 Each shard (:class:`_Shard`) is the :class:`~repro.sim.network.SendPath`
 runtime core it shares with the serial kernel plus its window buffers, and
@@ -32,19 +33,18 @@ the coordinator folds the shards' tallies with the same
 the strict horizon ``time < end``: the window's incoming deliveries go onto
 that heap as serial-layout entries carrying their global keys, next to the
 shard's wakes, crashes and timers, and the shared delivery, wake and crash
-handlers dispatch them in global merge order.  Sends of flat messages whose
-fields are declared ``int`` or ``bool`` go through the per-class compiled,
-fused send that :class:`~repro.sim.network.SendPath` generates for both
-runtimes, ending in the shard's lane tail; every other send takes the
-shared pipeline.  A window's incoming packed records are decoded in one
-pass that builds messages with compiled per-``(type_id, tagword)``
-constructors.
+handlers dispatch them in global merge order.  Sends of messages whose
+fields are declared ``int``, ``bool`` or ``Message`` go through the
+per-class compiled, fused send that :class:`~repro.sim.network.SendPath`
+generates for both runtimes, ending in the shard's tail, one append to
+the destination's buffer; every other send takes the shared pipeline.  A
+window's incoming records become heap entries in one C-level pass.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
 single pipe, which carries each window's routed batches and local keys in
-and its outgoing batches, local merge keys and stats back; the arrays
-pickle as flat buffers.
+and its outgoing batches, local merge keys and stats back; the merge-key
+arrays pickle as flat buffers and the payload tuples as objects.
 
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
@@ -94,7 +94,8 @@ import os
 import random
 from array import array
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields as _dataclass_fields
+from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from math import inf, nextafter
 from time import perf_counter
@@ -111,7 +112,6 @@ from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.events import TIEBREAK_SHIFT
 from repro.sim.faults import FaultPlan
 from repro.sim.network import (
-    _INT_LIMIT,
     SendPath,
     WakeupFactory,
     WakeupSchedule,
@@ -132,204 +132,34 @@ TIMER_MARK = 1 << TIEBREAK_SHIFT
 _WAKE_BASE = -(1 << TIEBREAK_SHIFT)
 _CRASH_BASE = -(2 << TIEBREAK_SHIFT)
 
-#: 2-bit field tags in the packed lane.
-_TAG_INT, _TAG_TRUE, _TAG_FALSE, _TAG_NONE = 0, 1, 2, 3
-#: Packed-lane integer-array slots per record before the message fields:
-#: ``dest_pos, far_port, depth, type_id, tagword``.
-_REC_HEAD = 5
-#: Builders are keyed by ``tagword << _KIND_SHIFT | type_id`` (type ids
-#: count message classes, far below 2**16).
-_KIND_SHIFT = 16
-
-
-# ---------------------------------------------------------------------------
-# The packed-array message codec (the cross-shard packed lane).
-# ---------------------------------------------------------------------------
-
-
-class MessageCodec:
-    """Packs flat protocol messages into integer lanes.
-
-    A message is *flat* when every dataclass field is an ``int`` (not
-    ``bool``), ``True``, ``False`` or ``None`` — which covers every hot
-    protocol message in the library.  Flat messages cross shard boundaries
-    as ``(type_id, tagword, int fields...)`` inside one ``array('q')``;
-    everything else (overlay envelopes with nested messages, tuple fields)
-    is relayed object-wise on the slow lane with identical semantics.
-
-    Both directions are compiled rather than interpreted (SNIPPETS.md
-    Snippet 3, migen, is the grounding: compile the hot interpretation
-    away): one packer per message class, and one constructor per
-    ``(type_id, tagword)`` with the tag-constant fields baked in as
-    literals, reading the int fields straight out of a packed record.
-    Both are built on first use, so a forked worker compiles only what its
-    protocol sends.
-
-    The registry is built once in the coordinator **before** forking, so
-    every worker inherits the same ``type_id`` assignment; ids are an
-    encoding detail and never influence results.
-    """
-
-    def __init__(self) -> None:
-        classes: list[type] = []
-        seen: set[type] = set()
-        stack: list[type] = [Message]
-        while stack:
-            for sub in stack.pop().__subclasses__():
-                if sub not in seen:
-                    seen.add(sub)
-                    classes.append(sub)
-                    stack.append(sub)
-        classes.sort(key=lambda cls: (cls.__module__, cls.__qualname__))
-        self._classes = classes
-        self._type_ids = {cls: i for i, cls in enumerate(classes)}
-        self._field_names = [
-            tuple(f.name for f in _dataclass_fields(cls)) for cls in classes
-        ]
-        #: Message class -> ``(type_id, compiled packer)``; None if the
-        #: class can never ride the packed lane.
-        self._packers: dict[type, tuple[int, Any] | None] = {}
-        #: ``tagword << _KIND_SHIFT | type_id`` -> compiled builder.
-        self._builders: dict[int, Any] = {}
-
-    def packer(self, cls: type) -> tuple[int, Any] | None:
-        """``(type_id, compiled packer)`` for ``cls``, or None (slow lane)."""
-        try:
-            return self._packers[cls]
-        except KeyError:
-            pass
-        type_id = self._type_ids.get(cls)
-        fn = (
-            _compile_packer(self._field_names[type_id])
-            if type_id is not None
-            else None
-        )
-        entry = self._packers[cls] = (type_id, fn) if fn is not None else None
-        return entry
-
-    def pack(self, message: Message) -> tuple[int, int, list[int]] | None:
-        """``(type_id, tagword, int fields)``, or None for the slow lane."""
-        entry = self.packer(type(message))
-        if entry is None:
-            return None
-        packed = entry[1](message)
-        if packed is None:
-            return None
-        return entry[0], packed[0], packed[1]
-
-    def builder(self, type_id: int, tags: int):
-        """The compiled constructor for one ``(type_id, tagword)``.
-
-        ``build(f, o)`` makes the message whose int fields are ``f[o]``,
-        ``f[o + 1]``, ... — a packed record's fields sit at ``o = offset +
-        _REC_HEAD`` of its ``ints`` array.  A kind without int fields has
-        one value, so its builder hands out one shared (immutable)
-        instance, as the serial kernel does for a broadcast.
-        """
-        key = tags << _KIND_SHIFT | type_id
-        fn = self._builders.get(key)
-        if fn is None:
-            values = []
-            next_int = 0
-            for i in range(len(self._field_names[type_id])):
-                tag = (tags >> (2 * i)) & 3
-                if tag == _TAG_INT:
-                    values.append(f"f[o + {next_int}]" if next_int else "f[o]")
-                    next_int += 1
-                elif tag == _TAG_TRUE:
-                    values.append("True")
-                elif tag == _TAG_FALSE:
-                    values.append("False")
-                else:
-                    values.append("None")
-            call = f"_cls({', '.join(values)})"
-            source = (
-                f"def _build(f, o, _cls=_cls):\n    return {call}"
-                if next_int
-                else f"def _build(f, o, _m={call}):\n    return _m"
-            )
-            namespace: dict[str, Any] = {"_cls": self._classes[type_id]}
-            exec(source, namespace)  # noqa: S102 - trusted codegen
-            fn = self._builders[key] = namespace["_build"]
-        return fn
-
-
-def _compile_packer(names: tuple[str, ...]):
-    """Exec-compile one class's pack function (None: always slow lane).
-
-    The generated function is straight-line attribute reads with literal
-    tag shifts, returning ``(tagword, int fields)`` or None when a field
-    falls outside the flat envelope.
-    """
-    if len(names) > 30:  # tagword is 2 bits per field in one int
-        return None
-    lines = [
-        "def _pack(m, _LIM=_LIM):",
-        "    tags = 0",
-        "    ints = []",
-        "    ap = ints.append",
-    ]
-    for i, name in enumerate(names):
-        shift = 2 * i
-        lines += [
-            f"    v = m.{name}",
-            "    if type(v) is int:",
-            "        if -_LIM < v < _LIM:",
-            "            ap(v)",
-            "        else:",
-            "            return None",
-            "    elif v is None:",
-            f"        tags |= {_TAG_NONE << shift}",
-            "    elif v is True:",
-            f"        tags |= {_TAG_TRUE << shift}",
-            "    elif v is False:",
-            f"        tags |= {_TAG_FALSE << shift}",
-            "    else:",
-            "        return None",
-        ]
-    lines.append("    return tags, ints")
-    namespace: dict[str, Any] = {"_LIM": _INT_LIMIT}
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
-    return namespace["_pack"]
-
 
 class _OutBuffer:
     """One window's buffered sends from one shard to one destination shard.
 
     Every delivery-ranked send stores its merge key columnwise in
-    ``times``/``keys``; the coordinator sorts on nothing else.  The
-    buffer for the shard's own nodes holds the payloads themselves in
-    ``held`` (the local lane); any other packs them into ``ints``.
+    ``times``/``keys`` (the coordinator sorts on nothing else) and its
+    payload in ``held``.  The layout is the same whether the destination
+    is the shard itself (the local lane) or another shard (the remote
+    lane); only the sends a timer makes, whose ranks are ragged, wait in
+    ``timer`` instead.
     """
 
-    __slots__ = (
-        "times", "keys", "ints", "offs", "held", "slow",
-        "tex", "kex", "iex", "oap", "hap",
-    )
+    __slots__ = ("times", "keys", "held", "timer", "tex", "kex", "hap")
 
     def __init__(self) -> None:
         #: Two doubles per record: (source time, arrival time).
         self.times = array("d")
         #: Two ints per record: (source key, send index).
         self.keys = array("q")
-        #: Packed lane, variable stride: ``dest_pos, far_port, depth,
-        #: type_id, tagword, int fields...``
-        self.ints = array("q")
-        #: Packed record start offsets into ``ints`` — the side array that
-        #: lets the decoder address the variable-stride records
-        #: columnarly instead of walking them one by one.
-        self.offs = array("q")
-        #: Local lane: ``(depth, dest_pos, far_port, message)`` payloads.
+        #: ``(depth, dest_pos, far_port, message)`` payloads.
         self.held: list[tuple] = []
-        #: Slow lane: ``(merge_key, arrival, payload)`` records, payload
+        #: Timer lane: ``(merge_key, arrival, payload)`` records, payload
         #: as in ``held``.
-        self.slow: list[tuple] = []
+        self.timer: list[tuple] = []
         # Pre-bound mutators for the fused send: appending through these
         # skips two attribute walks per lane per send.
         self.tex = self.times.extend
         self.kex = self.keys.extend
-        self.iex = self.ints.extend
-        self.oap = self.offs.append
         self.hap = self.held.append
 
 
@@ -350,7 +180,6 @@ class _RunConfig:
     max_events: int
     shards: int
     collect_snapshots: bool
-    codec: MessageCodec
     #: Initial entries ``(time, global_key, position)``, bucketed by the
     #: owning shard ``position % shards``.
     wakes: list[list[tuple[float, int, int]]]
@@ -367,10 +196,11 @@ class _Shard(SendPath):
     verbatim with the serial kernel, and a window is one
     :meth:`~repro.sim.scheduler.Scheduler.run` call over the same heap
     layout.  This class adds only its send tail — a
-    :meth:`_dispatch_send` bound to the window buffers (the local lane for
-    the shard's own nodes, the packed or slow lane for the others) and
-    its compiled twin, :meth:`_send_tail` — the timer rank, and the
-    buffers' decode and hand-off at the barrier.
+    :meth:`_dispatch_send` bound to the window buffers (one payload
+    layout for every destination shard, its own included, and the timer
+    lane for sends under a timer's rank) and its compiled twin,
+    :meth:`_send_tail` — the timer rank, and the buffers' decode and
+    hand-off at the barrier.
 
     ``_send_seq`` and ``_timer_seq`` are the send and timer counters of
     the merge keys; the module docstring says why they are never reset.
@@ -385,7 +215,6 @@ class _Shard(SendPath):
         )
         self.cfg = cfg
         self.protocol = cfg.protocol
-        self.codec = cfg.codec
         self._shards = cfg.shards
         self.index = index
         #: Owned positions, in the order of ``nodes``.
@@ -446,50 +275,24 @@ class _Shard(SendPath):
             buf = self._out[dest] = _OutBuffer()
         ce = self._current_entry
         if ce is None:  # timer-ranked: the rank is a 4-tuple
-            buf.slow.append((self._current_rank + (idx,), arrival, payload))
+            buf.timer.append((self._current_rank + (idx,), arrival, payload))
             return
-        if dest == self.index:
-            buf.tex((ce[0], arrival))
-            buf.kex((ce[1], idx))
-            buf.hap(payload)
-            return
-        packed = self.codec.pack(message)
-        if packed is None:
-            buf.slow.append(((ce[0], ce[1], idx), arrival, payload))
-            return
-        type_id, tags, field_ints = packed
         buf.tex((ce[0], arrival))
         buf.kex((ce[1], idx))
-        buf.oap(len(buf.ints))
-        buf.iex((far, far_port, payload[0], type_id, tags))
-        buf.iex(field_ints)
+        buf.hap(payload)
 
-    def _send_tail(self, cls: type, kinds: tuple[str, ...]) -> tuple | None:
-        """A compiled shard send buffers itself: this shard's lane tail.
+    def _send_tail(self) -> tuple:
+        """A compiled shard send buffers itself, as :meth:`_dispatch_send`.
 
-        Sends under a timer rank (no current entry) take the pipeline.  A
-        send to the shard's own nodes takes the local lane (the message
-        is held as is); any other is packed.  A class with a nested
-        message never packs, so it gets no tail.
+        Sends under a timer rank (no current entry) take the pipeline.
+        Any other appends its merge key and payload to the buffer of the
+        destination shard, whichever shard that is, so the tail bakes in
+        only the shard count: the shards of one run share one compiled
+        send per class.
         """
-        entry = self.codec.packer(cls)
-        if entry is None or "message" in kinds:
-            return None
-        is_bool = [kind == "bool" for kind in kinds]
-        type_id = entry[0]
-        tagword = " | ".join(
-            f"({_TAG_TRUE << 2 * i} if v{i} else {_TAG_FALSE << 2 * i})"
-            for i, flag in enumerate(is_bool)
-            if flag
-        )
-        record = ", ".join(
-            ["far", "far_port", "depth", str(type_id), tagword or "0"]
-            + [f"v{i}" for i, flag in enumerate(is_bool) if not flag]
-        )
         hand_off = [
             "        idx = self._send_seq",
             "        self._send_seq = idx + 1",
-            "        depth = self._current_depth + 1",
             f"        dest = far % {self._shards}",
             "        out = self._out",
             "        buf = out[dest]",
@@ -497,14 +300,10 @@ class _Shard(SendPath):
             "            buf = out[dest] = _OutBuffer()",
             "        buf.tex((ce[0], arrival))",
             "        buf.kex((ce[1], idx))",
-            f"        if dest == {self.index}:",
-            "            buf.hap((depth, far, far_port, m))",
-            "        else:",
-            "            buf.oap(len(buf.ints))",
-            f"            buf.iex(({record}))",
+            "        buf.hap((self._current_depth + 1, far, far_port, m))",
         ]
         return (
-            ("shard", self._shards, self.index, type_id),
+            ("shard", self._shards),
             ("(ce := self._current_entry) is not None",),
             hand_off,
             {"_OutBuffer": _OutBuffer},
@@ -549,15 +348,12 @@ class _Shard(SendPath):
 
         Every record becomes a serial-layout delivery entry ``(time,
         global_key, deliver, depth, position, port, message)``, built at C
-        level: one ``map`` of ``tuple.__add__`` appends each held local
-        payload to its ``(time, key, deliver)`` head (it measured faster
-        than transposing the lane with ``zip(*held)``, whose per-tuple
-        iterators also feed the garbage collector), and a packed batch's
-        metadata is gathered per field over the ``offs`` side array.  Each
-        packed message is built by its ``(type_id, tagword)``'s compiled
-        constructor straight from the packed ints; consecutive records of
-        one kind (a broadcast) share the constructor lookup.  One
-        ``heapify`` orders the lot with the pending timers and deliveries.
+        level: one ``map`` of ``tuple.__add__`` appends each payload to its
+        ``(time, key, deliver)`` head, for the shard's own held lane and a
+        remote batch alike (it measured faster than transposing the lane
+        with ``zip(*held)``, whose per-tuple iterators also feed the
+        garbage collector).  One ``heapify`` orders the lot with the
+        pending timers and deliveries.
         """
         heap = self.scheduler._queue.heap
         size = len(heap)
@@ -569,35 +365,14 @@ class _Shard(SendPath):
                 self._held,
             )
             self._held = []
-        builders = self.codec._builders
-        make_builder = self.codec.builder
         for batch in incoming:
             if batch is None:
                 continue
-            arrivals, ints, offs, packed_keys, slow, slow_keys = batch
-            if len(offs):
-                messages: list[Message] = []
-                append = messages.append
-                last = -1
-                build = None
-                for o in offs:
-                    kind = ints[o + 4] << _KIND_SHIFT | ints[o + 3]
-                    if kind != last:
-                        build = builders.get(kind)
-                        if build is None:
-                            build = make_builder(ints[o + 3], ints[o + 4])
-                        last = kind
-                    append(build(ints, o + _REC_HEAD))
-                heap += zip(
-                    arrivals, packed_keys, deliver,
-                    [ints[o + 2] for o in offs],
-                    [ints[o] for o in offs],
-                    [ints[o + 1] for o in offs],
-                    messages,
-                )
+            arrivals, keys, held, timer, timer_keys = batch
+            heap += map(tuple.__add__, zip(arrivals, keys, deliver), held)
             heap += (
                 (record[1], key, self._deliver, *record[2])
-                for record, key in zip(slow, slow_keys)
+                for record, key in zip(timer, timer_keys)
             )
         if len(heap) != size:
             heapq.heapify(heap)
@@ -615,7 +390,7 @@ class _Shard(SendPath):
         ``budget`` is the whole run's remaining event allowance — the
         global livelock budget, not a per-shard one.  ``local_keys`` are
         the global keys of the previous window's local lane.  Returns the
-        packed and slow batches (keyed by destination shard), this
+        remote and timer batches (keyed by destination shard), this
         window's local lane as ``(source times, (source key, send index)
         pairs, earliest arrival)`` or None, and window stats.
         """
@@ -643,17 +418,15 @@ class _Shard(SendPath):
             if buf is None:
                 continue
             if dest != self.index:
-                out[dest] = (buf.times, buf.keys, buf.ints, buf.offs, buf.slow)
+                out[dest] = (buf.times, buf.keys, buf.held, buf.timer)
                 continue
             # The own buffer's merge-key columns belong to the local lane.
             if buf.held:
                 self._held_arrivals = arrivals = buf.times[1::2]
                 self._held = buf.held
                 local = (buf.times[0::2], buf.keys, min(arrivals))
-            if buf.slow:
-                out[dest] = (
-                    array("d"), array("q"), array("q"), array("q"), buf.slow
-                )
+            if buf.timer:
+                out[dest] = (array("d"), array("q"), [], buf.timer)
         self._out = [None] * self._shards
         self._busy += perf_counter() - t0
         heap = scheduler._queue.heap
@@ -784,8 +557,9 @@ class _ForkHandle:
     """Drives one shard in a forked worker over a pipe.
 
     The pipe carries everything: control messages, per-window stats, the
-    local lane's merge keys out and global keys back, and the packed and
-    slow lanes of every routed batch (the arrays pickle as flat buffers).
+    local lane's merge keys out and global keys back, and the remote and
+    timer lanes of every routed batch (the merge-key arrays pickle as flat
+    buffers, the payload tuples as objects).
     The run configuration is inherited through the fork, never pickled.
     """
 
@@ -987,7 +761,6 @@ class ShardedNetwork:
             max_events=max_events,
             shards=shards,
             collect_snapshots=collect_snapshots,
-            codec=MessageCodec(),
             wakes=wakes,
             crashes=crash_entries,
         )
@@ -1016,12 +789,16 @@ class ShardedNetwork:
         wall0 = perf_counter()
         k = self.shards
         cfg = self._cfg
-        if self._forked:
-            context = fork_context()
-            handles: list[Any] = [_ForkHandle(context, cfg, i) for i in range(k)]
-        else:
-            handles = [_LocalHandle(cfg, i) for i in range(k)]
+        make = (
+            partial(_ForkHandle, fork_context()) if self._forked
+            else _LocalHandle
+        )
+        handles: list[Any] = []
         try:
+            # Built inside the try: if one worker fails to start, the
+            # ones already running are closed with the rest.
+            for i in range(k):
+                handles.append(make(cfg, i))
             finals = self._drive(handles)
         finally:
             for handle in handles:
@@ -1052,7 +829,7 @@ class ShardedNetwork:
         global_seq = 0
         total_processed = 0
         windows = 0
-        records = {"local": 0, "packed": 0, "slow": 0}
+        records = {"local": 0, "remote": 0, "timer": 0}
         leader: tuple[int, float, int] | None = None
         leader_shard = -1
         #: pending_in[dest][src]: batch routed but not yet delivered.
@@ -1157,17 +934,17 @@ def _route(
 
     ``outs[src]`` is shard ``src``'s ``(batches by destination, local
     lane)``.  Every record becomes one flat item — ``(t, key, idx, slot,
-    r)`` for the local and packed lanes, ``(*rank, slot, r)`` for the slow
-    lane — built with C-level ``zip`` over the merge-key columns.  Distinct
-    ranks differ before any ragged position, and each slot's records are
-    already a sorted run, so one sort merges them.  Assigning consecutive
-    keys in sorted order reproduces the serial kernel's scheduling order
-    (see the module docstring); slot ``slot`` gets its keys in
-    ``keys[slot][r]``.
+    r)`` for the local and remote lanes, ``(*rank, slot, r)`` for the
+    timer lane — built with C-level ``zip`` over the merge-key columns.
+    Distinct ranks differ before any ragged position, and each slot's
+    records are already a sorted run, so one sort merges them.  Assigning
+    consecutive keys in sorted order reproduces the serial kernel's
+    scheduling order (see the module docstring); slot ``slot`` gets its
+    keys in ``keys[slot][r]``.
 
     Fills ``local_in[src]`` with the keys of ``src``'s local lane and
-    ``pending_in[dest][src]`` with ``(arrivals, ints, offs, keys, slow,
-    slow_keys)``; adds the window's per-lane record counts to
+    ``pending_in[dest][src]`` with ``(arrivals, keys, held, timer,
+    timer_keys)``; adds the window's per-lane record counts to
     ``records``.  Returns the earliest routed arrival and the advanced
     global sequence counter.
     """
@@ -1191,27 +968,27 @@ def _route(
             local_in[src] = add_slot(src_times, mkeys, count)
             if arrival < incoming_min:
                 incoming_min = arrival
-        for dest, (times, mkeys, ints, offs, slow) in out.items():
-            count = len(offs)
-            packed_keys = add_slot(times[0::2], mkeys, count)
-            slow_keys = [0] * len(slow)
+        for dest, (times, mkeys, held, timer) in out.items():
+            count = len(held)
+            remote_keys = add_slot(times[0::2], mkeys, count)
+            timer_keys = [0] * len(timer)
             arrivals = times[1::2]
             pending_in[dest][src] = (
-                arrivals, ints, offs, packed_keys, slow, slow_keys
+                arrivals, remote_keys, held, timer, timer_keys
             )
             if count:
-                records["packed"] += count
+                records["remote"] += count
                 arrival = min(arrivals)
                 if arrival < incoming_min:
                     incoming_min = arrival
-            if slow:
-                records["slow"] += len(slow)
+            if timer:
+                records["timer"] += len(timer)
                 slot = len(keys)
-                keys.append(slow_keys)
+                keys.append(timer_keys)
                 items.extend(
-                    (*record[0], slot, r) for r, record in enumerate(slow)
+                    (*record[0], slot, r) for r, record in enumerate(timer)
                 )
-                arrival = min(record[1] for record in slow)
+                arrival = min(record[1] for record in timer)
                 if arrival < incoming_min:
                     incoming_min = arrival
     items.sort()

@@ -15,10 +15,11 @@ seconds wall clock including the floor.
 The other tests pin the compiled per-class sends (``SendPath._send_fn``):
 they must agree with the ``SendPath._transmit`` pipeline on every input,
 edge values, nested payloads, fault plans and run-RNG delays included;
-the hot protocols and the lossy build must actually take them; and a
-plain run must compile exactly the source it compiled before.  Two more
-pin the one dispatch loop: every sharded event runs through
-``Scheduler.run``, and a serial run's heap holds only bound handlers.
+the hot protocols, the lossy build and the sharded overlay must actually
+take them; and a plain run must compile exactly the source it compiled
+before.  Two more pin the one dispatch loop: every sharded event runs
+through ``Scheduler.run``, and a serial run's heap holds only bound
+handlers.
 """
 
 from __future__ import annotations
@@ -359,6 +360,31 @@ def test_traced_runs_take_the_pipeline_and_faulty_runs_compile(kwargs):
 
 
 @pytest.mark.perf_smoke
+def test_sharded_overlay_sends_compile(monkeypatch):
+    """Payloads cross shards as objects, so the overlay's ``Packet``, with
+    its nested message, compiles into a shard send as ``Ack`` does."""
+    shards = []
+    real_init = _Shard.__init__
+
+    def recording_init(self, cfg, index):
+        real_init(self, cfg, index)
+        shards.append(self)
+
+    monkeypatch.setattr(_Shard, "__init__", recording_init)
+    network = ShardedNetwork(
+        ReliableDelivery(ProtocolC()), complete_with_sense_of_direction(64),
+        shards=2, workers=0,
+        faults=FaultPlan(seed=1, drop=0.1, duplicate=0.05, jitter=0.25),
+    )
+    network.run()
+    assert len(shards) == 2
+    for shard in shards:
+        fns = shard._send_fns
+        assert set(fns) == {Packet, Ack}
+        assert all(fn is not SendPath._transmit for fn in fns.values()), fns
+
+
+@pytest.mark.perf_smoke
 def test_networks_of_one_shape_share_compiled_sends():
     first, second = (
         _send_fns(Network(ProtocolC(), complete_with_sense_of_direction(64)))
@@ -434,8 +460,8 @@ def test_a_serial_run_schedules_no_closure_entries(monkeypatch):
 #: wiring), no fault plan, no tracing and the default ``ConstantDelay``,
 #: serially and on two in-process shards, and prints per runtime how many
 #: sends were compiled and a sha256 of their generated source.  It runs in
-#: a fresh interpreter because the shard tail bakes in codec type ids,
-#: which depend on every ``Message`` subclass imported (tests add some).
+#: a fresh interpreter, so its spy on ``compile`` and its emptying of the
+#: send cache touch no other test.
 _PLAIN_SOURCES_SCRIPT = r"""
 import hashlib
 import json
@@ -482,7 +508,7 @@ _PLAIN_SOURCES = {
         39, "e6fc8d1bbf7c6b32cbfd20390356f0433940461307501b7902857df244a0d3f7"
     ],
     "shard": [
-        39, "ab6ad617051c6382686cb14680097c6ddeeea03ebb1852933cfcedc7b3afdccc"
+        39, "618040777f1b6db62d2a6e9c0577106ace297d987bf0132a44ed09b49619537a"
     ],
 }
 

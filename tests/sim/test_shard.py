@@ -6,7 +6,8 @@ sharded run must agree with the serial kernel on every deterministic
 result field — the same fingerprint the determinism suite pins — at any
 shard count, in-process or forked, faults included.  These tests enforce
 that promise against the committed seed fixtures, plus the global
-livelock budget, the configuration gates, and the packed-array codec.
+livelock budget, the configuration gates, and the object lanes that
+carry sends between shards.
 
 The ``shard_smoke`` marker is the CI smoke leg: small-N, two shards,
 digest-checked against the frozen fixture file.
@@ -48,15 +49,12 @@ from repro.protocols.nosense.protocol_r import ProtocolR
 from repro.protocols.random import RandomizedSampling, RandomizedTradeoff
 from repro.protocols.sense.protocol_b import ProtocolB
 from repro.protocols.sense.protocol_c import ProtocolC
+from repro.sim import shard as sim_shard
 from repro.sim.delays import ConstantDelay, HookDelay, UniformDelay
 from repro.sim.faults import FaultPlan, isolate
 from repro.sim.network import run_election
 from repro.sim.scheduler import Scheduler
-from repro.sim.shard import (
-    MessageCodec,
-    ShardedNetwork,
-    run_sharded_election,
-)
+from repro.sim.shard import ShardedNetwork, run_sharded_election
 from repro.topology.complete import (
     complete_with_sense_of_direction,
     complete_without_sense,
@@ -277,8 +275,9 @@ def _transport_of(name: str, shards: int, workers: int) -> str:
 @pytest.mark.shard_smoke
 def test_forked_lossy_cell_matches_fixture():
     """The heaviest fault cell (drop/dup/jitter + retransmission overlay)
-    over forked workers: both the packed lane and the pickled slow
-    lane cross the pipes, and the digest equals the serial fixture."""
+    over forked workers: overlay packets cross the pipes as payload
+    objects on the remote and timer lanes, and the digest equals the
+    serial fixture."""
     forked = fingerprint(_run_sharded("E@32-lossy-rel", shards=2, workers=2))
     assert forked == _fixture("E@32-lossy-rel")
 
@@ -453,6 +452,28 @@ def test_ctrl_c_during_drive_cleans_up():
     assert fired, "the run finished before the interrupt"
     assert time.perf_counter() - start < 30
     assert _shm_entries() - before == set()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_fails_to_start_leaks_no_started_peer(monkeypatch):
+    """The second forked worker fails to start: the error propagates and
+    the first worker, already running, does not outlive the run."""
+    real_init = sim_shard._ForkHandle.__init__
+    started = []
+
+    def failing_init(self, context, cfg, index):
+        if index == 1:
+            raise OSError("no process for shard worker 1")
+        real_init(self, context, cfg, index)
+        started.append(index)
+
+    monkeypatch.setattr(sim_shard._ForkHandle, "__init__", failing_init)
+    with pytest.raises(OSError, match="no process for shard worker 1"):
+        run_sharded_election(
+            ProtocolC(), complete_with_sense_of_direction(64),
+            shards=2, workers=2,
+        )
+    assert started == [0]
     assert multiprocessing.active_children() == []
 
 
@@ -669,13 +690,13 @@ class TestGating:
 
 
 # ---------------------------------------------------------------------------
-# The packed-array codec.
+# Sends crossing shards as objects.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class _Nudge(Message):
-    """A field-less message: packs as an empty payload (tagword 0)."""
+    """A field-less message."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -686,20 +707,20 @@ class _Census(Message):
 
 @dataclass(frozen=True, slots=True)
 class _Blob(Message):
-    """A tuple field keeps the class registered but never packable."""
+    """A tuple field keeps the class off the compiled send."""
 
     hops: tuple
 
 
 class _MixedLaneNode(Node):
-    """Chains through port 0, alternating fast- and slow-lane messages.
+    """Chains through port 0, mixing compiled and pipeline sends.
 
     Every third hop the chained :class:`_Census` carries an over-limit
-    tally (``2**62``), pushing a *registered, normally-fast* class onto
-    the slow lane; every fourth hop adds an unpackable :class:`_Blob`;
+    tally (``2**62``), pushing a normally compiled class onto the
+    pipeline; every fourth hop adds a tuple-carrying :class:`_Blob`;
     every remaining hop adds a field-less :class:`_Nudge`.  One window
-    therefore mixes fast records, empty-payload records, and both kinds
-    of slow records on the same links.
+    therefore mixes compiled sends, empty payloads, wide ints and tuple
+    fields on the same links, all crossing shards as objects.
     """
 
     _BIG = 1 << 62
@@ -731,83 +752,14 @@ class _MixedLaneProtocol(ElectionProtocol):
         return _MixedLaneNode(ctx)
 
 
-class TestMessageCodec:
-    def test_flat_messages_round_trip(self):
-        from repro.protocols.sense.protocol_c import LatticeCapture
-
-        codec = MessageCodec()
-        message = LatticeCapture(rank=41, cand=3)
-        packed = codec.pack(message)
-        assert packed is not None
-        type_id, tags, ints = packed
-        assert codec.builder(type_id, tags)(ints, 0) == message
-
-    def test_bool_and_none_fields_ride_the_tagword(self):
-        import dataclasses
-
-        from repro.core.messages import Message
-
-        codec = MessageCodec()
-        flat = None
-        for cls in codec._classes:
-            values = []
-            for f in dataclasses.fields(cls):
-                values.append(True if f.type == "bool" else 7)
-            try:
-                candidate = cls(*values)
-            except Exception:
-                continue
-            if codec.pack(candidate) is not None:
-                flat = candidate
-                break
-        assert flat is not None, "no packable message type found"
-        type_id, tags, ints = codec.pack(flat)
-        assert codec.builder(type_id, tags)(ints, 0) == flat
-
-    def test_nested_messages_take_the_slow_lane(self):
-        from repro.core.reliable import Packet
-        from repro.protocols.sense.protocol_c import LatticeCapture
-
-        codec = MessageCodec()
-        packet = Packet(seq=1, payload=LatticeCapture(rank=3, cand=1))
-        assert codec.pack(packet) is None
-
-    def test_registry_is_deterministic_across_instances(self):
-        first = MessageCodec()
-        second = MessageCodec()
-        assert [c.__qualname__ for c in first._classes] == [
-            c.__qualname__ for c in second._classes
-        ]
-
-    def test_over_limit_ints_take_the_slow_lane(self):
-        """The packed lane carries int64s with headroom: |v| >= 2**62
-        falls back to object relay, one short of the limit still packs."""
-        from repro.protocols.sense.protocol_c import LatticeCapture
-
-        codec = MessageCodec()
-        limit = 1 << 62
-        assert codec.pack(LatticeCapture(rank=limit, cand=0)) is None
-        assert codec.pack(LatticeCapture(rank=-limit, cand=0)) is None
-        for edge in (limit - 1, 1 - limit):
-            packed = codec.pack(LatticeCapture(rank=edge, cand=0))
-            assert packed is not None
-            type_id, tags, ints = packed
-            rebuilt = codec.builder(type_id, tags)(ints, 0)
-            assert rebuilt == LatticeCapture(rank=edge, cand=0)
-
-    def test_empty_payload_messages_round_trip(self):
-        codec = MessageCodec()
-        packed = codec.pack(_Nudge())
-        assert packed is not None
-        type_id, tags, ints = packed
-        assert tags == 0 and ints == []
-        assert codec.builder(type_id, tags)(ints, 0) == _Nudge()
+class TestObjectLane:
+    """Sends of every shape cross shards, and pipes, as payload objects."""
 
     @pytest.mark.parametrize("shards", (2, 3))
     def test_mixed_fast_and_slow_windows_round_trip(self, shards):
-        """End-to-end lane mixing: over-limit ints, unpackable classes and
-        empty payloads interleave with fast records inside single windows,
-        and the sharded digest still equals the serial one."""
+        """End-to-end lane mixing: over-limit ints, tuple fields and empty
+        payloads interleave with compiled sends inside single windows, and
+        the sharded digest still equals the serial one."""
         serial = fingerprint(
             run_election(
                 _MixedLaneProtocol(),
@@ -831,8 +783,9 @@ class TestMessageCodec:
         assert serial == sharded
 
     def test_mixed_lane_windows_round_trip_over_forked_workers(self):
-        """Same mixing, but across the fork transport: both lanes of every
-        batch cross the worker pipes."""
+        """Same mixing, but across the fork transport: every remote
+        payload, ``_Blob`` and ``2**62`` included, is pickled through the
+        worker pipes."""
         in_process = fingerprint(
             run_sharded_election(
                 _MixedLaneProtocol(),
@@ -881,16 +834,18 @@ def _lane_run(protocol, topology, shards, workers, **kwargs):
 
 class TestLanes:
     """Every send takes exactly one lane: local (same shard, delivery- or
-    wake-ranked), packed (cross-shard, flat) or slow (cross-shard
-    unpackable or wide, and every timer-ranked send)."""
+    wake-ranked), remote (another shard, delivery- or wake-ranked) or
+    timer (every timer-ranked send)."""
 
     def test_every_lane_is_exercised_and_exact(self):
         mixed = {"wakeup": {0: 0.0}, "seed": 4}
         cases = [
             (
-                _MixedLaneProtocol,
-                lambda: complete_without_sense(12, seed=4),
-                mixed,
+                lambda: {
+                    "protocol": _MixedLaneProtocol(),
+                    "topology": complete_without_sense(12, seed=4),
+                    **mixed,
+                },
                 fingerprint(
                     run_election(
                         _MixedLaneProtocol(),
@@ -899,21 +854,25 @@ class TestLanes:
                     )
                 ),
             ),
-            (
-                ProtocolC,
-                lambda: complete_with_sense_of_direction(64),
-                {},
-                _fixture("C@64"),
-            ),
+            (SHARDABLE_CASES["C@64"], _fixture("C@64")),
+            # The overlay's retransmission timers send under timer ranks.
+            (SHARDABLE_CASES["E@32-lossy-rel"], _fixture("E@32-lossy-rel")),
         ]
-        seen = {"local": 0, "packed": 0, "slow": 0}
+        seen = {"local": 0, "remote": 0, "timer": 0}
         for shards in (2, 3):
             for workers in (0, shards):
-                for protocol, topology, kwargs, expected in cases:
+                for make_config, expected in cases:
+                    config = make_config()
                     result, records = _lane_run(
-                        protocol(), topology(), shards, workers, **kwargs
+                        config.pop("protocol"), config.pop("topology"),
+                        shards, workers, **config,
                     )
-                    assert sum(records.values()) == result.messages_total
+                    # One record per copy put on the wire: a dropped send
+                    # has none, a duplicated one two.
+                    assert sum(records.values()) == (
+                        result.messages_total - result.messages_dropped
+                        + result.messages_duplicated
+                    )
                     assert fingerprint(result) == expected
                     for lane, count in records.items():
                         seen[lane] += count
@@ -935,7 +894,7 @@ class TestLanes:
         )
         assert {"_Blob", "_Census", "_Nudge"} <= set(result.messages_by_type)
         assert records == {
-            "local": result.messages_total, "packed": 0, "slow": 0,
+            "local": result.messages_total, "remote": 0, "timer": 0,
         }
         assert fingerprint(result) == serial
 

@@ -114,8 +114,10 @@ class TestCommands:
         # The sharded CLI's output must equal the serial CLI's, byte for
         # byte, on forked workers and on one in-process shard (every send
         # on the local lane), with cyclic and with table wiring, and for
-        # Protocol G's multi-phase run: an exit status alone would pass a
-        # sharded run that printed the wrong leader.
+        # Protocol G's multi-phase run, also over 4 forked shards, where
+        # each worker routes remote payloads to three peers: an exit
+        # status alone would pass a sharded run that printed the wrong
+        # leader.
         sharded = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--shards" in s["run"]
@@ -147,6 +149,9 @@ class TestCommands:
             "python -m repro run --protocol G --n 96 --no-sense --seed 5 "
             "--shards 1 --shard-workers 0 > sharded_g1.txt",
             "diff serial_g.txt sharded_g1.txt",
+            "python -m repro run --protocol G --n 96 --no-sense --seed 5 "
+            "--shards 4 --shard-workers 4 > sharded_g4.txt",
+            "diff serial_g.txt sharded_g4.txt",
         ]
 
     def test_perf_smoke_leg_reruns_the_lossy_scenario(self, jobs):
