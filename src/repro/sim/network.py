@@ -261,10 +261,6 @@ def fold_result(
     )
 
 
-#: Largest int magnitude a compiled send takes as is; a wider one takes
-#: the pipeline, which charges and delivers it the same way.
-_INT_LIMIT = 1 << 62
-
 #: Compiled send functions, keyed by the message class and every constant
 #: they bake in, so runs of one shape share them (``exec`` is not cheap).
 _SEND_CACHE: dict[tuple, Callable] = {}
@@ -279,7 +275,7 @@ _FIELD_KINDS = {
 #: Each kind's guard; a value failing it sends through the pipeline.
 _FIELD_GUARDS = {
     "bool": "(v{i} is True or v{i} is False)",
-    "int": "type(v{i}) is int and -_LIM < v{i} < _LIM",
+    "int": "type(v{i}) is int",
     "message": "isinstance(v{i}, _Message)",
 }
 
@@ -303,9 +299,10 @@ def _compile_send(
     ``wiring`` is ``"cyclic"`` (arithmetic), ``"table"`` (the topology's
     port rows, read directly) or ``"methods"``; ``latency`` is a constant,
     a run-RNG uniform ``(low, high - low)`` or None (the delay model).  A
-    send outside the envelope (a bad port, or a value that is ``None``,
-    wide or not of its declared type) takes the pipeline, which is the
-    reference.
+    send outside the envelope (a bad port, or a value that is ``None`` or
+    not of its declared type) takes the pipeline, which is the reference.
+    Only a run-RNG uniform latency records the link's last arrival for
+    the FIFO clamp: a constant one cannot reorder a link.
     """
     _key, guards, hand_off, namespace = tail
     names = [f.name for f in _dataclass_fields(cls)]
@@ -361,22 +358,28 @@ def _compile_send(
             # ``rng.uniform(low, high)`` is ``low + (high - low) * random()``.
             low, span = latency
             delay = f"({low!r} + {span!r} * self.rng.random())"
+            clamp = [
+                "        lasts = self._lasts",
+                "        last = lasts.get(link)",
+                "        if last is not None and arrival < last:",
+                "            arrival = last",
+                "        lasts[link] = arrival",
+            ]
         else:
+            # The clock never goes back and ``now + latency`` is monotone
+            # in ``now``: a constant latency cannot reorder a link.
             delay = repr(latency)
+            clamp = []
         arrival = [
             f"        arrival = self.scheduler._now + {delay}",
             f"        link = position * {n} + far",
-            "        lasts = self._lasts",
-            "        last = lasts.get(link)",
-            "        if last is not None and arrival < last:",
-            "            arrival = last",
-            "        lasts[link] = arrival",
+            *clamp,
             "        loads = self._loads",
             "        loads[link] = loads.get(link, 0) + 1",
         ]
     defaults = "".join(f", {name}={name}" for name in namespace)
     lines = [
-        f"def _send(self, position, port, m, _LIM=_LIM{defaults}):",
+        f"def _send(self, position, port, m{defaults}):",
         *(f"    v{i} = m.{name}" for i, name in enumerate(names)),
         "    if (" + "\n            and ".join(checks) + "):",
         *audit,
@@ -391,7 +394,7 @@ def _compile_send(
         "        return",
         "    self._transmit(position, port, m)",
     ]
-    scope: dict[str, Any] = {"_LIM": _INT_LIMIT, **namespace}
+    scope: dict[str, Any] = dict(namespace)
     # One file name per class keeps the sends apart in profiles.
     code = compile("\n".join(lines), f"<send {cls.__qualname__}>", "exec")
     exec(code, scope)  # noqa: S102 - trusted codegen
@@ -472,7 +475,8 @@ class SendPath:
         self._dropped = 0
         self._duplicated = 0
         self._jittered = 0
-        #: Per directed link ``position * n + far``: last arrival and load.
+        #: Per directed link ``position * n + far``: last arrival (kept by
+        #: the sends whose latency can vary) and load.
         self._lasts: dict[int, float] = {}
         self._loads: dict[int, int] = {}
         #: Message class -> its send function: compiled, or the pipeline.

@@ -1,19 +1,25 @@
 """Tests for the fault-injection layer (`repro.sim.faults`).
 
 Covers the plan's validation surface, the per-link RNG determinism
-contract, zero-rate equivalence (installing an all-quiet plan changes
-nothing, byte for byte), partitions, jitter bounds, and the counter/trace
-plumbing through the network.
+contract, the batched streams against a ``random.Random`` per link,
+zero-rate equivalence (installing an all-quiet plan changes nothing, byte
+for byte), partitions, jitter bounds, and the counter/trace plumbing
+through the network.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import SimulationError
+from repro.core.reliable import ReliableDelivery
 from repro.protocols.nosense.protocol_e import ProtocolE
 from repro.sim.delays import UniformDelay
 from repro.sim.faults import (
+    _BATCH,
     DROP_LOSS,
     DROP_PARTITION,
     FaultPlan,
@@ -21,7 +27,7 @@ from repro.sim.faults import (
     Partition,
     isolate,
 )
-from repro.sim.network import run_election
+from repro.sim.network import Network, run_election
 from repro.topology.complete import complete_without_sense
 from tests.sim.determinism_cases import fingerprint_bytes
 
@@ -126,6 +132,97 @@ class TestDeterminism:
             )
 
         assert fingerprint_bytes(run()) == fingerprint_bytes(run())
+
+
+class _ReferenceStreams:
+    """``ActiveFaultPlan.judge`` as documented: one ``random.Random`` per
+    directed link, seeded ``f"{seed}:{src}:{dst}"``, drawn in the order
+    drop, duplicate, jitter, then the duplicate's jitter.  No partitions."""
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        self.streams: dict[tuple[int, int], random.Random] = {}
+
+    def judge(self, src, dst, now):
+        rng = self.streams.get((src, dst))
+        if rng is None:
+            rng = self.streams[src, dst] = random.Random(
+                f"{self.plan.seed}:{src}:{dst}"
+            )
+        rates = self.plan.per_link.get((src, dst)) or self.plan
+        dropped = rates.drop > 0.0 and rng.random() < rates.drop
+        copies = 1
+        if rates.duplicate > 0.0 and rng.random() < rates.duplicate:
+            copies = 2
+        jitter = dup_jitter = 0.0
+        if rates.jitter > 0.0:
+            jitter = rng.random() * rates.jitter
+            if copies == 2:
+                dup_jitter = rng.random() * rates.jitter
+        if dropped:
+            return 0, 0.0, 0.0, DROP_LOSS
+        return copies, jitter, dup_jitter, None
+
+
+_RATE = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
+
+
+class TestBatchedStreams:
+    """Each link's draws are served in batches from one scratch generator;
+    a verdict must not tell them from a ``random.Random`` per link."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        rates=st.tuples(_RATE, _RATE, _RATE).filter(any),
+        override=st.tuples(_RATE, _RATE, _RATE).filter(any),
+        sends=st.lists(st.integers(70, 120), min_size=2, max_size=4),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_judge_reads_each_links_stream_across_refills(
+        self, seed, rates, override, sends, order
+    ):
+        links = [(i, (3 * i + 1) % 7) for i in range(len(sends))]
+        plan = FaultPlan(
+            seed, *rates, per_link={links[0]: LinkFaults(*override)}
+        )
+        # Interleave the links' sends: a refill re-seeds the shared
+        # generator between another link's verdicts.
+        schedule = [link for link, k in zip(links, sends) for _ in range(k)]
+        order.shuffle(schedule)
+        active = plan.bind()
+        reference = _ReferenceStreams(plan)
+        for t, (src, dst) in enumerate(schedule):
+            assert active.judge(src, dst, float(t)) == reference.judge(
+                src, dst, float(t)
+            )
+        for link in links:
+            # At least one draw per verdict and 70 verdicts: two refills.
+            assert len(active._links[link].draws) >= 4 * _BATCH
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_compiled_sends_read_each_links_stream_across_refills(self, seed):
+        """A compiled faulty run equals its pipeline twin whose verdicts
+        come from a ``random.Random`` per link."""
+        plan = FaultPlan(seed=seed, drop=0.2, duplicate=0.1, jitter=0.3)
+
+        def network(trace):
+            return Network(
+                ReliableDelivery(ProtocolE()),
+                complete_without_sense(16, seed=2),
+                faults=plan, seed=2, trace=trace,
+            )
+
+        compiled, pipeline = network(False), network(True)
+        active = compiled._faults
+        pipeline._faults = _ReferenceStreams(plan)
+        result = compiled.run()
+        assert fingerprint_bytes(result) == fingerprint_bytes(pipeline.run())
+        assert result.messages_dropped and result.messages_duplicated
+        assert max(
+            state.skip + state.at for state in active._links.values()
+        ) > _BATCH
 
 
 class TestZeroRateEquivalence:

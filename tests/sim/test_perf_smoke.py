@@ -17,21 +17,26 @@ they must agree with the ``SendPath._transmit`` pipeline on every input,
 edge values, nested payloads, fault plans and run-RNG delays included;
 the hot protocols, the lossy build and the sharded overlay must actually
 take them; and a plain run must compile exactly the source it compiled
-before.  Two more pin the one dispatch loop: every sharded event runs
-through ``Scheduler.run``, and a serial run's heap holds only bound
-handlers.
+before.  Three pin the lean per-link state: a link's fault stream costs
+under 1 KiB, a bound plan holds one generator, and a constant latency
+keeps no FIFO clock.  Two more pin the one dispatch loop: every sharded
+event runs through ``Scheduler.run``, and a serial run's heap holds only
+bound handlers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -103,8 +108,9 @@ class _Wide(Message):
 
 assert len(dataclasses.fields(_Wide)) == MAX_INT_FIELDS + 1
 
-#: Chain messages that leave the compiled envelope (they must take the
-#: pipeline and still deliver exactly as the pipeline would).
+#: Chain messages at the edges of the compiled envelope, which must
+#: deliver exactly as the pipeline would.  The ``_LEAVING`` ones leave it
+#: and take the pipeline; an int of any width or sign stays in it.
 _EDGES = {
     "none_in_int": lambda h: _Hop(h, True, None),
     "true_in_int": lambda h: _Hop(h, False, True),
@@ -113,6 +119,7 @@ _EDGES = {
     "negative_int": lambda h: _Hop(h, False, -h - 1),
     "nested_packet": lambda h: Packet(h, _Hop(h, True, h)),
 }
+_LEAVING = {"none_in_int", "true_in_int", "int_in_bool"}
 
 
 class _EdgeNode(Node):
@@ -252,6 +259,22 @@ def test_compiled_and_pipeline_sends_agree(edge, wiring):
             assert reference["messages_total"] == 2 * 12, setting
         for name, fields in outcomes.items():
             assert fields == reference, (setting, name)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("edge", sorted(_EDGES))
+def test_only_mistyped_values_leave_the_compiled_send(edge):
+    network = _networks(edge, "cyclic")["serial"]
+    left = []
+    transmit = network._transmit
+
+    def recording_transmit(position, port, m):
+        left.append(m)
+        transmit(position, port, m)
+
+    network._transmit = recording_transmit
+    network.run()
+    assert bool(left) == (edge in _LEAVING), left
 
 
 @pytest.mark.perf_smoke
@@ -397,6 +420,88 @@ def test_networks_of_one_shape_share_compiled_sends():
 
 
 # ---------------------------------------------------------------------------
+# Lean per-link state.
+# ---------------------------------------------------------------------------
+
+
+def _reachable(root) -> list:
+    """Every object ``root`` holds, through any depth of containers."""
+    seen: set[int] = set()
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.perf_smoke
+def test_a_links_fault_state_costs_under_a_kibibyte():
+    active = FaultPlan(seed=7, drop=0.1, duplicate=0.05, jitter=0.5).bind()
+    links = 2_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in range(links):
+            active.judge(src, src + 1, 0.0)
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(active._links) == links
+    assert cost / links <= 1024, f"{cost / links:.0f} B per link"
+
+
+@pytest.mark.perf_smoke
+def test_a_lossy_runs_fault_plan_holds_one_generator():
+    network = _lossy_network(64, seed=3)
+    active = network._faults
+    result = network.run()
+    assert result.messages_dropped and len(active._links) > 100
+    # Not imported: a module importing ``random`` has its protocols (the
+    # edge chain above) refused by the sharded runtime.
+    generator = sys.modules["random"].Random
+    assert sum(isinstance(obj, generator) for obj in _reachable(active)) == 1
+
+
+@pytest.mark.perf_smoke
+def test_constant_latency_runs_keep_no_fifo_clock(monkeypatch):
+    """A constant latency cannot reorder a link, so neither runtime
+    records last arrivals; the link loads are still counted."""
+    paths = []
+    checked = 0
+    real_run = Scheduler.run
+
+    def checking_run(self, **kwargs):
+        nonlocal checked
+        real_run(self, **kwargs)
+        for path in paths:
+            assert not path._lasts
+            checked += 1
+
+    real_init = _Shard.__init__
+
+    def recording_init(self, cfg, index):
+        real_init(self, cfg, index)
+        paths.append(self)
+
+    monkeypatch.setattr(Scheduler, "run", checking_run)
+    monkeypatch.setattr(_Shard, "__init__", recording_init)
+    serial = Network(ProtocolC(), complete_with_sense_of_direction(64))
+    paths.append(serial)
+    assert serial.run().max_channel_load >= 1
+    paths.clear()
+    sharded = ShardedNetwork(
+        ProtocolC(), complete_with_sense_of_direction(64), shards=2, workers=0
+    )
+    assert sharded.run().max_channel_load >= 1
+    assert len(paths) == 2 and all(path._loads for path in paths)
+    assert checked > 2
+
+
+# ---------------------------------------------------------------------------
 # One dispatch loop for both runtimes.
 # ---------------------------------------------------------------------------
 
@@ -505,10 +610,10 @@ print(json.dumps({
 #: it: those must not change a single byte a plain cyclic run compiles.
 _PLAIN_SOURCES = {
     "serial": [
-        39, "e6fc8d1bbf7c6b32cbfd20390356f0433940461307501b7902857df244a0d3f7"
+        39, "e9f596c69bcf5906a481cfecabbddc14fed37165b6bc1cf42628d2999a9fd631"
     ],
     "shard": [
-        39, "618040777f1b6db62d2a6e9c0577106ace297d987bf0132a44ed09b49619537a"
+        39, "33a5f5580dd5c0e27bde7f536aea4ac0f9c1df883eff93fee19cd6ba6cfa8203"
     ],
 }
 

@@ -715,12 +715,12 @@ class _Blob(Message):
 class _MixedLaneNode(Node):
     """Chains through port 0, mixing compiled and pipeline sends.
 
-    Every third hop the chained :class:`_Census` carries an over-limit
-    tally (``2**62``), pushing a normally compiled class onto the
-    pipeline; every fourth hop adds a tuple-carrying :class:`_Blob`;
-    every remaining hop adds a field-less :class:`_Nudge`.  One window
-    therefore mixes compiled sends, empty payloads, wide ints and tuple
-    fields on the same links, all crossing shards as objects.
+    Every third hop the chained :class:`_Census` carries a wide tally
+    (``2**62``), which the compiled send takes as it takes any int;
+    every fourth hop adds a tuple-carrying :class:`_Blob`, which takes
+    the pipeline; every remaining hop adds a field-less :class:`_Nudge`.
+    One window therefore mixes compiled sends, empty payloads, wide ints
+    and tuple fields on the same links, all crossing shards as objects.
     """
 
     _BIG = 1 << 62

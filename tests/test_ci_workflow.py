@@ -156,7 +156,8 @@ class TestCommands:
 
     def test_perf_smoke_leg_reruns_the_lossy_scenario(self, jobs):
         # The compiled faulty send must print the same lossy election in
-        # two processes with different hash seeds.
+        # two processes with different hash seeds, and FT's election, whose
+        # links read past a first batch of fault draws, its pinned line.
         lossy = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--name lossy" in s["run"]
@@ -165,11 +166,17 @@ class TestCommands:
         assert lossy[0]["if"] == "matrix.marker == 'perf_smoke'"
         assert lossy[0]["env"]["PYTHONPATH"] == "src"
         lines = [line.strip() for line in lossy[0]["run"].splitlines()]
-        run = "python -m repro scenario --protocol G --name lossy --n 128 --seed 3"
+        run = "python -m repro scenario --protocol {} --name lossy --n 128 --seed 3"
+        g, ft = run.format("G"), run.format("FT")
         assert lines == [
-            f"PYTHONHASHSEED=1 {run} > lossy_a.txt",
-            f"PYTHONHASHSEED=2 {run} > lossy_b.txt",
+            f"PYTHONHASHSEED=1 {g} > lossy_a.txt",
+            f"PYTHONHASHSEED=2 {g} > lossy_b.txt",
             "diff lossy_a.txt lossy_b.txt",
+            f"PYTHONHASHSEED=1 {ft} > lossy_ft_a.txt",
+            f"PYTHONHASHSEED=2 {ft} > lossy_ft_b.txt",
+            "diff lossy_ft_a.txt lossy_ft_b.txt",
+            "grep -qxF 'REL[FT(f=0)]: N=128 leader=109 msgs=10291 "
+            "time=73.98 depth=5' lossy_ft_a.txt",
         ]
 
     def test_verify_smoke_leg_diffs_hash_seeds_and_workers(self, jobs):
