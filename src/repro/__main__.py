@@ -250,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument(
         "--shard-workers", type=int, default=None, metavar="W",
         help="with --shards: 0 forces in-process shards, any positive "
-        "value forces one forked worker per shard (default: auto, "
+        "value forces a forked run, which forks one worker per shard but "
+        "shard 0, run by the coordinator itself (default: auto, "
         "honouring REPRO_PARALLEL)",
     )
 

@@ -19,7 +19,8 @@ synchronization**:
   own shard stays in the shard (the *local lane*): only its merge key
   goes to the coordinator.  A send to another shard travels there in the
   same layout (the *remote lane*).  Sends a timer makes have ragged
-  ranks and wait in the *timer lane*.
+  ranks and wait in the *timer lane*; those to the sender's own shard
+  also keep their payloads there and send only their ranks.
 * At the window barrier the coordinator sorts every lane's merge keys in
   one flat sort, assigns each record a global sequence key, and hands the
   keys back with the next window op: local keys to the sending shard,
@@ -41,10 +42,16 @@ the destination's buffer; every other send takes the shared pipeline.  A
 window's incoming records become heap entries in one C-level pass.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
-(:class:`_ForkHandle`).  A forked worker talks to the coordinator over a
-single pipe, which carries each window's routed batches and local keys in
-and its outgoing batches, local merge keys and stats back; the merge-key
-arrays pickle as flat buffers and the payload tuples as objects.
+(:class:`_ForkHandle`).  Shard 0 always runs in the coordinator's process:
+a forked run forks workers for shards 1..k−1 only, sends each window op to
+them first, runs shard 0 while they run theirs, and lays out shard 0's
+records for the key route while it waits for theirs.  A forked worker
+talks to the coordinator over a single pipe, which carries each window's
+routed batches and local keys in and its outgoing batches, local merge
+keys and stats back; the merge-key arrays pickle as flat buffers and the
+payload tuples as objects.  At the end every shard computes its tally at
+once: the coordinator sends ``finish`` to every worker before it waits
+for any.
 
 **Digest contract.**  A sharded run must be indistinguishable from the
 serial run in every deterministic result field
@@ -89,14 +96,14 @@ overrun the serial budget k×.
 from __future__ import annotations
 
 import builtins
+import gc
 import heapq
 import os
 import random
 from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from math import inf, nextafter
 from time import perf_counter
 from typing import Any
@@ -131,6 +138,9 @@ TIMER_MARK = 1 << TIEBREAK_SHIFT
 #: tiebreaks (wake -1, crash -2).
 _WAKE_BASE = -(1 << TIEBREAK_SHIFT)
 _CRASH_BASE = -(2 << TIEBREAK_SHIFT)
+#: The collector's young-generation threshold while a sharded run is in
+#: flight (the interpreter's default is 700); see :meth:`ShardedNetwork.run`.
+_YOUNG_THRESHOLD = 20_000
 
 
 class _OutBuffer:
@@ -227,10 +237,12 @@ class _Shard(SendPath):
         self._busy = 0.0
         #: The window's outgoing buffers, one slot per destination shard.
         self._out: list[_OutBuffer | None] = [None] * cfg.shards
-        #: The last window's local-lane arrivals and payloads, waiting for
-        #: the global keys the next window op brings.
+        #: The last window's local lane, waiting for the global keys the
+        #: next window op brings: arrivals and payloads, and the own-shard
+        #: timer-lane records.
         self._held_arrivals = array("d")
         self._held: list[tuple] = []
+        self._held_timer: list[tuple] = []
         self._deliver = self._deliver_entry
         protocol = cfg.protocol
         self.nodes: list[Node] = [
@@ -342,7 +354,7 @@ class _Shard(SendPath):
     # -- the window --------------------------------------------------------
 
     def _decode_incoming(
-        self, incoming: list[tuple | None], local_keys: array | None
+        self, incoming: list[tuple | None], local_keys: tuple | None
     ) -> None:
         """Push held local sends and routed batches onto the heap.
 
@@ -358,22 +370,29 @@ class _Shard(SendPath):
         heap = self.scheduler._queue.heap
         size = len(heap)
         deliver = repeat(self._deliver)
+
+        def add_timer(timer: list[tuple], timer_keys: array) -> None:
+            heap.extend(
+                (record[1], key, self._deliver, *record[2])
+                for record, key in zip(timer, timer_keys)
+            )
+
         if local_keys is not None:
+            keys, timer_keys = local_keys
             heap += map(
                 tuple.__add__,
-                zip(self._held_arrivals, local_keys, deliver),
+                zip(self._held_arrivals, keys, deliver),
                 self._held,
             )
+            add_timer(self._held_timer, timer_keys)
             self._held = []
+            self._held_timer = []
         for batch in incoming:
             if batch is None:
                 continue
             arrivals, keys, held, timer, timer_keys = batch
             heap += map(tuple.__add__, zip(arrivals, keys, deliver), held)
-            heap += (
-                (record[1], key, self._deliver, *record[2])
-                for record, key in zip(timer, timer_keys)
-            )
+            add_timer(timer, timer_keys)
         if len(heap) != size:
             heapq.heapify(heap)
 
@@ -383,16 +402,19 @@ class _Shard(SendPath):
         end: float,
         budget: int,
         incoming: list[tuple | None],
-        local_keys: array | None,
+        local_keys: tuple | None,
     ) -> tuple[dict[int, tuple], tuple | None, dict[str, Any]]:
         """Execute every owned event with time in ``[start, end)``.
 
         ``budget`` is the whole run's remaining event allowance — the
         global livelock budget, not a per-shard one.  ``local_keys`` are
-        the global keys of the previous window's local lane.  Returns the
-        remote and timer batches (keyed by destination shard), this
-        window's local lane as ``(source times, (source key, send index)
-        pairs, earliest arrival)`` or None, and window stats.
+        the global keys of the previous window's local lane, as ``(keys,
+        timer keys)``.  Returns the remote and timer batches (keyed by
+        destination shard), this window's local lane or None, and window
+        stats.  The local lane is the merge keys of the sends this shard
+        keeps, ``(source times, (source key, send index) pairs, timer
+        ranks, earliest arrival)``: its payloads, the timer lane's own-shard
+        records included, never leave the shard.
         """
         t0 = perf_counter()
         self._decode_incoming(incoming, local_keys)
@@ -420,13 +442,18 @@ class _Shard(SendPath):
             if dest != self.index:
                 out[dest] = (buf.times, buf.keys, buf.held, buf.timer)
                 continue
-            # The own buffer's merge-key columns belong to the local lane.
-            if buf.held:
-                self._held_arrivals = arrivals = buf.times[1::2]
-                self._held = buf.held
-                local = (buf.times[0::2], buf.keys, min(arrivals))
-            if buf.timer:
-                out[dest] = (array("d"), array("q"), [], buf.timer)
+            # The own buffer stays here: its merge keys are the local lane.
+            self._held_arrivals = arrivals = buf.times[1::2]
+            self._held = buf.held
+            self._held_timer = timer = buf.timer
+            earliest = min(
+                min(arrivals, default=inf),
+                min((record[1] for record in timer), default=inf),
+            )
+            local = (
+                buf.times[0::2], buf.keys, [record[0] for record in timer],
+                earliest,
+            )
         self._out = [None] * self._shards
         self._busy += perf_counter() - t0
         heap = scheduler._queue.heap
@@ -458,29 +485,37 @@ class _Shard(SendPath):
 
 
 class _LocalHandle:
-    """Drives one shard in-process (the REPRO_PARALLEL=0 / 1-CPU mode)."""
+    """Drives one shard in this process.
+
+    Every shard of an in-process run (``workers=0``, or one CPU) is one of
+    these, and so is shard 0 of a forked run: the coordinator runs it
+    while the forked workers run theirs.
+    """
 
     def __init__(self, cfg: _RunConfig, index: int) -> None:
         self._shard = _Shard(cfg, index)
 
-    def window(self, start, end, budget, incoming, local_keys) -> None:
+    def _call(self, method, *args) -> None:
         # A failure waits for collect(), as a forked worker's would, so
         # every shard runs the window before the coordinator picks one.
         try:
-            self._reply = self._shard.run_window(
-                start, end, budget, incoming, local_keys
-            )
+            self._reply = method(*args)
         except Exception as exc:
             self._reply = exc
+
+    def window(self, start, end, budget, incoming, local_keys) -> None:
+        self._call(
+            self._shard.run_window, start, end, budget, incoming, local_keys
+        )
+
+    def finish(self) -> None:
+        self._call(self._shard.finish)
 
     def collect(self):
         reply = self._reply
         if isinstance(reply, Exception):
             raise reply
         return reply
-
-    def finish(self) -> dict[str, Any]:
-        return self._shard.finish()
 
     def close(self) -> None:
         pass
@@ -493,9 +528,9 @@ def _worker_main(conn, cfg: _RunConfig, index: int) -> None:
         while True:
             op = conn.recv()
             if op[0] == "window":
-                conn.send(("done", *shard.run_window(*op[1:])))
+                conn.send(("done", shard.run_window(*op[1:])))
             elif op[0] == "finish":
-                conn.send(("result", shard.finish()))
+                conn.send(("done", shard.finish()))
                 return
             else:
                 return
@@ -564,6 +599,11 @@ class _ForkHandle:
     """
 
     def __init__(self, context, cfg: _RunConfig, index: int) -> None:
+        self.index = index
+        #: Where the worker is, for the error if it dies: the number and
+        #: start of the last window op sent, or the finish.
+        self._where = "before its first window"
+        self._windows = 0
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_worker_main, args=(child, cfg, index), daemon=True
@@ -571,26 +611,26 @@ class _ForkHandle:
         self._process.start()
         child.close()
 
-    def _recv(self):
+    def window(self, start, end, budget, incoming, local_keys) -> None:
+        self._windows += 1
+        self._where = f"in window {self._windows} (start t={start})"
+        self._conn.send(("window", start, end, budget, incoming, local_keys))
+
+    def finish(self) -> None:
+        self._where = f"while finishing, after window {self._windows}"
+        self._conn.send(("finish",))
+
+    def collect(self):
         try:
             reply = self._conn.recv()
         except EOFError:
             raise SimulationError(
-                "shard worker exited unexpectedly (killed or crashed hard)"
+                f"shard {self.index} worker exited unexpectedly (killed or "
+                f"crashed hard) {self._where}"
             ) from None
         if reply[0] == "error":
             raise _relayed_error(*reply[1:])
-        return reply
-
-    def window(self, start, end, budget, incoming, local_keys) -> None:
-        self._conn.send(("window", start, end, budget, incoming, local_keys))
-
-    def collect(self):
-        return self._recv()[1:]
-
-    def finish(self) -> dict[str, Any]:
-        self._conn.send(("finish",))
-        return self._recv()[1]
+        return reply[1]
 
     def close(self) -> None:
         try:
@@ -665,13 +705,16 @@ class ShardedNetwork:
     ``workers=None`` auto-selects: forked shard workers when
     ``REPRO_PARALLEL`` permits, ``fork`` is available and the host has
     more than one CPU; in-process shards otherwise.  ``workers=0`` forces
-    in-process execution, any positive value forces one forked worker per
-    shard.  Both modes run the identical window/merge pipeline, so their
-    results are equal by construction.
+    in-process execution, any positive value forces a forked run.  A
+    forked run forks k−1 workers, one each for shards 1..k−1; the
+    coordinator runs shard 0 itself (so one shard forks nothing).  Both
+    modes run the identical window/merge pipeline, so their results are
+    equal by construction.
 
     After :meth:`run`, :attr:`stats` holds the kernel-level numbers the
     benchmarks publish (per-shard busy seconds and event counts, window
-    count, wall time).
+    count, per-lane record counts, the seconds the coordinator spent in
+    the key route, wall time).
     """
 
     def __init__(
@@ -773,7 +816,8 @@ class ShardedNetwork:
             )
         else:
             forked = workers > 0 and fork_context() is not None
-        self._forked = forked
+        # Shard 0 always runs in this process: one shard forks nothing.
+        self._forked = forked and shards > 1
         self._ran = False
         self.stats: dict[str, Any] = {}
 
@@ -789,18 +833,30 @@ class ShardedNetwork:
         wall0 = perf_counter()
         k = self.shards
         cfg = self._cfg
-        make = (
-            partial(_ForkHandle, fork_context()) if self._forked
-            else _LocalHandle
-        )
+        # A window decodes its incoming records into heap entries in one
+        # burst, and they live until it dispatches them: a young pass
+        # every 700 allocations would only traverse live entries and
+        # promote them towards full collections.  The run raises the
+        # threshold, which forked workers inherit, and restores the
+        # caller's on the way out.
+        thresholds = gc.get_threshold()
+        gc.set_threshold(max(thresholds[0], _YOUNG_THRESHOLD), *thresholds[1:])
         handles: list[Any] = []
         try:
             # Built inside the try: if one worker fails to start, the
-            # ones already running are closed with the rest.
-            for i in range(k):
-                handles.append(make(cfg, i))
+            # ones already running are closed with the rest.  Shard 0
+            # runs in this process; a forked run forks the others first,
+            # so that no worker inherits shard 0's state.
+            if self._forked:
+                context = fork_context()
+                for i in range(1, k):
+                    handles.append(_ForkHandle(context, cfg, i))
+                handles.insert(0, _LocalHandle(cfg, 0))
+            else:
+                handles.extend(_LocalHandle(cfg, i) for i in range(k))
             finals = self._drive(handles)
         finally:
+            gc.set_threshold(*thresholds)
             for handle in handles:
                 handle.close()
         result = fold_result(
@@ -829,6 +885,7 @@ class ShardedNetwork:
         global_seq = 0
         total_processed = 0
         windows = 0
+        route_seconds = 0.0
         records = {"local": 0, "remote": 0, "timer": 0}
         leader: tuple[int, float, int] | None = None
         leader_shard = -1
@@ -837,11 +894,14 @@ class ShardedNetwork:
             [None] * k for _ in range(k)
         ]
         #: local_in[src]: global keys of src's last local lane.
-        local_in: list[array | None] = [None] * k
+        local_in: list[tuple | None] = [None] * k
         next_times: list[float | None] = [
             self._initial_min if self._initial_min != float("inf") else None
         ] * k
         incoming_min = float("inf")
+        # Shard 0 runs in this process when the others are forked: every
+        # op goes to the workers first, so that they run while it does.
+        order = [*range(1, k), 0]
 
         while True:
             start = incoming_min
@@ -853,45 +913,62 @@ class ShardedNetwork:
             end = start + lookahead
             budget = max_events - total_processed
             windows += 1
-            for index, handle in enumerate(handles):
-                handle.window(
+            for index in order:
+                handles[index].window(
                     start, end, budget, pending_in[index], local_in[index]
                 )
             pending_in = [[None] * k for _ in range(k)]
             local_in = [None] * k
-            replies = []
+            route = _Route(records)
+            window_stats = []
             errors = []
-            for handle in handles:
-                try:
-                    replies.append(handle.collect())
-                except Exception as exc:
-                    errors.append(exc)
-            if errors:
-                raise _first_failure(errors)
-            outs: list[tuple[dict[int, tuple], tuple | None]] = []
-            for index, (out, local, stats) in enumerate(replies):
-                outs.append((out, local))
-                total_processed += stats["processed"]
-                next_times[index] = stats["next_time"]
-                reported = stats["leader"]
-                if reported is not None:
-                    if leader is None:
-                        leader, leader_shard = reported, index
-                    elif leader_shard != index:
-                        raise leader_conflict(
-                            self.protocol, self.topology, leader, reported
-                        )
-            if total_processed > max_events:
-                raise LivelockError(
-                    f"event budget of {max_events} exhausted at t={start}; "
-                    f"the protocol is livelocked (aggregate across "
-                    f"{k} shard schedulers)"
-                )
-            incoming_min, global_seq = _route(
-                outs, pending_in, local_in, global_seq, records
-            )
+            # The route allocates only acyclic tuples and arrays: the
+            # collector stays paused from the first reply to the last key.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                for index, handle in enumerate(handles):
+                    try:
+                        out, local, stats = handle.collect()
+                    except Exception as exc:
+                        errors.append(exc)
+                        continue
+                    window_stats.append(stats)
+                    # Shard 0 comes first: its records join the route
+                    # while the forked shards still run.
+                    route0 = perf_counter()
+                    route.add(index, out, local)
+                    route_seconds += perf_counter() - route0
+                if errors:
+                    raise _first_failure(errors)
+                for index, stats in enumerate(window_stats):
+                    total_processed += stats["processed"]
+                    next_times[index] = stats["next_time"]
+                    reported = stats["leader"]
+                    if reported is not None:
+                        if leader is None:
+                            leader, leader_shard = reported, index
+                        elif leader_shard != index:
+                            raise leader_conflict(
+                                self.protocol, self.topology, leader, reported
+                            )
+                if total_processed > max_events:
+                    raise LivelockError(
+                        f"event budget of {max_events} exhausted at "
+                        f"t={start}; the protocol is livelocked (aggregate "
+                        f"across {k} shard schedulers)"
+                    )
+                route0 = perf_counter()
+                global_seq = route.assign(global_seq, pending_in, local_in)
+                route_seconds += perf_counter() - route0
+            finally:
+                if collecting:
+                    gc.enable()
+            incoming_min = route.incoming_min
 
-        finals = [handle.finish() for handle in handles]
+        for index in order:
+            handles[index].finish()
+        finals = [handle.collect() for handle in handles]
         self.stats.update(
             {
                 "shards": k,
@@ -902,6 +979,7 @@ class ShardedNetwork:
                 "events_per_shard": [f["processed"] for f in finals],
                 "busy_per_shard": [f["busy"] for f in finals],
                 "records": records,
+                "route_seconds": route_seconds,
             }
         )
         return finals
@@ -923,78 +1001,105 @@ class ShardedNetwork:
         )
 
 
-def _route(
-    outs: list[tuple[dict[int, tuple], tuple | None]],
-    pending_in: list[list[tuple | None]],
-    local_in: list[array | None],
-    global_seq: int,
-    records: dict[str, int],
-) -> tuple[float, int]:
-    """Globally order one window's sends and hand out their global keys.
+class _Route:
+    """One window's key route: globally order the sends, hand out keys.
 
-    ``outs[src]`` is shard ``src``'s ``(batches by destination, local
-    lane)``.  Every record becomes one flat item — ``(t, key, idx, slot,
-    r)`` for the local and remote lanes, ``(*rank, slot, r)`` for the
-    timer lane — built with C-level ``zip`` over the merge-key columns.
-    Distinct ranks differ before any ragged position, and each slot's
-    records are already a sorted run, so one sort merges them.  Assigning
-    consecutive keys in sorted order reproduces the serial kernel's
-    scheduling order (see the module docstring); slot ``slot`` gets its
-    keys in ``keys[slot][r]``.
+    Each shard's window output joins with :meth:`add` as soon as the
+    coordinator collects it, so shard 0's records, made in this process,
+    are laid out while the forked shards still run.  Every record becomes
+    one flat item ending in its position ``f`` in the window's flat key
+    array — ``(t, key, idx, f)`` for the local and remote lanes,
+    ``(*rank, f)`` for the timer lane — built with C-level ``zip`` over
+    the merge-key columns.  Distinct ranks differ before any ragged
+    position, so one sort in :meth:`assign` merges the lanes, and each
+    record's global key is its place in sorted order: assigning
+    consecutive keys so reproduces the serial kernel's scheduling order
+    (see the module docstring).  Each lane's records hold one span of the
+    flat array, so its keys are one slice of it.
 
-    Fills ``local_in[src]`` with the keys of ``src``'s local lane and
-    ``pending_in[dest][src]`` with ``(arrivals, keys, held, timer,
-    timer_keys)``; adds the window's per-lane record counts to
-    ``records``.  Returns the earliest routed arrival and the advanced
-    global sequence counter.
+    It allocates only acyclic tuples and arrays, so the coordinator runs
+    it with the collector paused.
     """
-    items: list[tuple] = []
-    keys: list[Any] = []
-    incoming_min = float("inf")
 
-    def add_slot(src_times: array, mkeys: array, count: int) -> array:
-        slot_keys = array("q", bytes(8 * count))
-        items.extend(
-            zip(src_times, mkeys[0::2], mkeys[1::2], repeat(len(keys)), range(count))
-        )
-        keys.append(slot_keys)
-        return slot_keys
+    def __init__(self, records: dict[str, int]) -> None:
+        #: The run's per-lane record counts, which :meth:`add` advances.
+        self._records = records
+        self._items: list[tuple] = []
+        #: ``(src, span, timer span)`` per local lane.
+        self._locals: list[tuple] = []
+        #: ``(src, dest, arrivals, span, held, timer, timer span)`` per
+        #: remote batch.
+        self._batches: list[tuple] = []
+        #: The earliest arrival of any routed record.
+        self.incoming_min = inf
 
-    for src, (out, local) in enumerate(outs):
+    def _span(self, src_times: array, mkeys: array) -> slice:
+        items = self._items
+        start = len(items)
+        items.extend(zip(src_times, mkeys[0::2], mkeys[1::2], count(start)))
+        return slice(start, len(items))
+
+    def _timer_span(self, ranks: list[tuple]) -> slice:
+        items = self._items
+        start = len(items)
+        items.extend((*rank, f) for f, rank in enumerate(ranks, start))
+        return slice(start, len(items))
+
+    def add(
+        self, src: int, out: dict[int, tuple], local: tuple | None
+    ) -> None:
+        """Lay out shard ``src``'s window output: its batches by
+        destination and its local lane (see :meth:`_Shard.run_window`)."""
+        records = self._records
+        arrival = inf
         if local is not None:
-            src_times, mkeys, arrival = local
-            count = len(src_times)
-            records["local"] += count
-            local_in[src] = add_slot(src_times, mkeys, count)
-            if arrival < incoming_min:
-                incoming_min = arrival
-        for dest, (times, mkeys, held, timer) in out.items():
-            count = len(held)
-            remote_keys = add_slot(times[0::2], mkeys, count)
-            timer_keys = [0] * len(timer)
-            arrivals = times[1::2]
-            pending_in[dest][src] = (
-                arrivals, remote_keys, held, timer, timer_keys
+            src_times, mkeys, ranks, arrival = local
+            records["local"] += len(src_times)
+            records["timer"] += len(ranks)
+            self._locals.append(
+                (src, self._span(src_times, mkeys), self._timer_span(ranks))
             )
-            if count:
-                records["remote"] += count
-                arrival = min(arrivals)
-                if arrival < incoming_min:
-                    incoming_min = arrival
-            if timer:
-                records["timer"] += len(timer)
-                slot = len(keys)
-                keys.append(timer_keys)
-                items.extend(
-                    (*record[0], slot, r) for r, record in enumerate(timer)
-                )
-                arrival = min(record[1] for record in timer)
-                if arrival < incoming_min:
-                    incoming_min = arrival
-    items.sort()
-    for g, item in enumerate(items, global_seq):
-        keys[item[-2]][item[-1]] = g
-    return incoming_min, global_seq + len(items)
+        for dest, (times, mkeys, held, timer) in out.items():
+            arrivals = times[1::2]
+            self._batches.append((
+                src, dest, arrivals, self._span(times[0::2], mkeys), held,
+                timer, self._timer_span([record[0] for record in timer]),
+            ))
+            records["remote"] += len(held)
+            records["timer"] += len(timer)
+            arrival = min(
+                arrival,
+                min(arrivals, default=inf),
+                min((record[1] for record in timer), default=inf),
+            )
+        if arrival < self.incoming_min:
+            self.incoming_min = arrival
+
+    def assign(
+        self,
+        global_seq: int,
+        pending_in: list[list[tuple | None]],
+        local_in: list[tuple | None],
+    ) -> int:
+        """Sort, and hand out global keys from ``global_seq`` on.
+
+        Fills ``local_in[src]`` with the ``(keys, timer keys)`` of
+        ``src``'s local lane and ``pending_in[dest][src]`` with
+        ``(arrivals, keys, held, timer, timer_keys)``.  Returns the
+        advanced global sequence counter.
+        """
+        items = self._items
+        items.sort()
+        keys = array("q", bytes(8 * len(items)))
+        for g, item in enumerate(items, global_seq):
+            keys[item[-1]] = g
+        for src, span, timer_span in self._locals:
+            local_in[src] = (keys[span], keys[timer_span])
+        for src, dest, arrivals, span, held, timer, timer_span in self._batches:
+            pending_in[dest][src] = (
+                arrivals, keys[span], held, timer, keys[timer_span]
+            )
+        return global_seq + len(items)
 
 
 def _in_position_order(
@@ -1044,7 +1149,8 @@ def run_sharded_election(
 
     The keyword signature mirrors :func:`repro.sim.network.run_election`
     minus the serial-only options (``trace``, ``until``) and plus the
-    sharding controls.
+    sharding controls.  A forked run forks k−1 workers and runs shard 0
+    in this process (see :class:`ShardedNetwork`).
     """
     network = ShardedNetwork(
         protocol,

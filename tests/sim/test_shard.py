@@ -15,6 +15,7 @@ digest-checked against the frozen fixture file.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -340,7 +341,13 @@ _TEST_PID = os.getpid()
 
 class _FailingChainNode(Node):
     """Chains a :class:`_Census` through port 0 and fails (``fail``) at
-    hop ``fail_at``, after several windows have already run."""
+    hop ``fail_at``, after several windows have already run.
+
+    On :func:`_run_failing_chain`'s wiring the chain visits positions 3,
+    7, 0, 3, 7, 0, ...: hop 7 lands on position 3, which is shard 1 of
+    2.  A forked run forks shard 1 and runs shard 0 in this process, so
+    the failing hop runs in a real worker.
+    """
 
     def on_wake(self, spontaneous):
         if spontaneous:
@@ -373,7 +380,7 @@ class _BlockingNode(_FailingChainNode):
 
 class _FailingChainProtocol(ElectionProtocol):
     name = "failing-chain-test"
-    fail_at = 6
+    fail_at = 7
 
     def __init__(self, node_cls):
         self.node_cls = node_cls
@@ -397,7 +404,7 @@ def _run_failing_chain(node_cls, workers: int):
 def test_protocol_errors_keep_their_builtin_type_across_transports(workers):
     """A handler's ``ValueError`` surfaces as ``ValueError`` whether the
     shard ran in-process or in a forked worker."""
-    with pytest.raises(ValueError, match="boom at hop 6"):
+    with pytest.raises(ValueError, match="boom at hop 7"):
         _run_failing_chain(_RaisingNode, workers)
 
 
@@ -408,7 +415,8 @@ def _shm_entries() -> set[str]:
 
 def test_killed_worker_fails_fast_and_leaks_nothing():
     """SIGKILL a forked worker mid-run: the coordinator raises within a
-    bounded time, and no segment or child process outlives the run."""
+    bounded time, naming the shard and the window it died in, and no
+    segment or child process outlives the run."""
     before = _shm_entries()
 
     def hung(signum, frame):
@@ -417,7 +425,12 @@ def test_killed_worker_fails_fast_and_leaks_nothing():
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
-        with pytest.raises(SimulationError, match="exited unexpectedly"):
+        # Hop 7 is delivered at t=7, in the window [7, 8): the eighth.
+        with pytest.raises(
+            SimulationError,
+            match=r"^shard 1 worker exited unexpectedly \(killed or crashed "
+            r"hard\) in window 8 \(start t=7\.0\)$",
+        ):
             _run_failing_chain(_SelfKillingNode, workers=2)
     finally:
         signal.alarm(0)
@@ -456,24 +469,25 @@ def test_ctrl_c_during_drive_cleans_up():
 
 
 def test_a_worker_that_fails_to_start_leaks_no_started_peer(monkeypatch):
-    """The second forked worker fails to start: the error propagates and
-    the first worker, already running, does not outlive the run."""
+    """The second forked worker (shard 2 of 3; shard 0 runs in this
+    process) fails to start: the error propagates and the first worker,
+    already running, does not outlive the run."""
     real_init = sim_shard._ForkHandle.__init__
     started = []
 
     def failing_init(self, context, cfg, index):
-        if index == 1:
-            raise OSError("no process for shard worker 1")
+        if index == 2:
+            raise OSError("no process for shard worker 2")
         real_init(self, context, cfg, index)
         started.append(index)
 
     monkeypatch.setattr(sim_shard._ForkHandle, "__init__", failing_init)
-    with pytest.raises(OSError, match="no process for shard worker 1"):
+    with pytest.raises(OSError, match="no process for shard worker 2"):
         run_sharded_election(
             ProtocolC(), complete_with_sense_of_direction(64),
-            shards=2, workers=2,
+            shards=3, workers=3,
         )
-    assert started == [0]
+    assert started == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -879,6 +893,46 @@ class TestLanes:
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("workers", (0, 2))
+    def test_own_shard_timer_payloads_never_leave_their_shard(
+        self, workers, monkeypatch
+    ):
+        """A timer-ranked send to the sender's own shard keeps its payload
+        in the shard, as a local-lane send does: the coordinator routes
+        only its rank, so no routed batch carries a timer payload back to
+        the shard that sent it.  The overlay's retransmissions resend on
+        their own links, so E@32-lossy-rel makes such sends.  The spy sees
+        the shards that run in this process: all of them in-process, shard
+        0 of a forked run."""
+        real_decode = sim_shard._Shard._decode_incoming
+        real_run_window = sim_shard._Shard.run_window
+        #: Shards handed a routed batch from themselves.
+        echoed = []
+        #: Each window's local lane, as the shards return it.
+        lanes = []
+
+        def decode(shard, incoming, local_keys):
+            if incoming[shard.index] is not None:
+                echoed.append(shard.index)
+            real_decode(shard, incoming, local_keys)
+
+        def run_window(shard, *args):
+            reply = real_run_window(shard, *args)
+            lanes.append(reply[1])
+            return reply
+
+        monkeypatch.setattr(sim_shard._Shard, "_decode_incoming", decode)
+        monkeypatch.setattr(sim_shard._Shard, "run_window", run_window)
+        config = SHARDABLE_CASES["E@32-lossy-rel"]()
+        result, records = _lane_run(
+            config.pop("protocol"), config.pop("topology"), 2, workers,
+            **config,
+        )
+        assert echoed == []
+        # The local lane's timer ranks: own-shard timer sends were made.
+        assert sum(len(lane[2]) for lane in lanes if lane is not None) > 0
+        assert fingerprint(result) == _fixture("E@32-lossy-rel")
+
+    @pytest.mark.parametrize("workers", (0, 2))
     def test_unpackable_and_wide_same_shard_sends_take_the_local_lane(
         self, workers
     ):
@@ -992,17 +1046,7 @@ def _differential_inputs(
     return protocol, topology, kwargs
 
 
-@pytest.mark.shard_smoke
-@settings(max_examples=60, deadline=None)
-@given(_differential_configs())
-# Two shards fail in one window; the earlier-ranked failure must win.
-@example((
-    "E", 23, 2, 998, (0.0, 0.05, 0.25), False, False, ("simultaneous",), None
-))
-def test_generated_configs_shard_exactly(config):
-    """Sharded equals serial on drawn (protocol, N, shard count, seed, wake
-    schedule), with or without a fault plan, crashes, the overlay and
-    per-link delay streams."""
+def _assert_shards_exactly(config, workers: int) -> None:
     name, n, shards, seed, faults, reliable, streams, wake, crashes = config
     # Faults without the overlay, or crashes, may break a protocol's
     # assumptions (a duplicated verdict, a candidate that never answers);
@@ -1021,8 +1065,46 @@ def test_generated_configs_shard_exactly(config):
             return type(error).__name__, str(error)
 
     serial = outcome(run_election)
-    sharded = outcome(run_sharded_election, shards=shards, workers=0)
+    sharded = outcome(run_sharded_election, shards=shards, workers=workers)
     assert sharded == serial
+
+
+@pytest.mark.shard_smoke
+@settings(max_examples=60, deadline=None)
+@given(_differential_configs())
+# Two shards fail in one window; the earlier-ranked failure must win.
+@example((
+    "E", 23, 2, 998, (0.0, 0.05, 0.25), False, False, ("simultaneous",), None
+))
+def test_generated_configs_shard_exactly(config):
+    """Sharded equals serial on drawn (protocol, N, shard count, seed, wake
+    schedule), with or without a fault plan, crashes, the overlay and
+    per-link delay streams."""
+    _assert_shards_exactly(config, workers=0)
+
+
+@st.composite
+def _forked_differential_configs(draw):
+    name, n, _shards, *rest = draw(_differential_configs())
+    return (name, n, draw(st.sampled_from((2, 3))), *rest)
+
+
+@pytest.mark.shard_smoke
+@settings(max_examples=6, deadline=None)
+@given(_forked_differential_configs())
+# The overlay's timers send under timer ranks, to their own shard and to
+# others: the timer lane crosses a pipe at both shard counts.
+@example((
+    "E", 32, 2, 9, (0.1, 0.05, 0.25), True, False, ("simultaneous",), None
+))
+@example((
+    "G", 24, 3, 5, (0.1, 0.0, 0.25), True, True, ("simultaneous",), None
+))
+def test_generated_configs_shard_exactly_over_forked_workers(config):
+    """The same differential check with every shard but shard 0 in a
+    forked worker (k ∈ {2, 3}: at most two workers per example), so that
+    every lane, the overlay's timer lane included, crosses a pipe."""
+    _assert_shards_exactly(config, workers=config[2])
 
 
 # ---------------------------------------------------------------------------
@@ -1073,7 +1155,30 @@ class TestGeometryAndStats:
         assert sum(stats["events_per_shard"]) == stats["events_total"]
         assert stats["shards"] == 4
         assert stats["windows"] > 0
+        assert 0.0 < stats["route_seconds"] < stats["wall_seconds"]
         assert sharded.aggregate_events_per_sec > 0
+
+    def test_a_run_restores_the_callers_collector_thresholds(self):
+        """A run raises the collector's young threshold for its own
+        duration only: the caller's thresholds come back on success and on
+        failure alike."""
+        original = gc.get_threshold()
+        gc.set_threshold(1234, 5, 6)
+        try:
+            for workers in (0, 2):
+                run_sharded_election(
+                    ProtocolC(), complete_with_sense_of_direction(32),
+                    shards=2, workers=workers,
+                )
+                assert gc.get_threshold() == (1234, 5, 6)
+                with pytest.raises(LivelockError):
+                    run_sharded_election(
+                        ProtocolC(), complete_with_sense_of_direction(64),
+                        shards=2, workers=workers, max_events=50,
+                    )
+                assert gc.get_threshold() == (1234, 5, 6)
+        finally:
+            gc.set_threshold(*original)
 
     def test_snapshots_can_be_skipped_for_scale_runs(self):
         result = run_sharded_election(

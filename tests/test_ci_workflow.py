@@ -112,12 +112,13 @@ class TestCommands:
 
     def test_shard_smoke_leg_exercises_the_sharded_cli(self, jobs):
         # The sharded CLI's output must equal the serial CLI's, byte for
-        # byte, on forked workers and on one in-process shard (every send
-        # on the local lane), with cyclic and with table wiring, and for
-        # Protocol G's multi-phase run, also over 4 forked shards, where
-        # each worker routes remote payloads to three peers: an exit
-        # status alone would pass a sharded run that printed the wrong
-        # leader.
+        # byte, on forked workers, with the worker count left to the auto
+        # choice (the benchmark's path), and on one in-process shard
+        # (every send on the local lane), with cyclic and with table
+        # wiring, and for Protocol G's multi-phase run, also over 4
+        # shards, where each shard routes remote payloads to three peers:
+        # an exit status alone would pass a sharded run that printed the
+        # wrong leader.
         sharded = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--shards" in s["run"]
@@ -130,6 +131,10 @@ class TestCommands:
             "python -m repro run --protocol C --n 256 --shards 2 "
             "--shard-workers 2 > sharded_c.txt",
             "diff serial_c.txt sharded_c.txt",
+            # No --shard-workers: the auto-worker path the benchmark takes.
+            "python -m repro run --protocol C --n 256 --shards 2 "
+            "> sharded_c_auto.txt",
+            "diff serial_c.txt sharded_c_auto.txt",
             "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
             "> serial_e.txt",
             "python -m repro run --protocol E --n 64 --no-sense --seed 3 "
