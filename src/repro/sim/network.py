@@ -879,30 +879,38 @@ class Network(SendPath):
         )
 
     def _send_tail(self) -> tuple:
-        """A compiled serial send pushes its delivery entry itself.
+        """A compiled serial send schedules its delivery entry itself.
 
-        The entry is :meth:`_dispatch_send`'s, pushed with one ``heappush``
-        when the send computes its latency inline (a constant or a run-RNG
-        uniform: the arrival is then never in the past); other delay
-        models hand off to :meth:`_dispatch_send`.
+        The entry is :meth:`_dispatch_send`'s.  Under a constant latency
+        with no fault plan, every arrival is ``now + latency`` with the
+        next ``seq``, both monotone, so the send appends the entry to the
+        queue's in-order lane.  Under a run-RNG uniform latency, or with a
+        fault plan's jitter, it pushes the entry with one ``heappush`` (the
+        arrival is computed inline, so it is never in the past).  Other
+        delay models hand off to :meth:`_dispatch_send`.
         """
-        if self._inline_latency is None:
+        latency = self._inline_latency
+        if latency is None:
             hand_off = [
                 "        self._dispatch_send(",
                 "            arrival, far, far_port, m, self._ids[position]",
                 "        )",
             ]
+            return ("serial",), (), hand_off, {}
+        if isinstance(latency, tuple) or self._faults is not None:
+            push, namespace = "_push(queue.heap, (", {"_push": heappush}
         else:
-            hand_off = [
-                "        queue = self._queue",
-                "        seq = queue._seq",
-                "        queue._seq = seq + 1",
-                "        _push(queue.heap, (",
-                "            arrival, seq, self._deliver, self._current_depth + 1,",
-                "            far, far_port, m, self._ids[position],",
-                "        ))",
-            ]
-        return ("serial",), (), hand_off, {"_push": heappush}
+            push, namespace = "queue.lane.append((", {}
+        hand_off = [
+            "        queue = self._queue",
+            "        seq = queue._seq",
+            "        queue._seq = seq + 1",
+            f"        {push}",
+            "            arrival, seq, self._deliver, self._current_depth + 1,",
+            "            far, far_port, m, self._ids[position],",
+            "        ))",
+        ]
+        return ("serial",), (), hand_off, namespace
 
     def _schedule_timer(
         self, position: int, delay: float, callback: Callable[[], None]

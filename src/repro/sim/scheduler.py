@@ -13,10 +13,10 @@ inclusive test is the strict ``time < end`` one.  An entry at exactly
 ``end`` waits for the next window, and a timer a handler arms for a time
 before ``end`` fires in this one.
 
-The run loop is the kernel's single hottest frame: it binds the heap and the
-pop to locals, indexes entries positionally (see the entry layout in
-:mod:`repro.sim.events`), and keeps the event counter in a local that is
-flushed back on exit.
+The run loop is the kernel's single hottest frame: it binds the heap, the
+in-order lane and their pops to locals, indexes entries positionally (see
+the entry layout in :mod:`repro.sim.events`), and keeps the event counter
+in a local that is flushed back on exit.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ class Scheduler:
     def run(self, *, until: float | None = None) -> None:
         """Process events until the queue drains (or past ``until``).
 
+        Each step pops the smaller of the two heads, the heap's and the
+        in-order lane's (see :mod:`repro.sim.events`): one tuple
+        comparison while both hold entries, none while one is empty.  The
+        events therefore fire in exactly the ``(time, key)`` order a single
+        heap would give, whichever container each entry sits in.
+
         When ``until`` is given and the simulation pauses early (later
         events remain, or the queue drained before the horizon), the clock
         advances to ``until`` so ``now`` reflects the full simulated window
@@ -111,13 +117,20 @@ class Scheduler:
             raise SimulationError("scheduler re-entered while running")
         self._running = True
         heap = self._queue.heap
+        lane = self._queue.lane
         heappop = heapq.heappop
+        popleft = lane.popleft
         max_events = self._max_events
         processed = self._processed
         try:
             if until is None:
-                while heap:
-                    entry = heappop(heap)
+                while True:
+                    if lane and not (heap and heap[0] < lane[0]):
+                        entry = popleft()
+                    elif heap:
+                        entry = heappop(heap)
+                    else:
+                        break
                     self._now = entry[0]
                     processed += 1
                     if processed > max_events:
@@ -127,8 +140,15 @@ class Scheduler:
                         )
                     entry[2](entry)
             else:
-                while heap and heap[0][0] <= until:
-                    entry = heappop(heap)
+                while True:
+                    if lane and not (heap and heap[0] < lane[0]):
+                        if lane[0][0] > until:
+                            break
+                        entry = popleft()
+                    elif heap and heap[0][0] <= until:
+                        entry = heappop(heap)
+                    else:
+                        break
                     self._now = entry[0]
                     processed += 1
                     if processed > max_events:
@@ -142,5 +162,6 @@ class Scheduler:
             self._running = False
         if until is not None and self._now < until:
             # The horizon was simulated in full: quiescence timestamps must
-            # read ``until`` even though no event fired exactly there.
-            self._now = min(until, heap[0][0]) if heap else until
+            # read ``until`` even though no event fired exactly there.  Both
+            # heads, if any, lie beyond it: the loop ran every entry up to it.
+            self._now = until

@@ -1,7 +1,7 @@
 """Sharded simulation kernel: conservative time-window synchronization.
 
 The serial kernel (:mod:`repro.sim.network`) interprets one global event
-heap; beyond ~10⁵ nodes that single loop is the bottleneck.  This module
+queue; beyond ~10⁵ nodes that single loop is the bottleneck.  This module
 partitions the node set across *shards* — shard ``i`` of ``k`` owns the
 strided positions ``range(i, n, k)``, so ``shard_of(p) = p % k`` — each
 with its own :class:`~repro.sim.scheduler.Scheduler`, channel table and
@@ -30,16 +30,18 @@ Each shard (:class:`_Shard`) is the :class:`~repro.sim.network.SendPath`
 runtime core it shares with the serial kernel plus its window buffers, and
 the coordinator folds the shards' tallies with the same
 :func:`~repro.sim.network.fold_result`.  A window is one
-:meth:`~repro.sim.scheduler.Scheduler.run` call over the shard's heap with
-the strict horizon ``time < end``: the window's incoming deliveries go onto
-that heap as serial-layout entries carrying their global keys, next to the
-shard's wakes, crashes and timers, and the shared delivery, wake and crash
-handlers dispatch them in global merge order.  Sends of messages whose
+:meth:`~repro.sim.scheduler.Scheduler.run` call over the shard's event
+queue with the strict horizon ``time < end``: the window's incoming
+deliveries are sorted into the queue's in-order lane as serial-layout
+entries carrying their global keys, the shard's wakes, crashes and timers
+sit on its heap, and the shared delivery, wake and crash handlers
+dispatch them in global merge order.  Sends of messages whose
 fields are declared ``int``, ``bool`` or ``Message`` go through the
 per-class compiled, fused send that :class:`~repro.sim.network.SendPath`
 generates for both runtimes, ending in the shard's tail, one append to
 the destination's buffer; every other send takes the shared pipeline.  A
-window's incoming records become heap entries in one C-level pass.
+window's incoming records become lane entries in one C-level pass and
+one sort.
 
 Shards run in-process (:class:`_LocalHandle`) or one per forked worker
 (:class:`_ForkHandle`).  Shard 0 always runs in the coordinator's process:
@@ -204,7 +206,7 @@ class _Shard(SendPath):
     arrival, fault verdicts), the delivery, wake and crash handlers, the
     leader check and the final tally are :class:`SendPath`, shared
     verbatim with the serial kernel, and a window is one
-    :meth:`~repro.sim.scheduler.Scheduler.run` call over the same heap
+    :meth:`~repro.sim.scheduler.Scheduler.run` call over the same entry
     layout.  This class adds only its send tail — a
     :meth:`_dispatch_send` bound to the window buffers (one payload
     layout for every destination shard, its own included, and the timer
@@ -356,7 +358,7 @@ class _Shard(SendPath):
     def _decode_incoming(
         self, incoming: list[tuple | None], local_keys: tuple | None
     ) -> None:
-        """Push held local sends and routed batches onto the heap.
+        """Lay held local sends and routed batches into the in-order lane.
 
         Every record becomes a serial-layout delivery entry ``(time,
         global_key, deliver, depth, position, port, message)``, built at C
@@ -364,22 +366,24 @@ class _Shard(SendPath):
         ``(time, key, deliver)`` head, for the shard's own held lane and a
         remote batch alike (it measured faster than transposing the lane
         with ``zip(*held)``, whose per-tuple iterators also feed the
-        garbage collector).  One ``heapify`` orders the lot with the
-        pending timers and deliveries.
+        garbage collector).  One ``sort`` orders the lot with the
+        deliveries still pending from earlier windows (each batch is
+        already a sorted run, so it merges runs), and the result becomes
+        the lane: a shard's deliveries never touch its heap, which holds
+        only its wakes, crashes and timers.
         """
-        heap = self.scheduler._queue.heap
-        size = len(heap)
+        entries: list[tuple] = []
         deliver = repeat(self._deliver)
 
         def add_timer(timer: list[tuple], timer_keys: array) -> None:
-            heap.extend(
+            entries.extend(
                 (record[1], key, self._deliver, *record[2])
                 for record, key in zip(timer, timer_keys)
             )
 
         if local_keys is not None:
             keys, timer_keys = local_keys
-            heap += map(
+            entries += map(
                 tuple.__add__,
                 zip(self._held_arrivals, keys, deliver),
                 self._held,
@@ -391,10 +395,14 @@ class _Shard(SendPath):
             if batch is None:
                 continue
             arrivals, keys, held, timer, timer_keys = batch
-            heap += map(tuple.__add__, zip(arrivals, keys, deliver), held)
+            entries += map(tuple.__add__, zip(arrivals, keys, deliver), held)
             add_timer(timer, timer_keys)
-        if len(heap) != size:
-            heapq.heapify(heap)
+        if entries:
+            lane = self.scheduler._queue.lane
+            entries += lane
+            lane.clear()
+            entries.sort()
+            lane += entries
 
     def run_window(
         self,
@@ -456,10 +464,11 @@ class _Shard(SendPath):
             )
         self._out = [None] * self._shards
         self._busy += perf_counter() - t0
-        heap = scheduler._queue.heap
+        queue = scheduler._queue
+        heads = [part[0][0] for part in (queue.heap, queue.lane) if part]
         stats = {
             "processed": scheduler.events_processed - before,
-            "next_time": heap[0][0] if heap else None,
+            "next_time": min(heads, default=None),
             "leader": self._leader,
         }
         return out, local, stats
@@ -833,7 +842,7 @@ class ShardedNetwork:
         wall0 = perf_counter()
         k = self.shards
         cfg = self._cfg
-        # A window decodes its incoming records into heap entries in one
+        # A window decodes its incoming records into lane entries in one
         # burst, and they live until it dispatches them: a young pass
         # every 700 allocations would only traverse live entries and
         # promote them towards full collections.  The run raises the

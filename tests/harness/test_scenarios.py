@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.reliable import ReliableDelivery
 from repro.harness.scenarios import SCENARIOS, run_scenario
 from repro.protocols.nosense.protocol_e import ProtocolE
 from repro.protocols.nosense.protocol_g import ProtocolG
+from repro.protocols.random.protocol_rt import RandomizedTradeoff
 from repro.protocols.sense.protocol_c import ProtocolC
+from repro.sim.network import Network
 
 
 class TestCatalogue:
@@ -51,6 +56,27 @@ class TestRunScenario:
         assert result.messages_dropped > 0
         assert result.retransmissions > 0
         assert result.protocol.startswith("REL[")
+
+    def test_lossy_rt_cell_of_the_sweep_benchmark_misses_liveness(self):
+        # The sweep benchmark's RT@64 lossy cell at its seed 803 (cell seed
+        # 801136785) is one of RS/RT's w.h.p. liveness misses: every
+        # candidate stalls and the run quiesces with no leader.  The
+        # overlay abandoned nothing, and the same seed elects without
+        # faults, so the miss is the protocol's, not the retransmission's.
+        seed = 801136785
+        spec = SCENARIOS["lossy"]
+        topology, kwargs = spec.build(64, seed, False)
+        result = Network(
+            ReliableDelivery(RandomizedTradeoff()), topology, seed=seed, **kwargs
+        ).run(require_leader=False)
+        assert result.leader_id is None
+        assert result.packets_abandoned == 0
+        roles = Counter(node["role"] for node in result.node_snapshots)
+        assert roles == {"stalled": 10, "passive": 54}
+        for scenario in ("benign", "worst_case"):
+            assert run_scenario(
+                RandomizedTradeoff(), scenario, 64, seed=seed
+            ).leader_id == 34
 
     def test_partitioned_scenario_heals_and_elects_the_top_id(self):
         result = run_scenario(ProtocolG(k=4), "partitioned", 16, seed=1)

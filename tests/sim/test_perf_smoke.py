@@ -20,14 +20,17 @@ take them; and a plain run must compile exactly the source it compiled
 before.  Three pin the lean per-link state: a link's fault stream costs
 under 1 KiB, a bound plan holds one generator, and a constant latency
 keeps no FIFO clock.  Two more pin the one dispatch loop: every sharded
-event runs through ``Scheduler.run``, and a serial run's heap holds only
-bound handlers.
+event runs through ``Scheduler.run``, and a serial run's event queue
+holds only bound handlers.  The last two pin the in-order lane: under a
+constant latency a serial run pops only its wakes from the heap, and a
+shard pops no delivery from its heap.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import heapq
 import json
 import os
 import subprocess
@@ -538,27 +541,78 @@ def test_every_shard_event_passes_through_the_scheduler_loop(monkeypatch):
 
 @pytest.mark.perf_smoke
 def test_a_serial_run_schedules_no_closure_entries(monkeypatch):
-    """Every heap entry a serial run holds — wakes, crashes, deliveries,
-    timers — is dispatched by a bound handler of its network."""
+    """Every entry a serial run holds — wakes, crashes, deliveries,
+    timers, on the heap or in the in-order lane — is dispatched by a
+    bound handler of its network.  The lossy run's deliveries sit on the
+    heap; the constant-latency run's in the lane."""
     actions = []
     real_run = Scheduler.run
 
+    def entries(queue):
+        return [*queue.heap, *queue.lane]
+
     def spying_run(self, **kwargs):
-        actions.extend(entry[2] for entry in self._queue.heap)
+        actions.extend(entry[2] for entry in entries(self._queue))
         real_run(self, **kwargs)
-        actions.extend(entry[2] for entry in self._queue.heap)
+        actions.extend(entry[2] for entry in entries(self._queue))
 
     monkeypatch.setattr(Scheduler, "run", spying_run)
-    network = Network(
-        ReliableDelivery(ProtocolC()), complete_with_sense_of_direction(64),
-        crash_schedule={5: 1.0},
-        faults=FaultPlan(seed=1, drop=0.1),
+    for faults in (FaultPlan(seed=1, drop=0.1), None):
+        actions.clear()
+        network = Network(
+            ReliableDelivery(ProtocolC()),
+            complete_with_sense_of_direction(64),
+            crash_schedule={5: 1.0},
+            faults=faults,
+        )
+        network.run(until=2.5, require_leader=False)
+        kinds = {action.__func__.__name__ for action in actions}
+        assert kinds >= {"_wake_entry", "_crash_entry", "_deliver_entry",
+                         "_timer_entry"}, kinds
+        assert all(action.__self__ is network for action in actions)
+        lane = [entry[2].__func__.__name__ for entry in network._queue.lane]
+        assert lane if faults is None else not lane
+        assert set(lane) <= {"_deliver_entry"}
+
+
+def _count_heap_pops(monkeypatch) -> list[str]:
+    """Record the handler name of every entry popped from any heap."""
+    popped = []
+    real_heappop = heapq.heappop
+
+    def counting_heappop(heap):
+        entry = real_heappop(heap)
+        popped.append(entry[2].__func__.__name__)
+        return entry
+
+    monkeypatch.setattr(heapq, "heappop", counting_heappop)
+    return popped
+
+
+@pytest.mark.perf_smoke
+def test_constant_latency_deliveries_bypass_the_heap(monkeypatch):
+    """Under a constant latency with no fault plan, a serial C@1024 pops
+    only its N wakes from the heap; every delivery comes off the lane."""
+    popped = _count_heap_pops(monkeypatch)
+    network = Network(ProtocolC(), complete_with_sense_of_direction(1024))
+    network.run()
+    assert network.scheduler.events_processed > 2 * 1024
+    assert popped == ["_wake_entry"] * 1024
+
+
+@pytest.mark.perf_smoke
+def test_shard_deliveries_bypass_the_shard_heaps(monkeypatch):
+    """A shard sorts each window's deliveries into its lane: its heap
+    pops only its wakes, crashes and timers."""
+    popped = _count_heap_pops(monkeypatch)
+    network = ShardedNetwork(
+        ReliableDelivery(ProtocolC()), complete_with_sense_of_direction(256),
+        shards=2, workers=0, crash_schedule={5: 1.5},
     )
-    network.run(until=2.5, require_leader=False)
-    kinds = {action.__func__.__name__ for action in actions}
-    assert kinds >= {"_wake_entry", "_crash_entry", "_deliver_entry",
-                     "_timer_entry"}, kinds
-    assert all(action.__self__ is network for action in actions)
+    network.run(require_leader=False)
+    assert network.stats["events_total"] > 2 * 256
+    assert "_deliver_entry" not in popped
+    assert {"_wake_entry", "_crash_entry", "_timer_entry"} <= set(popped)
 
 
 #: Runs every registered protocol at N=64 with sense of direction (cyclic
@@ -608,9 +662,12 @@ print(json.dumps({
 #: The output of that script on the compiled send before fault verdicts,
 #: nested payloads, run-RNG uniform delays and direct table reads joined
 #: it: those must not change a single byte a plain cyclic run compiles.
+#: The serial entry was re-pinned once, when a constant-latency serial
+#: send began appending its delivery to the event queue's in-order lane
+#: instead of pushing it onto the heap; the shard entry did not move.
 _PLAIN_SOURCES = {
     "serial": [
-        39, "e9f596c69bcf5906a481cfecabbddc14fed37165b6bc1cf42628d2999a9fd631"
+        39, "1d20ad3eae88fd797ce94aef7236e2fa46cc20485ec561f9f8c67ed414972778"
     ],
     "shard": [
         39, "33a5f5580dd5c0e27bde7f536aea4ac0f9c1df883eff93fee19cd6ba6cfa8203"

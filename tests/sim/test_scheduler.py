@@ -56,6 +56,98 @@ class TestEventQueue:
         popped = [entry[0] for entry in _drain(queue)]
         assert popped == sorted(popped)
 
+    def test_size_and_truth_count_the_heap_and_the_lane(self):
+        queue = EventQueue()
+        assert not queue and len(queue) == 0
+        queue.lane.append((1.0, 0, _noop, 0))
+        assert queue and len(queue) == 1
+        queue.push_entry(0.5, _noop, 0, ())
+        assert len(queue) == 2
+        queue.lane.clear()
+        assert queue and len(queue) == 1
+
+
+#: A plan step: ``("lane", spawns)`` appends an in-order lane entry, and
+#: ``("heap", time, tiebreak, spawns)`` pushes a heap entry.  ``spawns``
+#: are what the entry's handler schedules when it fires: ``("lane",)``
+#: appends a delivery at ``now + 1`` to the lane, as a constant-latency
+#: serial send does, and ``("heap", delay, tiebreak)`` pushes an entry.
+_TIEBREAKS = st.sampled_from([-2, -1, 0, 1])
+_SPAWN = st.one_of(
+    st.just(("lane",)),
+    st.tuples(st.just("heap"), st.sampled_from([0.0, 0.5, 1.0]), _TIEBREAKS),
+)
+_SPAWNS = st.lists(_SPAWN, max_size=3).map(tuple)
+_STEP = st.one_of(
+    st.tuples(st.just("lane"), _SPAWNS),
+    st.tuples(
+        st.just("heap"), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+        _TIEBREAKS, _SPAWNS,
+    ),
+)
+
+
+def _replay(plan, lane_times, *, use_lane, until):
+    """Run ``plan`` and return the ``(time, key)`` pops and the clocks.
+
+    The i-th lane step is appended at ``lane_times[i]`` (sorted, and
+    below 1, so every spawned lane entry lands after it).  With
+    ``use_lane=False`` every lane append is a heap push of the same
+    entry instead: the pure-heap reference order.  With ``until``, the
+    run pauses there, reports the clock, and then runs to the end.
+    """
+    scheduler = Scheduler()
+    queue = scheduler._queue
+    popped = []
+
+    def append(time, spawns):
+        key = queue._seq
+        queue._seq = key + 1
+        entry = (time, key, fire, 0, spawns)
+        if use_lane:
+            queue.lane.append(entry)
+        else:
+            heapq.heappush(queue.heap, entry)
+
+    def fire(entry):
+        popped.append(entry[:2])
+        for spawn in entry[4]:
+            if spawn[0] == "lane":
+                append(scheduler.now + 1.0, ())
+            else:
+                scheduler.schedule_payload(
+                    scheduler.now + spawn[1], fire, 0, ((),), spawn[2]
+                )
+
+    times = iter(lane_times)
+    for step in plan:
+        if step[0] == "lane":
+            append(next(times), step[1])
+        else:
+            scheduler.schedule_payload(step[1], fire, 0, (step[3],), step[2])
+    clocks = []
+    if until is not None:
+        scheduler.run(until=until)
+        clocks.append((len(popped), scheduler.now))
+    scheduler.run()
+    clocks.append((len(popped), scheduler.now))
+    return popped, clocks
+
+
+class TestInOrderLane:
+    """The lane plus the heap pop in exactly the order one heap would."""
+
+    @given(
+        st.lists(_STEP, max_size=40),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=40, max_size=40),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 1.75, 2.5])),
+    )
+    def test_merged_pops_match_a_pure_heap(self, plan, lane_times, until):
+        lane_times = sorted(lane_times)
+        got = _replay(plan, lane_times, use_lane=True, until=until)
+        want = _replay(plan, lane_times, use_lane=False, until=until)
+        assert got == want
+
 
 class TestScheduler:
     def test_clock_advances_with_events(self):

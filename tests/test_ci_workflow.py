@@ -184,6 +184,33 @@ class TestCommands:
             "time=73.98 depth=5' lossy_ft_a.txt",
         ]
 
+    def test_perf_smoke_leg_reruns_the_constant_latency_scenarios(self, jobs):
+        # Unit-delay sends take the event queue's in-order lane: two
+        # elections must print the same line in two processes with
+        # different hash seeds, and the line each printed before the lane.
+        unit = [
+            s for s in _steps(jobs["smoke"])
+            if "run" in s and "--name worst_case" in s["run"]
+        ]
+        assert len(unit) == 1
+        assert unit[0]["if"] == "matrix.marker == 'perf_smoke'"
+        assert unit[0]["env"]["PYTHONPATH"] == "src"
+        lines = [line.strip() for line in unit[0]["run"].splitlines()]
+        run = "python -m repro scenario --protocol {} --name worst_case --n {} --seed 3"
+        d, c = run.format("D", 128), run.format("C", 256)
+        assert lines == [
+            f"PYTHONHASHSEED=1 {d} > unit_d_a.txt",
+            f"PYTHONHASHSEED=2 {d} > unit_d_b.txt",
+            "diff unit_d_a.txt unit_d_b.txt",
+            "grep -qxF 'D: N=128 leader=127 msgs=32512 time=2.00 depth=2' "
+            "unit_d_a.txt",
+            f"PYTHONHASHSEED=1 {c} > unit_c_a.txt",
+            f"PYTHONHASHSEED=2 {c} > unit_c_b.txt",
+            "diff unit_c_a.txt unit_c_b.txt",
+            "grep -qxF 'C: N=256 leader=255 msgs=1922 time=36.00 depth=36' "
+            "unit_c_a.txt",
+        ]
+
     def test_verify_smoke_leg_diffs_hash_seeds_and_workers(self, jobs):
         # The exhaustive checker must report the same A@5 graph under two
         # hash seeds and when stratified across two workers.
