@@ -82,7 +82,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.errors import ProtocolViolation
-from repro.core.messages import message_bits
 from repro.core.protocol import ElectionProtocol
 from repro.harness.parallel import run_sweep
 from repro.topology.complete import CompleteTopology
@@ -149,14 +148,93 @@ class ExplorationReport:
         )
 
 
+def action_bit(action: Action, n: int) -> int:
+    """The bit that stands for ``action`` in the action sets of a search
+    over ``n`` nodes.
+
+    Wake-up ``p`` is bit ``p``; delivery over ``(src, dst)`` is bit
+    ``n + src·(n−1) + (dst − (dst > src))``.  Ascending bit order is
+    :meth:`LockStepWorld.enabled_actions` order (wake-ups, then links,
+    both sorted), so an action set is one int and its lowest bit is the
+    first action in canonical order.
+    """
+    kind, arg = action
+    if kind == "wake":
+        return arg
+    src, dst = arg
+    return n + src * (n - 1) + dst - (dst > src)
+
+
+class _ActionOrder:
+    """One search's action numbering (see :func:`action_bit`), tabulated."""
+
+    __slots__ = ("actions", "wake_bits", "link_bits", "keep")
+
+    def __init__(self, n: int) -> None:
+        links = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+        #: Bit index -> the interned action tuple.
+        self.actions: list[Action] = [_WAKE_ACTIONS[p] for p in range(n)]
+        self.actions += map(_DELIVER_ACTIONS.__getitem__, links)
+        self.wake_bits = [1 << p for p in range(n)]
+        self.link_bits = {
+            link: 1 << action_bit(("deliver", link), n) for link in links
+        }
+        #: Per actor ``d``: every bit but ``d``'s own actions (its wake-up
+        #: and the links into it).  Actions of different actors commute
+        #: (:func:`~repro.verification.world.independent`), so
+        #: ``sleep & keep[d]`` is the sleep set a child inherits through
+        #: an action of ``d``.
+        self.keep = [
+            ~(
+                self.wake_bits[d]
+                + sum(self.link_bits[(src, d)] for src in range(n) if src != d)
+            )
+            for d in range(n)
+        ]
+
+    def enabled(self, world: LockStepWorld) -> int:
+        """``world.enabled_actions()`` as a bit set (no fault budget)."""
+        return sum(
+            map(self.link_bits.__getitem__, world.queues),
+            sum(map(self.wake_bits.__getitem__, world.pending_wakes)),
+        )
+
+
+def _to_positions(mask: int, enabled: int) -> int:
+    """Repack ``mask`` (a subset of ``enabled``) over the positions of
+    ``enabled``'s bits: the i-th lowest enabled action becomes bit i."""
+    packed = 0
+    bit = 1
+    while enabled:
+        low = enabled & -enabled
+        if mask & low:
+            packed |= bit
+        bit <<= 1
+        enabled ^= low
+    return packed
+
+
+def _from_positions(packed: int, enabled: int) -> int:
+    """The inverse of :func:`_to_positions`."""
+    mask = 0
+    while enabled and packed:
+        low = enabled & -enabled
+        if packed & 1:
+            mask |= low
+        packed >>= 1
+        enabled ^= low
+    return mask
+
+
 @dataclass(slots=True)
 class _Frame:
-    """One DFS stack entry: a world and its not-yet-taken branches."""
+    """One DFS stack entry: a world, the branches it has not taken yet,
+    its sleep set and its enabled actions, each as an action bit set."""
 
     world: LockStepWorld
-    candidates: list[Action]
-    index: int
-    sleep: set[Action]
+    candidates: int
+    sleep: int
+    enabled: int
 
 
 class _SearchCore:
@@ -204,12 +282,17 @@ class _SearchCore:
         ``spill`` when one is given: the parallel search expands its
         frontier one frame at a time that way, through this same loop.
 
-        Each iteration takes one transition inline — branch, pop the
-        channel head or clear the wake-up flag, look the local transition
-        up in the world's memo, install the actor's new node, push the
-        replayed sends (each still audited with ``message_bits``) — and
-        then *arrives* at the child: compress, probe the fingerprint table
-        once, build the enabled actions and the child's frame.
+        Each iteration takes one transition inline — take the frame's
+        lowest candidate bit, branch, pop the channel head or clear the
+        wake-up flag, look the local transition up in the world's memo,
+        install the actor's new node, push the replayed sends — and then
+        *arrives* at the child: compress, probe the fingerprint table
+        once, build the child's frame.  Every action set (sleep, enabled,
+        candidates, stored mask) is an int over the search's action bits
+        (:func:`action_bit`).  A replayed send is not
+        audited again: ``_CaptureContext.send`` audited that same message
+        when the memo miss captured it, and captured messages are frozen
+        (``tests/verification/test_fused_search.py`` checks both).
         :meth:`LockStepWorld.apply` is the reference for the transition
         half; ``tests/verification/test_fused_search.py`` pins this loop
         against a search built from it, visited table included.
@@ -258,48 +341,43 @@ class _SearchCore:
         into = [
             [(src, dst) for src in range(n) if src != dst] for dst in range(n)
         ]
-        wake_action = _WAKE_ACTIONS.__getitem__
-        deliver_action = _DELIVER_ACTIONS.__getitem__
-        action: Action | None = None  # what produced ``world``; None: root
-        sleep: set[Action] = set()
+        order = _ActionOrder(n)
+        actions = order.actions
+        keep = order.keep
+        wake_bits = order.wake_bits
+        link_bit = order.link_bits.__getitem__
+        index = -1  # the bit of the action that produced ``world``; -1: root
+        sleep = 0
+        if world is not None:
+            enabled = order.enabled(world)  # a frame carries its own
         while True:
             if world is None:
-                # -- the next branch -------------------------------------------
+                # -- the next branch: the frame's lowest candidate bit ---------
                 if not stack:
                     return
                 frame = stack[-1]
                 candidates = frame.candidates
-                index = frame.index
-                action = candidates[index]
-                index += 1
-                parent_sleep = frame.sleep
-                kind, arg = action
+                low = candidates & -candidates
+                index = low.bit_length() - 1
+                kind, arg = actions[index]
                 d = arg if kind == "wake" else arg[1]
-                if parent_sleep:
-                    # Sleeping actions independent of ``action`` (a
-                    # different actor; see
-                    # :func:`~repro.verification.world.independent`) stay
-                    # asleep in the child.
-                    sleep = {
-                        slept
-                        for slept in parent_sleep
-                        if (slept[1] if slept[0] == "wake" else slept[1][1]) != d
-                    }
-                else:
-                    sleep = set()
-                if index == len(candidates):
-                    stack.pop()
-                    world = frame.world  # safe: the frame takes no more branches
-                else:
-                    frame.index = index
+                # Sleeping actions of other actors stay asleep in the child.
+                sleep = frame.sleep & keep[d]
+                enabled = frame.enabled
+                candidates ^= low
+                if candidates:
+                    frame.candidates = candidates
                     world = frame.world.branch()
                     if por:
-                        parent_sleep.add(action)
+                        frame.sleep |= low
+                else:
+                    stack.pop()
+                    world = frame.world  # safe: the frame takes no more branches
             queues = world.queues
             hashes = world.hashes
             node_fp = world._node_fp
             fp = world._fp
-            if action is not None:
+            if index >= 0:
                 # -- the transition (LockStepWorld.apply, inline) ---------------
                 report.transitions += 1
                 old = node_fp[d]
@@ -313,6 +391,7 @@ class _SearchCore:
                         fp ^= hash((2, arg, rest))
                     else:
                         del queues[arg], hashes[arg]
+                        enabled ^= low
                     src = arg[0]
                     key = (d, old, src, column[0])
                     entry = deliver_memo.get(key)
@@ -322,6 +401,7 @@ class _SearchCore:
                         )
                 else:
                     fp ^= hash((3, d))
+                    enabled ^= low
                     world.pending_wakes = world.pending_wakes - {d}
                     key = (d, old)
                     entry = wake_memo.get(key)
@@ -337,12 +417,12 @@ class _SearchCore:
                 heads: list[tuple[int, int]] = []  # links given a new head
                 if sends:
                     for link, message, message_fp in sends:
-                        message_bits(message, n)  # O(log N) audit, as in sim
                         column = hashes.get(link)
                         if column is None:
                             queues[link] = (message,)
                             column = hashes[link] = (message_fp,)
                             fp ^= hash((2, link, column))
+                            enabled |= link_bit(link)
                             heads.append(link)
                         else:
                             queues[link] += (message,)
@@ -357,7 +437,7 @@ class _SearchCore:
                 pending = world.pending_wakes
                 if pending:
                     nodes = world.nodes
-                    if action is None:
+                    if index < 0:
                         stale = [p for p in pending if nodes[p].awake]
                     elif d in pending and nodes[d].awake:
                         stale = [d]
@@ -366,10 +446,11 @@ class _SearchCore:
                     if stale:
                         for p in stale:
                             fp ^= hash((3, p))
+                            enabled ^= wake_bits[p]
                         world.pending_wakes = pending - frozenset(stale)
                         report.compressed_steps += len(stale)
                 if compress and queues:
-                    if action is None:
+                    if index < 0:
                         scan = list(queues)
                     else:
                         scan = into[d] + heads if heads else into[d]
@@ -398,6 +479,7 @@ class _SearchCore:
                             fp ^= hash((2, link, column))
                             if len(column) == 1:
                                 del queues[link], hashes[link]
+                                enabled ^= link_bit(link)
                                 break
                             column = hashes[link] = column[1:]
                             queues[link] = queues[link][1:]
@@ -426,45 +508,40 @@ class _SearchCore:
             world = None
             if stored == 0:
                 continue  # a revisit that every branch already covered
-            # LockStepWorld.enabled_actions(), inline: interned wake-ups,
-            # then deliveries, both sorted (explored worlds never drop).
-            pending = arrived.pending_wakes
-            actions = list(map(wake_action, sorted(pending))) if pending else []
-            if queues:
-                actions += map(deliver_action, sorted(queues))
-            # One pass builds the sleep mask (sleep ∩ actions, packed over
-            # the canonical order) and the candidates: the non-sleeping
-            # actions, restricted on a revisit to those the stored mask
-            # slept.
-            mask = 0
-            if stored is None and not sleep:
-                candidates = actions
-            else:
-                allowed = -1 if stored is None else stored
-                candidates = []
-                bit = 1
-                for enabled in actions:
-                    if enabled in sleep:
-                        mask |= bit
-                    elif allowed & bit:
-                        candidates.append(enabled)
-                    bit <<= 1
+            # ``enabled`` is LockStepWorld.enabled_actions() as a bit set,
+            # kept up to date where a wake-up clears, a link empties or a
+            # send starts a link.  The stored mask is the sleep set
+            # restricted to it; the candidates are the enabled actions not
+            # asleep, restricted on a revisit to those the stored mask
+            # slept.  An orbit-keyed table shares its masks between orbit
+            # members, whose actions have different bits, so prune modes
+            # store them packed over the positions of the enabled actions.
+            mask = sleep & enabled
+            candidates = enabled ^ mask
             if stored is not None:
+                if prune:
+                    stored = _from_positions(stored, enabled)
+                candidates &= stored
                 if candidates:
-                    visited.put_at(slot, key, stored & mask)
-                    push(_Frame(arrived, candidates, 0, sleep))
+                    mask &= stored
+                    visited.put_at(
+                        slot, key, _to_positions(mask, enabled) if prune else mask
+                    )
+                    push(_Frame(arrived, candidates, sleep, enabled))
                 continue
             report.states_explored += 1
             if census:
                 canonical_seen.add(hash(canonical_state(arrived, group)))
-            if not actions:
+            if not enabled:
                 visited.put_at(slot, key, 0)
                 self.terminal_fps.add(state_key)
                 _check_terminal(arrived, self.protocol, report)
             else:
-                visited.put_at(slot, key, mask)
+                visited.put_at(
+                    slot, key, _to_positions(mask, enabled) if prune else mask
+                )
                 if candidates:
-                    push(_Frame(arrived, candidates, 0, sleep))
+                    push(_Frame(arrived, candidates, sleep, enabled))
             if len(visited) > max_states:
                 report.complete = False
                 return
@@ -567,10 +644,11 @@ def _explore_parallel(
     Each stratum is a ``(world, sleep set)`` pair produced by exactly the
     serial arrival logic, so the union of the workers' searches covers
     precisely what the serial search covers (sleep-set soundness is a
-    property of the covered trace set, not of visit order).  Workers
-    inherit the parent's visited table through ``fork`` copy-on-write and
-    return their private tables; the parent merges them, deduplicating
-    states several workers reached independently.
+    property of the covered trace set, not of visit order).  Each stratum
+    searches from its own copy of the frontier-time visited table and
+    returns it; the parent merges the tables in stratum order,
+    deduplicating states several strata reached independently, so the
+    report does not depend on which worker ran which stratum.
     """
     report = core.report
     report.workers = workers
@@ -590,6 +668,10 @@ def _explore_parallel(
         return report
 
     strata = list(frontier)
+    # Every stratum starts from its own copy of the frontier-time table, so
+    # what it explores depends neither on the worker that runs it nor on
+    # the strata that worker ran before.
+    frontier_table = core.visited.packed()
 
     def _make_task(frame: _Frame):
         def task():
@@ -599,9 +681,9 @@ def _explore_parallel(
             worker = _SearchCore(
                 core.protocol,
                 worker_report,
-                core.visited,  # private copy via fork (or shared when the
-                por=core.por,  # pool degraded to serial — still correct,
-                compress=core.compress,  # the memo just accumulates)
+                FingerprintTable.unpacked(frontier_table),
+                por=core.por,
+                compress=core.compress,
                 max_states=core.max_states,
                 group=core.group,
                 prune_symmetric=core.prune_symmetric,
@@ -684,36 +766,35 @@ def count_unpruned_interleavings(
         base_positions = tuple(range(topology.n))
     root = LockStepWorld(protocol, topology, tuple(base_positions))
     report = ExplorationReport(states_explored=1, terminal_states=0, por=False)
+    order = _ActionOrder(topology.n)
     stack: list[_Frame] = []
-    actions = root.enabled_actions()
-    if actions:
-        stack.append(_Frame(root, actions, 0, set()))
+    enabled = order.enabled(root)
+    if enabled:
+        stack.append(_Frame(root, enabled, 0, enabled))
     else:
         _check_terminal(root, protocol, report)
     while stack:
         frame = stack[-1]
-        if frame.index >= len(frame.candidates):
-            stack.pop()
-            continue
-        action = frame.candidates[frame.index]
-        frame.index += 1
-        last = frame.index >= len(frame.candidates)
-        if last:
+        candidates = frame.candidates
+        low = candidates & -candidates
+        action = order.actions[low.bit_length() - 1]
+        frame.candidates = candidates ^ low
+        if frame.candidates:
+            child = frame.world.branch()
+        else:
             stack.pop()
             child = frame.world
-        else:
-            child = frame.world.branch()
         child.apply(action)
         report.transitions += 1
         report.states_explored += 1
         if report.states_explored > max_states:
             report.complete = False
             return report
-        actions = child.enabled_actions()
-        if not actions:
+        enabled = order.enabled(child)
+        if not enabled:
             _check_terminal(child, protocol, report)
             continue
-        stack.append(_Frame(child, actions, 0, set()))
+        stack.append(_Frame(child, enabled, 0, enabled))
     return report
 
 

@@ -9,11 +9,15 @@ columns — open addressing with linear probing over a power-of-two capacity
 8-byte hash-compacted fingerprint and an 8-byte *sleep mask*.
 
 The sleep mask packs the stored sleep set of Godefroid's state-matching
-rule as a bitmask over the state's canonical ``enabled_actions()`` order
-(wake-ups first, then channels, both sorted).  A complete network at N=6
-has at most ``6 + 30 = 36`` enabled actions, comfortably inside 63 bits;
-the rare state with more than 63 enabled actions (N ≥ 9) spills its mask
-into a small overflow dict rather than corrupting the column.
+rule as a bitmask over the search's action order
+(:func:`repro.verification.explore.action_bit`): wake-up ``p`` is bit
+``p`` and the ``n·(n−1)`` links follow in sorted order, so a complete
+network at N=6 needs ``6 + 30 = 36`` bits, comfortably inside 63.  From
+N ≥ 8 on (``n² > 63`` action bits) a mask may not fit; such a mask spills
+into a small overflow dict rather than corrupting the column.  The
+orbit-keyed tables of the symmetry-pruning modes pack their masks over
+the positions of the state's enabled actions instead, because orbit
+members number their actions differently.
 
 Masks are stored intersected with the *currently enabled* action set —
 sound because the stored sleep set is only ever (a) intersected with
@@ -181,5 +185,5 @@ class FingerprintTable:
         table._values.frombytes(values_bytes)
         table._mask = len(table._keys) - 1
         table._count = len(table._keys) - table._keys.count(_EMPTY)
-        table._overflow = overflow
+        table._overflow = dict(overflow)
         return table

@@ -213,7 +213,10 @@ class TestCommands:
 
     def test_verify_smoke_leg_diffs_hash_seeds_and_workers(self, jobs):
         # The exhaustive checker must report the same A@5 graph under two
-        # hash seeds and when stratified across two workers.
+        # hash seeds and when stratified across two workers, the same A@3
+        # stratified report on every run however the pool schedules its
+        # strata, and the same G@3 (no sense of direction) graph serially
+        # and stratified.
         verify = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "repro verify --protocol A" in s["run"]
@@ -229,6 +232,16 @@ class TestCommands:
             f"{run} --workers 2 > verify_w.txt",
             "diff verify_a.txt verify_b.txt",
             "diff verify_a.txt verify_w.txt",
+            "python -m repro verify --protocol A --n 3 --workers 2 "
+            "> verify_w3a.txt",
+            "python -m repro verify --protocol A --n 3 --workers 2 "
+            "> verify_w3b.txt",
+            "diff verify_w3a.txt verify_w3b.txt",
+            "python -m repro verify --protocol G --n 3 --no-sense "
+            "> verify_g.txt",
+            "python -m repro verify --protocol G --n 3 --no-sense --workers 2 "
+            "> verify_gw.txt",
+            "diff verify_g.txt verify_gw.txt",
         ]
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):

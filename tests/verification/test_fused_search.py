@@ -11,6 +11,10 @@ deterministic registered protocol, in every search mode, the two must
 produce the same report and the same visited table, fingerprint for
 fingerprint and sleep mask for sleep mask.
 
+The fused search packs its sleep masks over the search's action bits
+(:func:`~repro.verification.explore.action_bit`); the reference packs its
+masks with the same helper, and otherwise runs its own plain search.
+
 The toy protocol ``_NoisyClaim`` pins the one edge the narrowed scan has
 to get right by construction: a handler that sends two messages down a
 previously empty link whose first message is inert at an awake receiver.
@@ -18,6 +22,7 @@ previously empty link whose first message is inert at an awake receiver.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
@@ -34,6 +39,7 @@ from repro.verification import explore
 from repro.verification.explore import (
     ExplorationReport,
     _check_terminal,
+    action_bit,
     explore_protocol,
 )
 from repro.verification.store import FingerprintTable
@@ -62,6 +68,7 @@ class _Reference:
         self.group = symmetry_group(topology) if symmetry else None
         self.prune = symmetry == "prune-unsound"
         self.max_states = max_states
+        self.n = topology.n
         self.table = FingerprintTable()
         self.report = ExplorationReport(
             states_explored=0, terminal_states=0, por=self.por
@@ -100,13 +107,15 @@ class _Reference:
             return None
         actions = world.enabled_actions()
         allowed = -1 if stored is None else stored
-        mask, candidates, bit = 0, [], 1
-        for action in actions:
+        mask, candidates = 0, []
+        for position, action in enumerate(actions):
+            # Masks pack over the search's action bits; an orbit-keyed
+            # table packs them over the enabled actions' positions.
+            bit = 1 << (position if self.prune else action_bit(action, self.n))
             if action in sleep:
                 mask |= bit
             elif allowed & bit:
                 candidates.append(action)
-            bit <<= 1
         if stored is not None:
             if not candidates:
                 return None
@@ -193,6 +202,7 @@ def _assert_same_search(fused_search, protocol_factory, topology, **mode):
     assert vars(report) == vars(reference.run())
     assert len(table) == len(reference.table)
     assert _entries(table) == _entries(reference.table)
+    return table
 
 
 def _instance(name):
@@ -214,6 +224,45 @@ def test_truncated_search_matches_the_reference(fused):
     cls = registered_protocols()["A"]
     topology = complete_with_sense_of_direction(5)
     _assert_same_search(fused, cls, topology, max_states=700)
+
+
+# -- the action bit order -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_action_bits_follow_the_enabled_actions_order(n):
+    topology = complete_with_sense_of_direction(n)
+    world = LockStepWorld(registered_protocols()["A"](), topology, tuple(range(n)))
+    links = [(s, d) for s in range(n) for d in range(n) if s != d]
+    world.queues = dict.fromkeys(reversed(links), ("queued",))
+    actions = world.enabled_actions()
+    assert [action_bit(action, n) for action in actions] == list(range(n * n))
+    order = explore._ActionOrder(n)
+    assert order.actions == actions
+    assert order.enabled(world) == (1 << n * n) - 1
+    for d in range(n):
+        # An action of another actor is independent of d's: it stays.
+        kept = [a for a in actions if order.keep[d] >> action_bit(a, n) & 1]
+        assert kept == [a for a in actions if independent(a, actions[d])]
+
+
+def test_a_mask_with_bit_63_round_trips_through_the_overflow(fused):
+    # Link (6, 7) is bit 63 at N=9.  (At N=8 the only bit past 62 is the
+    # highest action, which is always its frame's last branch and so never
+    # asleep.)
+    cls = registered_protocols()["A"]
+    topology = complete_with_sense_of_direction(9)
+    assert action_bit(("deliver", (6, 7)), 9) == 63
+    table = _assert_same_search(fused, cls, topology, max_states=300)
+    wide = {k: v for k, v in _entries(table).items() if v >= 2**63}
+    assert any(mask >> 63 & 1 for mask in wide.values())
+    assert wide.keys() == table._overflow.keys()
+    assert all(table.get(key) == mask for key, mask in wide.items())
+    copy = FingerprintTable.unpacked(table.packed())
+    assert _entries(copy) == _entries(table)
+    merged = FingerprintTable()
+    merged.merge(table)
+    assert _entries(merged) == _entries(table)
 
 
 # -- a handler that puts two messages on an empty link ------------------------
@@ -288,3 +337,52 @@ def test_noise_on_a_fresh_link_is_compressed():
     assert compressed.leaders_seen == plain.leaders_seen
     assert compressed.quiescent_outcomes == plain.quiescent_outcomes
     assert compressed.states_explored < plain.states_explored
+
+
+# -- replayed sends are audited once, at capture ------------------------------
+
+
+def _immutable(value) -> bool:
+    """Whether a message field can never change after its audit."""
+    if value is None or type(value) in (bool, int):
+        return True
+    if type(value) is tuple:
+        return all(type(item) is int for item in value)
+    return isinstance(value, Message) and _frozen(value)
+
+
+def _frozen(message: Message) -> bool:
+    # The class itself must be a frozen dataclass, not merely inherit
+    # from one: an undecorated subclass can carry attributes of its own.
+    params = vars(type(message)).get("__dataclass_params__")
+    return (
+        params is not None
+        and params.frozen
+        and all(
+            _immutable(getattr(message, f.name))
+            for f in dataclasses.fields(message)
+        )
+    )
+
+
+@pytest.mark.parametrize("name", deterministic_protocols(), ids=str)
+def test_captured_messages_cannot_change_after_their_audit(monkeypatch, name):
+    # ``_CaptureContext.send`` audits every message with ``message_bits``
+    # when a memo miss captures it; the fused loop replays the captured
+    # object without a second audit.  That is sound only while no
+    # captured message can change: a frozen dataclass whose fields are
+    # None, bools, ints, tuples of ints or such messages again.
+    captured: list[Message] = []
+    run_transition = LockStepWorld._run_transition
+
+    def recording(world, position, port, message):
+        entry = run_transition(world, position, port, message)
+        captured.extend(sent for _, sent, _ in entry[1])
+        return entry
+
+    monkeypatch.setattr(LockStepWorld, "_run_transition", recording)
+    cls, topology = _instance(name)
+    explore_protocol(cls(), topology)
+    assert captured
+    mutable = {type(m).__name__ for m in captured if not _frozen(m)}
+    assert not mutable, f"{name} captures mutable messages: {sorted(mutable)}"

@@ -84,3 +84,18 @@ def test_census_survives_the_parallel_merge():
     )
     assert parallel.canonical_states == serial.canonical_states
     _assert_same_search(serial, parallel)
+
+
+def test_parallel_report_does_not_depend_on_scheduling(monkeypatch):
+    # Which worker runs which stratum, and after which other strata, is up
+    # to the pool; every stratum must search from the same frontier table
+    # regardless.  The degraded pool runs all strata in one process, in
+    # order, which is one more schedule to agree with.
+    topology = complete_with_sense_of_direction(3)
+    reports = [
+        vars(explore_protocol(ProtocolA(), topology, workers=2))
+        for _ in range(4)
+    ]
+    monkeypatch.setenv("REPRO_PARALLEL", "0")
+    reports.append(vars(explore_protocol(ProtocolA(), topology, workers=2)))
+    assert all(report == reports[0] for report in reports)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.protocols.sense.protocol_a import ProtocolA
 from repro.topology.complete import complete_with_sense_of_direction
-from repro.verification import explore_protocol
+from repro.verification import explore_protocol, world
 from repro.verification.explore import _SearchCore
 from repro.verification.store import FingerprintTable
 from repro.verification.world import LockStepWorld
@@ -49,11 +49,13 @@ def test_explorer_takes_each_transition_inline(monkeypatch):
     """The DFS's transitions stay fused: a default search calls none of
     the per-transition reference steps it replaced.
 
-    ``LockStepWorld.apply`` and ``peek_transition`` stay the reference for
-    fuzzing, replay and the differential test, and ``FingerprintTable.get``
-    and ``put`` for merges; a search that routes its transitions back
-    through them (or through a per-transition ``_SearchCore.arrive``) has
-    lost the fused loop, whatever its states/sec.
+    ``LockStepWorld.apply``, ``peek_transition`` and ``enabled_actions``
+    stay the reference for fuzzing, replay and the differential test,
+    ``independent`` the reference for the sleep-set rule, and
+    ``FingerprintTable.get`` and ``put`` for merges; a search that routes
+    its transitions back through them (or through a per-transition
+    ``_SearchCore.arrive``) has lost the fused loop, whatever its
+    states/sec.
     """
     calls: Counter[str] = Counter()
 
@@ -68,6 +70,8 @@ def test_explorer_takes_each_transition_inline(monkeypatch):
 
     count(LockStepWorld, "apply")
     count(LockStepWorld, "peek_transition")
+    count(LockStepWorld, "enabled_actions")
+    count(world, "independent")
     count(FingerprintTable, "get")
     count(FingerprintTable, "put")
     count(_SearchCore, "arrive")
