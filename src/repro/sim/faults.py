@@ -16,15 +16,14 @@ Design constraints, in order:
   never touch the network's delay RNG, so installing a plan with all rates
   zero leaves an election byte-identical to a fault-free run.
 
-* **Small per-link state.**  A link keeps its stream, not a generator: the
-  bound plan owns one scratch ``random.Random``, seeds it with the link's
-  string (the call ``random.Random(str)`` makes) and copies a batch of its
-  ``random()`` values into the link's ``array('d')``.  A verdict reads the
-  batch through a cursor; when fewer draws are left than one verdict can
-  read, the link is re-seeded, the draws it has used are drawn again and
-  discarded, and a batch twice as large follows.  The values, and their
-  order, are those of a per-link ``random.Random``, at about a sixth of
-  its memory.
+* **Small per-link state.**  A link keeps its stream, not a generator: its
+  state is a :class:`~repro.sim.rng.LinkStream`, a batch of the stream's
+  ``random()`` values that the bound plan refills from its one scratch
+  generator, re-seeded with the link's string.  The per-link mode of
+  :class:`~repro.sim.delays.UniformDelay` keeps its streams the same way.
+  A verdict reads the batch through a cursor and refills it first when
+  fewer draws are left than one verdict can read.  The values, and their
+  order, are those of a per-link ``random.Random``.
 
 * **Zero cost when off.**  With no plan installed the compiled send
   carries no verdict code at all, and the pipeline tests
@@ -51,9 +50,9 @@ import random
 from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import islice, repeat, starmap
 
 from repro.core.errors import SimulationError
+from repro.sim.rng import LinkStream
 
 #: ``judge`` verdict reasons for a dropped message (trace detail).
 DROP_LOSS = "loss"
@@ -208,25 +207,15 @@ class FaultPlan:
         return f"FaultPlan({', '.join(parts)})"
 
 
-#: Draws in a link's first batch.  A link of the benchmark's lossy runs
-#: reads about 9 to 15, and about 99% of them read at most 24.
-_BATCH = 24
-
 #: The most draws one verdict reads: drop, duplicate, jitter and the
 #: duplicate's jitter.  A batch with fewer left is refilled first.
 _VERDICT_DRAWS = 4
 
 
-class _LinkState:
-    """Runtime fault state for one directed link.
+class _LinkState(LinkStream):
+    """Runtime fault state for one directed link: its stream and rates."""
 
-    ``draws[at:]`` are the next values of the link's stream, and ``skip``
-    values of it came before ``draws[0]``.
-    """
-
-    __slots__ = (
-        "key", "draws", "at", "skip", "drop", "duplicate", "jitter", "windows",
-    )
+    __slots__ = ("drop", "duplicate", "jitter", "windows")
 
     def __init__(
         self,
@@ -234,10 +223,7 @@ class _LinkState:
         rates: LinkFaults | FaultPlan,
         windows: tuple[tuple[float, float], ...],
     ) -> None:
-        self.key = key
-        self.draws = array("d")
-        self.at = 0
-        self.skip = 0
+        super().__init__(key)
         self.drop = rates.drop
         self.duplicate = rates.duplicate
         self.jitter = rates.jitter
@@ -283,24 +269,9 @@ class ActiveFaultPlan:
         return state
 
     def _refill(self, state: _LinkState) -> array:
-        """Give ``state`` the next batch of its stream and return it.
-
-        The first batch holds :data:`_BATCH` draws and each later one twice
-        as many as the last.  The scratch generator is re-seeded with the
-        link's string and the draws the link has used are discarded, so the
-        batch continues the stream exactly where the cursor stood.
-        """
-        skip = state.skip + state.at
-        size = 2 * len(state.draws) or _BATCH
-        scratch = self._scratch
+        """Give ``state`` the next batch of its stream and return it."""
         src, dst = state.key
-        scratch.seed(f"{self.plan.seed}:{src}:{dst}")
-        # ``starmap`` calls ``random()`` with no Python frame per draw.
-        stream = starmap(scratch.random, repeat((), skip + size))
-        state.draws = draws = array("d", list(islice(stream, skip, None)))
-        state.at = 0
-        state.skip = skip
-        return draws
+        return state.refill(self._scratch, f"{self.plan.seed}:{src}:{dst}")
 
     def judge(
         self, src: int, dst: int, now: float

@@ -19,7 +19,6 @@ from repro.core.reliable import ReliableDelivery
 from repro.protocols.nosense.protocol_e import ProtocolE
 from repro.sim.delays import UniformDelay
 from repro.sim.faults import (
-    _BATCH,
     DROP_LOSS,
     DROP_PARTITION,
     FaultPlan,
@@ -28,6 +27,7 @@ from repro.sim.faults import (
     isolate,
 )
 from repro.sim.network import Network, run_election
+from repro.sim.rng import _BATCH
 from repro.topology.complete import complete_without_sense
 from tests.sim.determinism_cases import fingerprint_bytes
 

@@ -17,9 +17,10 @@ they must agree with the ``SendPath._transmit`` pipeline on every input,
 edge values, nested payloads, fault plans and run-RNG delays included;
 the hot protocols, the lossy build and the sharded overlay must actually
 take them; and a plain run must compile exactly the source it compiled
-before.  Three pin the lean per-link state: a link's fault stream costs
-under 1 KiB, a bound plan holds one generator, and a constant latency
-keeps no FIFO clock.  Two more pin the one dispatch loop: every sharded
+before.  Five pin the lean per-link state: a link's fault stream and its
+per-link delay stream each cost under 1 KiB, a bound fault plan and a
+bound per-link ``UniformDelay`` each hold one generator, and a constant
+latency keeps no FIFO clock.  Two more pin the one dispatch loop: every sharded
 event runs through ``Scheduler.run``, and a serial run's event queue
 holds only bound handlers.  The last two pin the in-order lane: under a
 constant latency a serial run pops only its wakes from the heap, and a
@@ -458,6 +459,22 @@ def test_a_links_fault_state_costs_under_a_kibibyte():
 
 
 @pytest.mark.perf_smoke
+def test_a_links_delay_stream_costs_under_a_kibibyte():
+    model = UniformDelay(0.05, 1.0, min_latency=0.05).bind()
+    links = 2_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in range(links):
+            model.latency(src, src + 1, None, 0.0, None)
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(model._streams) == links
+    assert cost / links <= 1024, f"{cost / links:.0f} B per link"
+
+
+@pytest.mark.perf_smoke
 def test_a_lossy_runs_fault_plan_holds_one_generator():
     network = _lossy_network(64, seed=3)
     active = network._faults
@@ -467,6 +484,19 @@ def test_a_lossy_runs_fault_plan_holds_one_generator():
     # edge chain above) refused by the sharded runtime.
     generator = sys.modules["random"].Random
     assert sum(isinstance(obj, generator) for obj in _reachable(active)) == 1
+
+
+@pytest.mark.perf_smoke
+def test_a_runs_per_link_delay_model_holds_one_generator():
+    network = Network(
+        ProtocolE(), complete_without_sense(64, seed=3),
+        delays=UniformDelay(0.05, 1.0, min_latency=0.05), seed=3,
+    )
+    bound = network.delays
+    network.run()
+    assert len(bound._streams) > 100
+    generator = sys.modules["random"].Random
+    assert sum(isinstance(obj, generator) for obj in _reachable(bound)) == 1
 
 
 @pytest.mark.perf_smoke
