@@ -62,9 +62,11 @@ tallied once, at quiescence.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import fields as _dataclass_fields
 from heapq import heappush
 from typing import Any
@@ -91,6 +93,30 @@ from repro.topology.complete import CompleteTopology
 #: A wake-up schedule maps base-node *positions* to spontaneous wake times.
 WakeupSchedule = Mapping[int, float]
 WakeupFactory = Callable[[CompleteTopology, random.Random], WakeupSchedule]
+
+#: The collector's young-generation threshold while a run builds its nodes
+#: or runs (the interpreter's default is 700).
+_YOUNG_THRESHOLD = 20_000
+
+
+@contextmanager
+def spaced_young_collections() -> Iterator[None]:
+    """The one collector policy of both runtimes, for the ``with`` block.
+
+    Node construction, the heap's entries and a shard window's decoded
+    records all allocate objects that live on: a young pass every 700
+    allocations would only traverse them and promote them towards full
+    collections.  The block raises the young threshold to
+    :data:`_YOUNG_THRESHOLD` (unless the caller switched automatic
+    collection off) and restores the caller's thresholds on every exit.
+    """
+    thresholds = gc.get_threshold()
+    if thresholds[0]:
+        gc.set_threshold(max(thresholds[0], _YOUNG_THRESHOLD), *thresholds[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 def resolve_wakeup(
@@ -848,10 +874,11 @@ class Network(SendPath):
         # handler, bound once.
         self._queue = self.scheduler._queue
         self._deliver = self._deliver_entry
-        self.nodes: list[Node] = [
-            protocol.create_node(_BoundContext(self, position))
-            for position in range(topology.n)
-        ]
+        with spaced_young_collections():
+            self.nodes: list[Node] = [
+                protocol.create_node(_BoundContext(self, position))
+                for position in range(topology.n)
+            ]
         self._node_at = self.nodes
 
     # -- wiring ---------------------------------------------------------------
@@ -957,21 +984,22 @@ class Network(SendPath):
         self._ran = True
 
         schedule_payload = self._schedule_payload
-        for position, time in self._resolve_wakeup().items():
-            schedule_payload(time, self._wake_entry, 0, (position,), -1)
-        # Crashes win ties against wakes and deliveries at the same instant:
-        # the adversary kills the node before it can act.
-        for position, time in self.crash_schedule.items():
-            schedule_payload(time, self._crash_entry, 0, (position,), -2)
-        self.scheduler.run(until=until)
-        result = fold_result(
-            self.protocol,
-            self.topology,
-            [self._tally(range(self._n), snapshots=True)],
-            quiescent_at=self.scheduler.now,
-            failed_positions=self.failed_positions,
-            trace=self.tracer,
-        )
+        with spaced_young_collections():
+            for position, time in self._resolve_wakeup().items():
+                schedule_payload(time, self._wake_entry, 0, (position,), -1)
+            # Crashes win ties against wakes and deliveries at the same
+            # instant: the adversary kills the node before it can act.
+            for position, time in self.crash_schedule.items():
+                schedule_payload(time, self._crash_entry, 0, (position,), -2)
+            self.scheduler.run(until=until)
+            result = fold_result(
+                self.protocol,
+                self.topology,
+                [self._tally(range(self._n), snapshots=True)],
+                quiescent_at=self.scheduler.now,
+                failed_positions=self.failed_positions,
+                trace=self.tracer,
+            )
         # Tallied: drop the per-run send state (link maps, fault streams),
         # so a finished network holds no per-link data.
         self._lasts = {}

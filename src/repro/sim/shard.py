@@ -129,6 +129,7 @@ from repro.sim.network import (
     leader_conflict,
     merge_crash_schedule,
     resolve_wakeup,
+    spaced_young_collections,
     validate_failure_config,
 )
 from repro.sim.tracing import Tracer
@@ -140,9 +141,6 @@ TIMER_MARK = 1 << TIEBREAK_SHIFT
 #: tiebreaks (wake -1, crash -2).
 _WAKE_BASE = -(1 << TIEBREAK_SHIFT)
 _CRASH_BASE = -(2 << TIEBREAK_SHIFT)
-#: The collector's young-generation threshold while a sharded run is in
-#: flight (the interpreter's default is 700); see :meth:`ShardedNetwork.run`.
-_YOUNG_THRESHOLD = 20_000
 
 
 class _OutBuffer:
@@ -842,32 +840,25 @@ class ShardedNetwork:
         wall0 = perf_counter()
         k = self.shards
         cfg = self._cfg
-        # A window decodes its incoming records into lane entries in one
-        # burst, and they live until it dispatches them: a young pass
-        # every 700 allocations would only traverse live entries and
-        # promote them towards full collections.  The run raises the
-        # threshold, which forked workers inherit, and restores the
-        # caller's on the way out.
-        thresholds = gc.get_threshold()
-        gc.set_threshold(max(thresholds[0], _YOUNG_THRESHOLD), *thresholds[1:])
+        # Forked workers inherit the run's collector policy.
         handles: list[Any] = []
-        try:
-            # Built inside the try: if one worker fails to start, the
-            # ones already running are closed with the rest.  Shard 0
-            # runs in this process; a forked run forks the others first,
-            # so that no worker inherits shard 0's state.
-            if self._forked:
-                context = fork_context()
-                for i in range(1, k):
-                    handles.append(_ForkHandle(context, cfg, i))
-                handles.insert(0, _LocalHandle(cfg, 0))
-            else:
-                handles.extend(_LocalHandle(cfg, i) for i in range(k))
-            finals = self._drive(handles)
-        finally:
-            gc.set_threshold(*thresholds)
-            for handle in handles:
-                handle.close()
+        with spaced_young_collections():
+            try:
+                # Built inside the try: if one worker fails to start, the
+                # ones already running are closed with the rest.  Shard 0
+                # runs in this process; a forked run forks the others
+                # first, so that no worker inherits shard 0's state.
+                if self._forked:
+                    context = fork_context()
+                    for i in range(1, k):
+                        handles.append(_ForkHandle(context, cfg, i))
+                    handles.insert(0, _LocalHandle(cfg, 0))
+                else:
+                    handles.extend(_LocalHandle(cfg, i) for i in range(k))
+                finals = self._drive(handles)
+            finally:
+                for handle in handles:
+                    handle.close()
         result = fold_result(
             self.protocol,
             self.topology,
