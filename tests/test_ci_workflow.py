@@ -161,8 +161,9 @@ class TestCommands:
 
     def test_perf_smoke_leg_reruns_the_lossy_scenario(self, jobs):
         # The compiled faulty send must print the same lossy election in
-        # two processes with different hash seeds, and FT's election, whose
-        # links read past a first batch of fault draws, its pinned line.
+        # two processes with different hash seeds, and G's election and
+        # FT's, whose links read past a first batch of fault draws, their
+        # pinned lines.
         lossy = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "--name lossy" in s["run"]
@@ -177,6 +178,8 @@ class TestCommands:
             f"PYTHONHASHSEED=1 {g} > lossy_a.txt",
             f"PYTHONHASHSEED=2 {g} > lossy_b.txt",
             "diff lossy_a.txt lossy_b.txt",
+            "grep -qxF 'REL[G(k=logN)]: N=128 leader=32 msgs=6241 "
+            "time=45.65 depth=12' lossy_a.txt",
             f"PYTHONHASHSEED=1 {ft} > lossy_ft_a.txt",
             f"PYTHONHASHSEED=2 {ft} > lossy_ft_b.txt",
             "diff lossy_ft_a.txt lossy_ft_b.txt",
