@@ -119,7 +119,7 @@ def protocol_c_k(n: int) -> int:
 class ProtocolCNode(ContestNode):
     """One node running Protocol C."""
 
-    def __init__(self, ctx: NodeContext, k: int) -> None:
+    def __init__(self, ctx: NodeContext, k: int, total_steps: int) -> None:
         super().__init__(ctx)
         self.k = k
         self.class_size = ctx.n // k  # m = N/k
@@ -128,7 +128,7 @@ class ProtocolCNode(ContestNode):
         self.phase = 1
         self._acks_outstanding = 0
         self._sweeps_outstanding = 0
-        self._total_steps = exact_log2(k, "k")
+        self._total_steps = total_steps  # log2(k)
 
     # -- strength ---------------------------------------------------------------
 
@@ -310,6 +310,9 @@ class ProtocolC(ElectionProtocol):
 
     def __init__(self, k: int | None = None) -> None:
         self.k = k
+        # ``(N, k, log2 k)`` of the last network built, so a run computes
+        # its class width once rather than once per node.
+        self._shape: tuple[int, int, int] | None = None
 
     def effective_k(self, n: int) -> int:
         """The class width in use: the explicit ``k`` or the paper's formula."""
@@ -328,7 +331,11 @@ class ProtocolC(ElectionProtocol):
             )
 
     def create_node(self, ctx: NodeContext) -> ProtocolCNode:
-        return ProtocolCNode(ctx, self.effective_k(ctx.n))
+        shape = self._shape
+        if shape is None or shape[0] != ctx.n:
+            k = self.effective_k(ctx.n)
+            shape = self._shape = (ctx.n, k, exact_log2(k, "k"))
+        return ProtocolCNode(ctx, shape[1], shape[2])
 
     def describe(self) -> str:
         return "C" if self.k is None else f"C(k={self.k})"

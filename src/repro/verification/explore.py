@@ -94,6 +94,7 @@ from repro.verification.symmetry import (
 )
 from repro.verification.world import (
     _DELIVER_ACTIONS,
+    _MESSAGES,
     _WAKE_ACTIONS,
     Action,
     LockStepWorld,
@@ -166,36 +167,45 @@ def action_bit(action: Action, n: int) -> int:
 
 
 class _ActionOrder:
-    """One search's action numbering (see :func:`action_bit`), tabulated."""
+    """One search's action numbering (see :func:`action_bit`), tabulated.
 
-    __slots__ = ("actions", "wake_bits", "link_bits", "keep")
+    Links are the ints ``src * n + dst`` that key
+    :attr:`LockStepWorld.hashes`.
+    """
+
+    __slots__ = ("actions", "actors", "links", "wake_bits", "link_bits", "into", "keep")
 
     def __init__(self, n: int) -> None:
-        links = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
+        pairs = [(src, dst) for src in range(n) for dst in range(n) if src != dst]
         #: Bit index -> the interned action tuple.
         self.actions: list[Action] = [_WAKE_ACTIONS[p] for p in range(n)]
-        self.actions += map(_DELIVER_ACTIONS.__getitem__, links)
+        self.actions += map(_DELIVER_ACTIONS.__getitem__, pairs)
+        #: Bit index -> the node the action steps.
+        self.actors = [*range(n), *(dst for _, dst in pairs)]
+        #: Bit index -> the action's link (-1 for a wake-up).
+        self.links = [-1] * n + [src * n + dst for src, dst in pairs]
         self.wake_bits = [1 << p for p in range(n)]
-        self.link_bits = {
-            link: 1 << action_bit(("deliver", link), n) for link in links
-        }
+        #: Link -> the bit of its delivery (0 for the unused ``p * n + p``).
+        self.link_bits = [0] * (n * n)
+        for index in range(n, len(self.links)):
+            self.link_bits[self.links[index]] = 1 << index
+        #: Per node ``d``: the bits of the links into ``d``, ascending in
+        #: their source.
+        self.into = [
+            sum(self.link_bits[src * n + d] for src in range(n) if src != d)
+            for d in range(n)
+        ]
         #: Per actor ``d``: every bit but ``d``'s own actions (its wake-up
         #: and the links into it).  Actions of different actors commute
         #: (:func:`~repro.verification.world.independent`), so
         #: ``sleep & keep[d]`` is the sleep set a child inherits through
         #: an action of ``d``.
-        self.keep = [
-            ~(
-                self.wake_bits[d]
-                + sum(self.link_bits[(src, d)] for src in range(n) if src != d)
-            )
-            for d in range(n)
-        ]
+        self.keep = [~(self.wake_bits[d] | self.into[d]) for d in range(n)]
 
     def enabled(self, world: LockStepWorld) -> int:
         """``world.enabled_actions()`` as a bit set (no fault budget)."""
         return sum(
-            map(self.link_bits.__getitem__, world.queues),
+            map(self.link_bits.__getitem__, world.hashes),
             sum(map(self.wake_bits.__getitem__, world.pending_wakes)),
         )
 
@@ -283,12 +293,15 @@ class _SearchCore:
         frontier one frame at a time that way, through this same loop.
 
         Each iteration takes one transition inline — take the frame's
-        lowest candidate bit, branch, pop the channel head or clear the
-        wake-up flag, look the local transition up in the world's memo,
-        install the actor's new node, push the replayed sends — and then
-        *arrives* at the child: compress, probe the fingerprint table
-        once, build the child's frame.  Every action set (sleep, enabled,
-        candidates, stored mask) is an int over the search's action bits
+        lowest candidate bit, branch, pop the head hash off the link's
+        column or clear the wake-up flag, look the local transition up in
+        the world's memo, install the actor's new node, append the
+        replayed sends' hashes — and then *arrives* at the child:
+        compress, probe the fingerprint table once, build the child's
+        frame.  The loop works on the world's int-keyed channel column
+        alone; it reads a message object from the intern table only on a
+        memo miss.  Every action set (sleep, enabled, candidates, stored
+        mask) is an int over the search's action bits
         (:func:`action_bit`).  A replayed send is not
         audited again: ``_CaptureContext.send`` audited that same message
         when the memo miss captured it, and captured messages are frozen
@@ -316,7 +329,9 @@ class _SearchCore:
           non-inert — in particular the actor's outgoing links that were
           non-empty before the step, which only had sends appended.
 
-        An inert pop changes nothing but its own channel's head, so inert
+        The scanned links are read off the action bits: ``enabled &
+        into[d]`` (source-ascending) plus the bits of the new heads.  An
+        inert pop changes nothing but its own channel's head, so inert
         pops commute: each scanned link drains in place, in any order.
         The root (no parent) is scanned whole.
         """
@@ -338,14 +353,14 @@ class _SearchCore:
         deliver_memo = origin._deliver_memo
         wake_memo = origin._wake_memo
         reps = origin._reps
-        into = [
-            [(src, dst) for src in range(n) if src != dst] for dst in range(n)
-        ]
+        messages = _MESSAGES
         order = _ActionOrder(n)
-        actions = order.actions
+        actors = order.actors
+        links = order.links
         keep = order.keep
         wake_bits = order.wake_bits
-        link_bit = order.link_bits.__getitem__
+        link_bits = order.link_bits
+        into = order.into
         index = -1  # the bit of the action that produced ``world``; -1: root
         sleep = 0
         if world is not None:
@@ -359,8 +374,8 @@ class _SearchCore:
                 candidates = frame.candidates
                 low = candidates & -candidates
                 index = low.bit_length() - 1
-                kind, arg = actions[index]
-                d = arg if kind == "wake" else arg[1]
+                d = actors[index]
+                link = links[index]
                 # Sleeping actions of other actors stay asleep in the child.
                 sleep = frame.sleep & keep[d]
                 enabled = frame.enabled
@@ -373,31 +388,29 @@ class _SearchCore:
                 else:
                     stack.pop()
                     world = frame.world  # safe: the frame takes no more branches
-            queues = world.queues
             hashes = world.hashes
             node_fp = world._node_fp
             fp = world._fp
+            heads = 0  # bits of the links this step gave a new head
             if index >= 0:
                 # -- the transition (LockStepWorld.apply, inline) ---------------
                 report.transitions += 1
                 old = node_fp[d]
-                if kind == "deliver":
-                    queue = queues[arg]
-                    column = hashes[arg]
-                    fp ^= hash((2, arg, column))
-                    if len(column) > 1:
-                        rest = hashes[arg] = column[1:]
-                        queues[arg] = queue[1:]
-                        fp ^= hash((2, arg, rest))
+                if link >= 0:
+                    column = hashes[link]
+                    fp ^= hash((2, link, column))
+                    rest = column[1:]
+                    if rest:
+                        hashes[link] = rest
+                        fp ^= hash((2, link, rest))
                     else:
-                        del queues[arg], hashes[arg]
+                        del hashes[link]
                         enabled ^= low
-                    src = arg[0]
-                    key = (d, old, src, column[0])
+                    key = (link, old, column[0])
                     entry = deliver_memo.get(key)
                     if entry is None:
                         entry = deliver_memo[key] = world._run_transition(
-                            d, port_to(d, src), queue[0]
+                            d, port_to(d, link // n), messages[column[0]]
                         )
                 else:
                     fp ^= hash((3, d))
@@ -414,20 +427,17 @@ class _SearchCore:
                     world.nodes[d] = reps[new_fp]
                     node_fp[d] = new_fp
                     fp ^= hash((1, d, old)) ^ hash((1, d, new_fp))
-                heads: list[tuple[int, int]] = []  # links given a new head
                 if sends:
-                    for link, message, message_fp in sends:
-                        column = hashes.get(link)
+                    for out, message_fp in sends:
+                        column = hashes.get(out)
                         if column is None:
-                            queues[link] = (message,)
-                            column = hashes[link] = (message_fp,)
-                            fp ^= hash((2, link, column))
-                            enabled |= link_bit(link)
-                            heads.append(link)
+                            column = hashes[out] = (message_fp,)
+                            fp ^= hash((2, out, column))
+                            heads |= link_bits[out]
                         else:
-                            queues[link] += (message,)
-                            new = hashes[link] = column + (message_fp,)
-                            fp ^= hash((2, link, column)) ^ hash((2, link, new))
+                            new = hashes[out] = column + (message_fp,)
+                            fp ^= hash((2, out, column)) ^ hash((2, out, new))
+                    enabled |= heads
                     world.messages_sent += len(sends)
                 if declared:
                     for _ in range(declared):
@@ -449,16 +459,21 @@ class _SearchCore:
                             enabled ^= wake_bits[p]
                         world.pending_wakes = pending - frozenset(stale)
                         report.compressed_steps += len(stale)
-                if compress and queues:
+                if compress and hashes:
+                    # The non-empty links into the actor, then the new heads
+                    # (all of them out of the actor); at the root, every
+                    # non-empty link.
                     if index < 0:
-                        scan = list(queues)
+                        scan = enabled >> n << n
                     else:
-                        scan = into[d] + heads if heads else into[d]
-                    for link in scan:
-                        column = hashes.get(link)
-                        if column is None:
-                            continue
-                        src, dst = link
+                        scan = enabled & into[d] | heads
+                    while scan:
+                        bit = scan & -scan
+                        scan ^= bit
+                        at = bit.bit_length() - 1
+                        link = links[at]
+                        dst = actors[at]
+                        column = hashes[link]
                         receiver_fp = node_fp[dst]
                         while True:
                             # The memo answers the inertness question: a
@@ -467,22 +482,22 @@ class _SearchCore:
                             # declarations).  A non-inert head (including
                             # one that would declare a second leader) is
                             # left enabled and explored as a real branch.
-                            key = (dst, receiver_fp, src, column[0])
+                            key = (link, receiver_fp, column[0])
                             entry = deliver_memo.get(key)
                             if entry is None:
                                 entry = deliver_memo[key] = world._run_transition(
-                                    dst, port_to(dst, src), queues[link][0]
+                                    dst, port_to(dst, link // n), messages[column[0]]
                                 )
                             if entry[1] or entry[2] or entry[0] != receiver_fp:
                                 break
                             report.compressed_steps += 1
                             fp ^= hash((2, link, column))
-                            if len(column) == 1:
-                                del queues[link], hashes[link]
-                                enabled ^= link_bit(link)
+                            column = column[1:]
+                            if not column:
+                                del hashes[link]
+                                enabled ^= bit
                                 break
-                            column = hashes[link] = column[1:]
-                            queues[link] = queues[link][1:]
+                            hashes[link] = column
                             fp ^= hash((2, link, column))
             world._fp = fp
             # -- memoisation ----------------------------------------------------

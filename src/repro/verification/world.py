@@ -19,41 +19,52 @@ Three things make the world cheap enough to explore at N=6:
 
 **Persistent nodes and memoised local transitions.**
 :meth:`LockStepWorld.branch` copies only the container skeleton (node
-list, queue and hash-column dicts, node hashes); node objects and queued
-messages are shared between branches and treated as immutable values.  A
-node's ``receive``/``wake`` is a pure function of its own structural state
-plus the arriving message and the link it came over, so its effect — new
-state, sends, leader declarations — is memoised in two tables shared by
-every branch: deliveries under ``(dst, state hash, src, message hash)``,
-spontaneous wake-ups under ``(position, state hash)``.  Keys of the two
-tables can never alias, and a delivery hit needs neither the port wiring
-nor the message object.  A memoised effect stores its sends already
-resolved to ``(link, message, message hash)``.  The vast majority of
-transitions an exhaustive search takes are *repeats* of a local
-transition seen on another interleaving; those replace the actor's node
-entry with a shared representative object by pointer and replay the
-captured sends, running no protocol code, copying nothing and re-freezing
-nothing.  Only the first occurrence of each local transition pays for a
-node clone, the receive call and re-freezing — everything else is a dict
-hit.
+list, channel column, node hashes); node objects are shared between
+branches and treated as immutable values.  A node's ``receive``/``wake``
+is a pure function of its own structural state plus the arriving message
+and the link it came over, so its effect — new state, sends, leader
+declarations — is memoised in two tables shared by every branch:
+deliveries under ``(link, state hash, message hash)``, spontaneous
+wake-ups under ``(position, state hash)``.  Keys of the two tables can
+never alias, and a delivery hit needs neither the port wiring nor the
+message object.  A memoised effect stores its sends already resolved to
+``(link, message hash)``.  The vast majority of transitions an exhaustive
+search takes are *repeats* of a local transition seen on another
+interleaving; those replace the actor's node entry with a shared
+representative object by pointer and replay the captured sends, running
+no protocol code, copying nothing and re-freezing nothing.  Only the
+first occurrence of each local transition pays for a node clone, the
+receive call and re-freezing — everything else is a dict hit.
+
+**One channel column of message hashes.**  A link ``(src, dst)`` is the
+int ``src * n + dst``, and :attr:`LockStepWorld.hashes` maps each
+non-empty link to the tuple of its queued messages' hashes, head first.
+That column is the only channel state a world holds: the message behind
+a hash is recovered from one process-wide intern table, which
+:func:`message_hash` fills the first time it hashes a message (every
+message a node sends is hashed once, when a memo miss captures it).  The
+table resolves a hash to the first message that produced it, so two
+distinct messages with one 64-bit hash would read as one — the same
+collision budget the transition memos, keyed by message hash, already
+accept.  The hash covers the message's class as well as its structure,
+so two message classes that share a name and fields never resolve to
+each other.
 
 **Structural fingerprints, hash-compacted to one machine word.**  Node and
 message state is *frozen* into nested tuples of plain values
 (:func:`freeze_value`) and hashed with Python's tuple hash — no pickling
-anywhere on the hot path.  Each node carries a cached 64-bit hash, and
-each non-empty channel carries a *hash column*: the tuple of its queued
-messages' structural hashes, kept next to the message tuple (see
-:attr:`LockStepWorld.hashes`).  A channel's fingerprint component is the
-tuple hash of its column, so enqueues, head pops and replayed sends
-rehash a channel without touching its messages; :func:`message_hash`
-runs only when a memo miss captures a transition's sends.  The world
-fingerprint is a single ``int`` that fits an 8-byte table slot (see
+anywhere on the hot path.  Each node carries a cached 64-bit hash, and a
+channel's fingerprint component is the tuple hash of its link and its
+hash column, so enqueues, head pops and replayed sends rehash a channel
+without touching a message; :func:`message_hash` runs only when a memo
+miss captures a transition's sends.  The world fingerprint is a single
+``int`` that fits an 8-byte table slot (see
 :mod:`repro.verification.store`) instead of a 16-byte digest object plus
 a set entry.  Hash compaction trades a vanishing collision probability
 (Stern–Dill: ~``|S|²/2⁶⁴``, under 10⁻⁹ for the ~10⁶-state searches run
 here) for roughly 5× less resident memory per visited state.  Fork-started
-workers inherit the interpreter's hash seed, so fingerprints are
-comparable across the parallel explorer's worker pool.
+workers inherit the interpreter's hash seed and its intern table, so
+fingerprints are comparable across the parallel explorer's worker pool.
 
 **A permutation-apply primitive.**  :meth:`LockStepWorld.state_tuple`
 returns the frozen structural state, optionally relabelled through a node
@@ -81,8 +92,9 @@ from repro.topology.complete import CompleteTopology
 Action = tuple[str, Any]
 
 #: A memoised transition effect: ``(new node hash, sends, leader
-#: declarations)``, each send resolved to ``(link, message, message hash)``.
-_Effect = tuple[int, tuple[tuple[tuple[int, int], Message, int], ...], int]
+#: declarations)``, each send resolved to ``(link, message hash)`` with the
+#: link as the int ``src * n + dst``.
+_Effect = tuple[int, tuple[tuple[int, int], ...], int]
 
 
 def actor(action: Action) -> int:
@@ -312,19 +324,25 @@ def freeze_value(value: Any, relabel: Relabeling = _IDENTITY, field: str = ""):
     return value
 
 
-#: Global per-message structural-hash memo.  Messages are immutable frozen
-#: dataclasses shared across branches; keys compare by value *and* class
-#: (dataclass ``__eq__`` rejects other types), so distinct message types
-#: never alias.  Only captured sends consult it: queued messages carry
-#: their hashes in the world's hash column.
+#: Global per-message hash memo.  Messages are immutable frozen
+#: dataclasses; keys compare by value *and* class (dataclass ``__eq__``
+#: rejects other types), so distinct message types never alias.  Only
+#: captured sends consult it: queued messages are their hashes.
 _MESSAGE_HASH: dict[Message, int] = {}
+
+#: The intern table: message hash -> the first message with that hash.
+#: Every world's channel column holds hashes only and reads its messages
+#: back from here (see the module docstring for the collision budget).
+_MESSAGES: dict[int, Message] = {}
 
 
 def message_hash(message: Message) -> int:
-    """Memoised 64-bit structural hash of one (immutable) message."""
+    """Memoised 64-bit hash of one (immutable) message: its class and its
+    frozen structure.  Interns the message on first sight."""
     h = _MESSAGE_HASH.get(message)
     if h is None:
-        h = _MESSAGE_HASH[message] = hash(freeze_value(message))
+        h = _MESSAGE_HASH[message] = hash((type(message), freeze_value(message)))
+        _MESSAGES.setdefault(h, message)
     return h
 
 
@@ -413,7 +431,27 @@ def _freeze_node(node: Node, relabel: Relabeling = _IDENTITY):
 
 
 class LockStepWorld:
-    """One node-states + channel-queues configuration, branchable cheaply."""
+    """One node-states + channel-column configuration, branchable cheaply.
+
+    A link ``(src, dst)`` is stored as the int ``src * n + dst``; the
+    public methods take and return tuple links, as :data:`Action` does.
+    """
+
+    __slots__ = (
+        "topology",
+        "fault_budget",
+        "dropped",
+        "nodes",
+        "hashes",
+        "pending_wakes",
+        "leaders",
+        "messages_sent",
+        "_node_fp",
+        "_fp",
+        "_wake_memo",
+        "_deliver_memo",
+        "_reps",
+    )
 
     def __init__(
         self,
@@ -439,12 +477,10 @@ class LockStepWorld:
             protocol.create_node(_CaptureContext(topology, position))
             for position in range(topology.n)
         ]
-        #: Per-channel FIFO contents as immutable tuples, keyed (src, dst);
-        #: absent key == empty channel.
-        self.queues: dict[tuple[int, int], tuple[Message, ...]] = {}
-        #: The hash column: per channel, the :func:`message_hash` of each
-        #: queued message, position for position with ``queues``.
-        self.hashes: dict[tuple[int, int], tuple[int, ...]] = {}
+        #: The channel column: per non-empty link ``src * n + dst``, the
+        #: :func:`message_hash` of each queued message, head first, as an
+        #: immutable tuple; absent key == empty channel.
+        self.hashes: dict[int, tuple[int, ...]] = {}
         self.pending_wakes: frozenset[int] = frozenset(base_positions)
         self.leaders: tuple[int, ...] = ()
         self.messages_sent = 0
@@ -460,10 +496,10 @@ class LockStepWorld:
             fp: node for fp, node in zip(self._node_fp, self.nodes)
         }
         # Zobrist-style incremental world fingerprint: the XOR of one
-        # salted hash per component (node state, channel hash column,
-        # pending wake-up).  Every mutation folds the old component out
-        # and the new one in, so ``fingerprint()`` is O(1) instead of
-        # rebuilding and sorting the whole configuration at every arrival.
+        # salted hash per component (node state, channel column, pending
+        # wake-up).  Every mutation folds the old component out and the
+        # new one in, so ``fingerprint()`` is O(1) instead of rebuilding
+        # and sorting the whole configuration at every arrival.
         fp = 0
         for p, node_fp in enumerate(self._node_fp):
             fp ^= hash((1, p, node_fp))
@@ -474,7 +510,7 @@ class LockStepWorld:
     # -- branching ----------------------------------------------------------
 
     def branch(self) -> "LockStepWorld":
-        """A copy sharing node objects and queued messages with ``self``.
+        """A copy sharing node objects and channel columns with ``self``.
 
         Node objects are treated as immutable values once installed (a
         transition *replaces* its actor's entry in ``nodes`` with a shared
@@ -490,7 +526,6 @@ class LockStepWorld:
         child.fault_budget = self.fault_budget
         child.dropped = self.dropped
         child.nodes = self.nodes.copy()
-        child.queues = self.queues.copy()
         child.hashes = self.hashes.copy()
         child.pending_wakes = self.pending_wakes
         child.leaders = self.leaders
@@ -504,18 +539,19 @@ class LockStepWorld:
 
     # -- transitions ---------------------------------------------------------
 
-    def _push(
-        self, link: tuple[int, int], message: Message, message_fp: int
-    ) -> None:
-        """Append one message and its hash to a channel's two columns."""
-        message_bits(message, self.topology.n)  # O(log N) audit, as in sim
+    def _link(self, link: tuple[int, int]) -> int:
+        """The int key of a tuple link."""
+        return link[0] * self.topology.n + link[1]
+
+    def _push(self, link: int, message_fp: int) -> None:
+        """Append one message hash to a channel's column."""
+        # O(log N) audit, as in sim
+        message_bits(_MESSAGES[message_fp], self.topology.n)
         old = self.hashes.get(link)
         if old is None:
-            self.queues[link] = (message,)
             new = self.hashes[link] = (message_fp,)
             self._fp ^= hash((2, link, new))
         else:
-            self.queues[link] += (message,)
             new = self.hashes[link] = old + (message_fp,)
             self._fp ^= hash((2, link, old)) ^ hash((2, link, new))
 
@@ -536,8 +572,10 @@ class LockStepWorld:
         actions = (
             list(map(_WAKE_ACTIONS.__getitem__, sorted(wakes))) if wakes else []
         )
-        if self.queues:
-            links = sorted(self.queues)
+        if self.hashes:
+            # ``src * n + dst`` sorts as ``(src, dst)`` does.
+            n = self.topology.n
+            links = [divmod(link, n) for link in sorted(self.hashes)]
             actions += map(_DELIVER_ACTIONS.__getitem__, links)
             if self.fault_budget > 0:
                 actions += map(_DROP_ACTIONS.__getitem__, links)
@@ -545,23 +583,20 @@ class LockStepWorld:
 
     def peek_message(self, link: tuple[int, int]) -> Message:
         """Head-of-line message of a channel (for narration; no mutation)."""
-        return self.queues[link][0]
+        return _MESSAGES[self.hashes[self._link(link)][0]]
 
-    def _pop_queue(self, link: tuple[int, int]) -> tuple[Message, int]:
-        """Remove a channel's head; return it with its message hash."""
-        queue = self.queues[link]
-        hashes = self.hashes[link]
-        fp = self._fp ^ hash((2, link, hashes))
-        if len(hashes) > 1:
-            rest = hashes[1:]
-            self.queues[link] = queue[1:]
-            self.hashes[link] = rest
+    def _pop_queue(self, link: int) -> int:
+        """Remove a channel's head; return its message hash."""
+        hashes = self.hashes
+        column = hashes[link]
+        fp = self._fp ^ hash((2, link, column))
+        if len(column) > 1:
+            rest = hashes[link] = column[1:]
             fp ^= hash((2, link, rest))
         else:
-            del self.queues[link]
-            del self.hashes[link]
+            del hashes[link]
         self._fp = fp
-        return queue[0], hashes[0]
+        return column[0]
 
     def pop_head(self, link: tuple[int, int]) -> None:
         """Consume a channel head **without** running the receiver.
@@ -571,7 +606,7 @@ class LockStepWorld:
         (see the compression layer in :mod:`repro.verification.explore`,
         whose DFS pops inert heads inline; this is the reference step).
         """
-        self._pop_queue(link)
+        self._pop_queue(self._link(link))
 
     def drop_wakes(self, positions) -> None:
         """Clear pending wake-up flags without stepping the nodes.
@@ -598,7 +633,8 @@ class LockStepWorld:
         then becomes the shared representative object for its new state
         hash, so memo hits replace the actor's node by pointer — no copy,
         no protocol code, no re-freezing.  Sends come back resolved to
-        ``(link, message, message hash)``, ready to replay.
+        ``(link, message hash)``, ready to replay; hashing them interns
+        the messages.
         """
         ctx = _CaptureContext(self.topology, position)
         clone = _clone_node(self.nodes[position], ctx)
@@ -610,22 +646,22 @@ class LockStepWorld:
         if new_fp not in self._reps:
             self._reps[new_fp] = clone
         neighbor = self.topology.neighbor
+        base = position * self.topology.n
         sends = tuple(
-            ((position, neighbor(position, out)), sent, message_hash(sent))
+            (base + neighbor(position, out), message_hash(sent))
             for out, sent in ctx.sends
         )
         return new_fp, sends, ctx.declared
 
-    def _delivery(
-        self, src: int, dst: int, message: Message, message_fp: int
-    ) -> _Effect:
-        """The memoised effect of delivering ``message`` over ``(src, dst)``."""
-        key = (dst, self._node_fp[dst], src, message_fp)
+    def _delivery(self, link: int, message_fp: int) -> _Effect:
+        """The memoised effect of delivering ``message_fp`` over ``link``."""
+        src, dst = divmod(link, self.topology.n)
+        key = (link, self._node_fp[dst], message_fp)
         entry = self._deliver_memo.get(key)
         if entry is None:
             port = self.topology.port_to(dst, src)
             entry = self._deliver_memo[key] = self._run_transition(
-                dst, port, message
+                dst, port, _MESSAGES[message_fp]
             )
         return entry
 
@@ -639,8 +675,8 @@ class LockStepWorld:
             self._fp ^= hash((1, position, old_fp)) ^ hash((1, position, new_fp))
         if sends:
             push = self._push
-            for link, message, message_fp in sends:
-                push(link, message, message_fp)
+            for link, message_fp in sends:
+                push(link, message_fp)
             self.messages_sent += len(sends)
         for _ in range(declared):
             self.on_leader(position)
@@ -651,14 +687,14 @@ class LockStepWorld:
 
         The fuzzer, the replayer and ``count_unpruned_interleavings`` step
         through here.  The explorer's DFS (``_SearchCore.run``) takes the
-        same transition inline, over the same columns, memos and
+        same transition inline, over the same column, memos and
         fingerprint components; ``tests/verification/test_fused_search.py``
         pins the two to the same explored graph.
         """
         kind, arg = action
         if kind == "deliver":
-            message, message_fp = self._pop_queue(arg)
-            entry = self._delivery(arg[0], arg[1], message, message_fp)
+            link = self._link(arg)
+            entry = self._delivery(link, self._pop_queue(link))
             self._install(arg[1], entry)
         elif kind == "wake":
             self._fp ^= hash((3, arg))
@@ -669,7 +705,7 @@ class LockStepWorld:
                 entry = self._wake_memo[key] = self._run_transition(arg, -1, None)
             self._install(arg, entry)
         else:  # "drop"
-            self._pop_queue(arg)
+            self._pop_queue(self._link(arg))
             self.dropped += 1
             self.fault_budget -= 1
 
@@ -679,9 +715,8 @@ class LockStepWorld:
         ``(current node hash, no sends, no declarations)`` — the test the
         explorer's compression layer runs, inline, per scanned channel
         head."""
-        return self._delivery(
-            link[0], link[1], self.queues[link][0], self.hashes[link][0]
-        )
+        key = self._link(link)
+        return self._delivery(key, self.hashes[key][0])
 
     # -- identity -------------------------------------------------------------
 
@@ -738,14 +773,13 @@ class LockStepWorld:
         nodes = [None] * n
         for p in range(n):
             nodes[positions[p]] = self.node_state(p, relabels[p])
-        queues = sorted(
-            (
+        queues = []
+        for link, column in self.hashes.items():
+            src, dst = divmod(link, n)
+            queues.append((
                 (positions[src], positions[dst]),
-                tuple(
-                    freeze_value(m, relabels[src]) for m in queue
-                ),
-            )
-            for (src, dst), queue in self.queues.items()
-        )
+                tuple(freeze_value(_MESSAGES[h], relabels[src]) for h in column),
+            ))
+        queues.sort()
         wakes = tuple(sorted(positions[p] for p in self.pending_wakes))
         return (tuple(nodes), tuple(queues), wakes)

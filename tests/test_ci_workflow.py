@@ -219,7 +219,8 @@ class TestCommands:
         # hash seeds and when stratified across two workers, the same A@3
         # stratified report on every run however the pool schedules its
         # strata, and the same G@3 (no sense of direction) graph serially
-        # and stratified.
+        # and stratified; the A@5 and G@3 reports must be their pinned
+        # lines.
         verify = [
             s for s in _steps(jobs["smoke"])
             if "run" in s and "repro verify --protocol A" in s["run"]
@@ -235,6 +236,8 @@ class TestCommands:
             f"{run} --workers 2 > verify_w.txt",
             "diff verify_a.txt verify_b.txt",
             "diff verify_a.txt verify_w.txt",
+            "grep -qxF '10248 states, 16995 transitions, 56 terminal, "
+            "leaders [0, 1, 2, 3, 4] (complete, POR)' verify_a.txt",
             "python -m repro verify --protocol A --n 3 --workers 2 "
             "> verify_w3a.txt",
             "python -m repro verify --protocol A --n 3 --workers 2 "
@@ -245,6 +248,8 @@ class TestCommands:
             "python -m repro verify --protocol G --n 3 --no-sense --workers 2 "
             "> verify_gw.txt",
             "diff verify_g.txt verify_gw.txt",
+            "grep -qxF '1866 states, 2680 transitions, 44 terminal, "
+            "leaders [0, 1, 2] (complete, POR)' verify_g.txt",
         ]
 
     def test_lint_job_runs_the_self_hosted_linter(self, jobs):

@@ -44,7 +44,7 @@ from repro.verification.explore import (
 )
 from repro.verification.store import FingerprintTable
 from repro.verification.symmetry import canonical_state, symmetry_group
-from repro.verification.world import LockStepWorld, independent
+from repro.verification.world import _MESSAGES, LockStepWorld, independent
 from tests.verification.conftest import deterministic_protocols
 
 #: Search modes, as ``explore_protocol`` keyword arguments.
@@ -85,9 +85,11 @@ class _Reference:
             report.compressed_steps += len(stale)
         if not self.compress:
             return
-        for link in list(world.queues):
+        for kind, link in world.enabled_actions():
+            if kind != "deliver":
+                continue
             receiver_fp = world.node_hash(link[1])
-            while link in world.queues:
+            while ("deliver", link) in world.enabled_actions():
                 new_fp, sends, declared = world.peek_transition(link)
                 if sends or declared or new_fp != receiver_fp:
                     break
@@ -234,7 +236,9 @@ def test_action_bits_follow_the_enabled_actions_order(n):
     topology = complete_with_sense_of_direction(n)
     world = LockStepWorld(registered_protocols()["A"](), topology, tuple(range(n)))
     links = [(s, d) for s in range(n) for d in range(n) if s != d]
-    world.queues = dict.fromkeys(reversed(links), ("queued",))
+    world.hashes = dict.fromkeys(
+        reversed([src * n + dst for src, dst in links]), (0,)
+    )
     actions = world.enabled_actions()
     assert [action_bit(action, n) for action in actions] == list(range(n * n))
     order = explore._ActionOrder(n)
@@ -377,7 +381,7 @@ def test_captured_messages_cannot_change_after_their_audit(monkeypatch, name):
 
     def recording(world, position, port, message):
         entry = run_transition(world, position, port, message)
-        captured.extend(sent for _, sent, _ in entry[1])
+        captured.extend(_MESSAGES[sent] for _, sent in entry[1])
         return entry
 
     monkeypatch.setattr(LockStepWorld, "_run_transition", recording)
