@@ -9,7 +9,7 @@ Subcommands::
     python -m repro scenario --protocol G --name chain --n 64
     python -m repro report [--quick] [--output EXPERIMENTS.md]
     python -m repro verify --protocol A --n 4 [--max-states M] [--no-por]
-    python -m repro verify --protocol A --n 6 --workers 4 [--symmetry census]
+    python -m repro verify --protocol A --n 6 --workers 4
     python -m repro verify --protocol A --n 8 --fuzz 200 [--save-trace T.json]
     python -m repro verify --replay T.json [--shrink]
     python -m repro verify --stat [--confidence 0.99] [--trials 600]
@@ -177,7 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = explore_protocol(
             protocol, topology,
             max_states=args.max_states, por=not args.no_por,
-            symmetry=args.symmetry, workers=workers,
+            workers=workers,
         )
     except ProtocolViolation as violation:
         print(f"VIOLATION: {violation}")
@@ -186,11 +186,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"refused: {error}", file=sys.stderr)
         return 2
     print(report)
-    if report.canonical_states is not None:
-        print(
-            f"{report.canonical_states} canonical states modulo the "
-            "topology's relabelling group"
-        )
     return 0
 
 
@@ -302,15 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fan exhaustive exploration across K fork workers "
         "(default: REPRO_PARALLEL, as for experiment sweeps; "
         "0 or 1 = serial)",
-    )
-    verify_parser.add_argument(
-        "--symmetry", choices=("census", "prune", "prune-unsound"),
-        default=None,
-        help="count states modulo the topology's relabelling group "
-        "(census), memoise on orbit representatives (prune — refused "
-        "unless the linter-derived capability table proves the protocol "
-        "equivariant), or memoise without the gate (prune-unsound — a "
-        "bug-hunting mode, see docs/verification.md)",
     )
     verify_parser.add_argument(
         "--fuzz", type=int, default=0, metavar="K",

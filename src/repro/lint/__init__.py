@@ -2,13 +2,14 @@
 
 The optimisations in ``verification/`` are sound only under contracts the
 type system cannot express: handler purity (transition memoisation,
-deterministic replay), frozen message values (copy-on-write worlds),
-relabelling-equivariance (``--symmetry prune``), and single-choke-point
-sends (message-complexity accounting).  This package checks those
-contracts syntactically, with stable ``RPL0xx`` codes, source spans,
-inline ``# repro: lint-ok[RPL0xx] reason`` suppressions, and text/JSON
-reporters — and derives the per-protocol capability table that gates the
-symmetry optimisation (:mod:`repro.lint.capabilities`).
+deterministic replay), frozen message values (copy-on-write worlds) and
+single-choke-point sends (message-complexity accounting).  This package
+checks those contracts syntactically, with stable ``RPL0xx`` codes,
+source spans, inline ``# repro: lint-ok[RPL0xx] reason`` suppressions,
+and text/JSON reporters.  It also measures where each protocol breaks
+symmetry (the RPL02x sites) and derives the per-protocol capability
+table the matrix loader, the sharded kernel and ``verify --stat`` read
+(:mod:`repro.lint.capabilities`).
 
 Importing this package registers every rule family.
 """

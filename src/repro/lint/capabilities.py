@@ -10,18 +10,20 @@ make the construct equivariant.
 
 The derived booleans:
 
-* ``rotation_equivariant`` — no id-order sites.  Sound to orbit-prune
-  under sense of direction (the rotation group never touches port
-  numbering there).
+* ``rotation_equivariant`` — no id-order sites: relabelling the nodes by
+  a rotation would relabel the execution under sense of direction (the
+  rotation group never touches port numbering there).
 * ``relabelling_equivariant`` — no id-order sites *and* no port-order
-  scans.  Sound to orbit-prune under hidden wiring, where the group also
+  scans: the same under hidden wiring, where a relabelling also
   permutes every node's port labels.
 
-:func:`capability_for` is the one source of these facts: the prune gate
-(``verification/symmetry``), the matrix spec loader, the sharded
-kernel's refusal and ``verify --stat`` all derive them live, once per
-protocol class.  ``derive_capability_table()`` renders the table for
-every registered protocol (``python -m repro lint --capabilities``);
+Every paper protocol has id-order sites, so both are False for all of
+them; that is the measured reason the checker has no symmetry reduction
+(``docs/verification.md``).  :func:`capability_for` is the one source of
+these facts: the matrix spec loader, the sharded kernel's refusal and
+``verify --stat`` all derive them live, once per protocol class.
+``derive_capability_table()`` renders the table for every registered
+protocol (``python -m repro lint --capabilities``);
 ``tests/lint/test_capabilities.py`` pins the expected values literally.
 """
 
@@ -69,7 +71,7 @@ class ProtocolCapability:
     #: Draws from the seeded per-node ``ctx.rng()`` stream — deterministic
     #: under a pinned run seed (and digest-safe to shard), unlike
     #: ``uses_rng``'s module-level entropy, but still outside what the
-    #: equivariance argument covers, so symmetry pruning refuses it.
+    #: equivariance argument covers.
     uses_ctx_rng: bool = False
     max_fanout: str = "0"
     quiescent_kinds: tuple[str, ...] = ()

@@ -1,10 +1,11 @@
 """Symmetry-equivariance rules (RPL020–RPL021).
 
-``--symmetry prune`` explores one representative per orbit of the
+A symmetry reduction would explore one representative per orbit of the
 relabelling group (rotations under sense of direction, the full symmetric
 group under hidden wiring).  That quotient only preserves *outcomes* if
 the protocol is equivariant under the group: relabelling the nodes must
-relabel the execution.  Two syntactic constructs break that:
+relabel the execution.  Two syntactic constructs break that, and these
+rules mark where a protocol uses them — where it breaks symmetry:
 
 * **RPL020 — id-order site.**  Ordering identifiers (``<``, ``>``,
   ``.outranks(...)``) or doing arithmetic on them pins the execution to
@@ -19,8 +20,9 @@ relabel the execution.  Two syntactic constructs break that:
 
 These findings double as *measurements*: :mod:`repro.lint.capabilities`
 counts them per protocol (suppressed or not — a ``lint-ok`` comment
-acknowledges a site, it does not make the construct equivariant) to
-derive the capability table that gates ``--symmetry prune``.
+acknowledges a site, it does not make the construct equivariant) into
+the capability table.  Every paper protocol has id-order sites, which is
+why the exhaustive checker has no symmetry reduction.
 """
 
 from __future__ import annotations

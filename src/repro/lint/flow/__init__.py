@@ -15,8 +15,8 @@ On top of the automaton sit:
 * the RPL03x rule family (:mod:`repro.lint.flow.rules`) — amplification
   cycles, dead/unreachable handler surface, unbounded fan-out;
 * the capabilities-v2 fields (``uses_timers``, ``uses_rng``,
-  ``max_fanout``, ``quiescent_kinds``) consumed by the symmetry prune
-  gate, the sharded kernel and the matrix loader;
+  ``max_fanout``, ``quiescent_kinds``) consumed by the sharded kernel
+  and the matrix loader;
 * the runtime conformance probe (:mod:`repro.lint.flow.conformance`)
   that ``repro check --all`` runs: measured per-activation fan-out must
   not exceed the static bound.

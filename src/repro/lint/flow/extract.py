@@ -447,9 +447,8 @@ def scan_uses_ctx_rng(trees: Iterable[ast.AST]) -> bool:
     *seeded, per-node* stream (:mod:`repro.sim.rng`), deterministic under
     a pinned run seed and digest-safe to shard, while a module-level
     entropy import escapes the seeding machinery entirely.  The two
-    capabilities gate differently downstream (symmetry pruning refuses
-    both; the shard kernel and the scenario matrix refuse only the
-    latter).
+    capabilities gate differently downstream (the shard kernel and the
+    scenario matrix refuse only the latter).
     """
     for tree in trees:
         for node in ast.walk(tree):

@@ -10,7 +10,7 @@ through seven phases and folds every verdict into a single
 2. **Exhaustive verification** — for every spec row carrying
    ``verify_ns``, the explicit-state checker
    (:func:`repro.verification.explore.explore_protocol`) covers *every*
-   interleaving at those sizes, with the row's ``symmetry`` mode.
+   interleaving at those sizes.
    Exploration runs with ``workers=1`` inside the phase's own sweep
    tasks: the outer fork pool provides the parallelism, and the report
    then contains no worker-count dependence — a requirement of the
@@ -180,9 +180,7 @@ class CheckReport:
             raise AssertionError(f"check --all: failed checks: {details}")
 
 
-def _verify_task(
-    protocol_name: str, n: int, symmetry: str | None
-) -> dict[str, Any]:
+def _verify_task(protocol_name: str, n: int) -> dict[str, Any]:
     """One exhaustive-exploration task (runs inside the fork pool)."""
     from repro.core.protocol import protocol_class
     from repro.topology.complete import (
@@ -197,16 +195,13 @@ def _verify_task(
         if protocol.needs_sense_of_direction
         else complete_without_sense(n, seed=0)
     )
-    report = explore_protocol(
-        protocol, topology, symmetry=symmetry, workers=1
-    )
+    report = explore_protocol(protocol, topology, workers=1)
     return {
         "states_explored": report.states_explored,
         "terminal_states": report.terminal_states,
         "transitions": report.transitions,
         "leaders_seen": sorted(report.leaders_seen),
         "complete": report.complete,
-        "canonical_states": report.canonical_states,
         # Lists, not tuples: the payload must survive a JSON round-trip
         # unchanged so on-disk reports compare equal to in-memory ones.
         "quiescent_outcomes": [
@@ -387,25 +382,18 @@ def check_all(
     report = CheckReport(matrix=matrix)
 
     # -- phase 2: exhaustive verification ---------------------------------
-    verify_jobs: list[tuple[str, int, str | None]] = []
-    seen = set()
+    verify_jobs: list[tuple[str, int]] = []
     for spec in specs:
         for protocol in spec.protocols:
             for n in spec.verify_ns:
-                key = (protocol, n, spec.symmetry)
-                if key not in seen:
-                    seen.add(key)
-                    verify_jobs.append(key)
+                if (protocol, n) not in verify_jobs:
+                    verify_jobs.append((protocol, n))
     verify_results = run_sweep(
-        [
-            lambda p=p, n=n, s=s: _verify_task(p, n, s)
-            for p, n, s in verify_jobs
-        ],
+        [lambda p=p, n=n: _verify_task(p, n) for p, n in verify_jobs],
         parallel=parallel,
     )
-    for (protocol, n, symmetry), outcome in zip(verify_jobs, verify_results):
-        label = f"{protocol}@{n}" + (f"+{symmetry}" if symmetry else "")
-        report.verify[label] = outcome
+    for (protocol, n), outcome in zip(verify_jobs, verify_results):
+        report.verify[f"{protocol}@{n}"] = outcome
     incomplete = [
         label for label, r in report.verify.items() if not r["complete"]
     ]

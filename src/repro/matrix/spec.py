@@ -12,19 +12,16 @@ Three layers of checking, each at the earliest possible moment:
 
 1. **Schema validation at parse time** (:func:`validate_spec`): unknown
    protocol or scenario names, empty or duplicated axis values, and
-   nonsensical cross-check settings (``symmetry`` without ``verify_ns``,
-   ``fuzz_schedules`` without ``fuzz_ns``) raise
-   :class:`~repro.core.errors.ConfigurationError` naming the offending
-   row — a typo dies at spec load, not 40 cells into a sweep.
+   nonsensical cross-check settings (``fuzz_schedules`` without
+   ``fuzz_ns``) raise :class:`~repro.core.errors.ConfigurationError`
+   naming the offending row — a typo, or a field this version no longer
+   has, dies at spec load, not 40 cells into a sweep.
 
 2. **Capability gating at spec load** (also :func:`validate_spec`):
-   ``symmetry = "prune"`` is only accepted when the linter-derived
-   capability table (:mod:`repro.lint.capabilities`) proves *every*
-   protocol on the row equivariant under the relevant relabelling group —
-   the same decision (:func:`repro.verification.symmetry.prune_refusal`)
-   ``python -m repro verify --symmetry prune`` takes, moved from mid-run
-   to load time.  All fourteen paper protocols compare identities, so a
-   curated row asking to prune them is a spec bug.
+   protocols the linter-derived capability table
+   (:mod:`repro.lint.capabilities`) marks ``uses_rng`` are refused, and
+   ``uses_ctx_rng`` protocols may not ask for the exhaustive or fuzz
+   passes the seedless lock-step world cannot drive.
 
 3. **Structural filtering at expansion** (:func:`expand_specs` with
    ``filter=True``): cells that are *individually* impossible — a
@@ -56,9 +53,6 @@ from repro.core.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.core.protocol import ElectionProtocol
 
-#: Values ``symmetry`` may take (None = no symmetry pass).
-SYMMETRY_MODES = ("census", "prune")
-
 _LIST_INT_FIELDS = ("ns", "seeds", "ks", "verify_ns", "fuzz_ns")
 _LIST_STR_FIELDS = ("protocols", "scenarios")
 
@@ -69,7 +63,7 @@ class ScenarioSpec:
 
     ``protocols``/``scenarios``/``ns``/``seeds``/``ks`` are axes (the
     cross-product is the row's cell set; ``ks = ()`` means "one cell per
-    combination, protocol-default k").  ``symmetry``/``verify_ns`` direct
+    combination, protocol-default k").  ``verify_ns`` directs
     the exhaustive checker at this row's protocols, ``fuzz_ns``/
     ``fuzz_schedules``/``fault_budget`` direct the schedule fuzzer.
     """
@@ -88,7 +82,6 @@ class ScenarioSpec:
     #: checker, E13) reproduces the exact same runs.
     seed_family: str | None = None
     ks: tuple[int, ...] = ()
-    symmetry: str | None = None
     verify_ns: tuple[int, ...] = ()
     fuzz_ns: tuple[int, ...] = ()
     fuzz_schedules: int = 0
@@ -193,7 +186,7 @@ def cell_rejection(cell: MatrixCell) -> str | None:
 
     Structural impossibilities only — anything a spec row's cross-product
     can innocently produce.  Genuine configuration *errors* (unknown
-    names, bad symmetry requests) are rejected earlier, by
+    names, bad cross-check settings) are rejected earlier, by
     :func:`validate_spec`.  The quick explicit checks give the common
     corners crisp messages; the final probe — actually building the
     cell's topology and running the protocol's own ``validate`` — makes
@@ -323,15 +316,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
         spec.fault_budget >= 0, tag,
         f"fault_budget must be >= 0, got {spec.fault_budget}",
     )
-    if spec.symmetry is not None:
-        _require(
-            spec.symmetry in SYMMETRY_MODES, tag,
-            f"symmetry must be one of {SYMMETRY_MODES}, got {spec.symmetry!r}",
-        )
-        _require(
-            bool(spec.verify_ns), tag,
-            "symmetry requires verify_ns (it configures the exhaustive pass)",
-        )
     if spec.fuzz_schedules:
         _require(
             bool(spec.fuzz_ns), tag,
@@ -342,8 +326,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
             not spec.fuzz_ns, tag,
             "fuzz_ns requires fuzz_schedules > 0",
         )
-    if spec.symmetry == "prune":
-        _ensure_prune_capability(spec)
     _ensure_deterministic_capability(spec)
 
 
@@ -386,24 +368,6 @@ def _ensure_deterministic_capability(spec: ScenarioSpec) -> None:
             )
 
 
-def _ensure_prune_capability(spec: ScenarioSpec) -> None:
-    """Reject ``symmetry = "prune"`` rows the capability table disproves.
-
-    The same decision as
-    :func:`repro.verification.symmetry.ensure_prune_sound`, taken at load
-    time on the topology the verify phase explores: labeled when the
-    protocol needs sense of direction, unlabeled otherwise.
-    """
-    from repro.core.protocol import protocol_class
-    from repro.verification.symmetry import prune_refusal
-
-    for name in spec.protocols:
-        cls = protocol_class(name)
-        reason = prune_refusal(cls, cls.needs_sense_of_direction)
-        if reason is not None:
-            raise ConfigurationError(f"spec row {spec.tag!r}: {reason}")
-
-
 # ---------------------------------------------------------------------------
 # TOML round-trip
 # ---------------------------------------------------------------------------
@@ -423,8 +387,6 @@ def _spec_to_dict(spec: ScenarioSpec) -> dict:
         out["seed_family"] = spec.seed_family
     if spec.ks:
         out["ks"] = list(spec.ks)
-    if spec.symmetry is not None:
-        out["symmetry"] = spec.symmetry
     if spec.verify_ns:
         out["verify_ns"] = list(spec.verify_ns)
     if spec.fuzz_ns:
@@ -535,7 +497,6 @@ def restrict_for_quick(specs: list[ScenarioSpec]) -> list[ScenarioSpec]:
                 seeds=spec.seeds,
                 seed_family=spec.seed_family,
                 ks=tuple(k for k in spec.ks if k <= min(ns) - 1),
-                symmetry=spec.symmetry if verify_ns else None,
                 verify_ns=verify_ns,
                 fuzz_ns=fuzz_ns,
                 fuzz_schedules=fuzz_schedules,

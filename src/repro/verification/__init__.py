@@ -8,9 +8,6 @@ driving the very ``Node`` classes the simulator runs:
   FIFO message deliveries a complete asynchronous network allows, for
   small N, with partial-order reduction, inert-delivery compression, a
   flat hash-compacted fingerprint store and optional parallel strata;
-* :mod:`repro.verification.symmetry` — node-relabelling permutation
-  groups, orbit canonicalisation, and the honest statement of where
-  symmetry reduction is (and is not) sound for id-comparing protocols;
 * :mod:`repro.verification.store` — the 8-byte-per-state visited table;
 * :mod:`repro.verification.fuzz` — seeded pseudo-random and adversarial
   schedule families (wake-last, starve-channel, PCT) for N beyond
@@ -58,16 +55,6 @@ from repro.verification.stat import (
     verify_stat,
 )
 from repro.verification.store import FingerprintTable
-from repro.verification.symmetry import (
-    Permutation,
-    canonical_fingerprint,
-    canonical_state,
-    ensure_prune_sound,
-    prune_refusal,
-    rotation_group,
-    symmetric_group,
-    symmetry_group,
-)
 from repro.verification.world import (
     Action,
     LockStepWorld,
@@ -86,7 +73,6 @@ __all__ = [
     "LockStepWorld",
     "MessageLossSchedule",
     "PCTSchedule",
-    "Permutation",
     "ReplayOutcome",
     "ScheduleTrace",
     "SchedulePolicy",
@@ -96,23 +82,16 @@ __all__ = [
     "TargetedLossSchedule",
     "UniformSchedule",
     "WakeLastSchedule",
-    "canonical_fingerprint",
-    "canonical_state",
     "clopper_pearson_lower",
     "clopper_pearson_upper",
     "count_unpruned_interleavings",
-    "ensure_prune_sound",
     "explore_protocol",
     "freeze_value",
     "fuzz_protocol",
     "load_trace",
     "message_hash",
-    "prune_refusal",
     "replay_trace",
-    "rotation_group",
     "save_trace",
     "shrink_trace",
-    "symmetric_group",
-    "symmetry_group",
     "verify_stat",
 ]

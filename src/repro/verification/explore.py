@@ -67,31 +67,21 @@ Visited states live in a :class:`~repro.verification.store.FingerprintTable`
 preallocated arrays — and ``workers=K`` fans top-level action-prefix
 strata across the :func:`repro.harness.parallel.run_sweep` fork pool
 (workers return their visited tables and the parent merges/deduplicates).
-``symmetry="census"`` additionally counts distinct states modulo the
-topology's relabelling group, and ``symmetry="prune"`` memoises on the
-orbit representative outright — gated by the linter-derived capability
-table (:func:`repro.verification.symmetry.ensure_prune_sound`), with
-``symmetry="prune-unsound"`` as the ungated bug-hunting escape hatch
-whose soundness boundary :mod:`repro.verification.symmetry` spells out.
+There is no symmetry reduction: the protocols compare identities, so no
+relabelling of nodes maps the checked system onto itself
+(``docs/verification.md``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.errors import ProtocolViolation
 from repro.core.protocol import ElectionProtocol
 from repro.harness.parallel import run_sweep
 from repro.topology.complete import CompleteTopology
 from repro.verification.store import _EMPTY, _ZERO_ALIAS, FingerprintTable
-from repro.verification.symmetry import (
-    Permutation,
-    canonical_state,
-    ensure_prune_sound,
-    symmetry_group,
-)
 from repro.verification.world import (
     _DELIVER_ACTIONS,
     _MESSAGES,
@@ -132,10 +122,6 @@ class ExplorationReport:
     #: Inert transitions merged into their predecessors by compression
     #: (stale wake-ups + inert deliveries); not counted in ``transitions``.
     compressed_steps: int = 0
-    #: Distinct states modulo the topology's relabelling group, when a
-    #: symmetry mode ran (None otherwise).  See ``verification/symmetry.py``
-    #: for what this does and does not imply.
-    canonical_states: int | None = None
     #: Worker processes the search fanned out to (1 = serial).
     workers: int = 1
 
@@ -210,32 +196,6 @@ class _ActionOrder:
         )
 
 
-def _to_positions(mask: int, enabled: int) -> int:
-    """Repack ``mask`` (a subset of ``enabled``) over the positions of
-    ``enabled``'s bits: the i-th lowest enabled action becomes bit i."""
-    packed = 0
-    bit = 1
-    while enabled:
-        low = enabled & -enabled
-        if mask & low:
-            packed |= bit
-        bit <<= 1
-        enabled ^= low
-    return packed
-
-
-def _from_positions(packed: int, enabled: int) -> int:
-    """The inverse of :func:`_to_positions`."""
-    mask = 0
-    while enabled and packed:
-        low = enabled & -enabled
-        if packed & 1:
-            mask |= low
-        packed >>= 1
-        enabled ^= low
-    return mask
-
-
 @dataclass(slots=True)
 class _Frame:
     """One DFS stack entry: a world, the branches it has not taken yet,
@@ -261,9 +221,6 @@ class _SearchCore:
         por: bool,
         compress: bool,
         max_states: int,
-        group: Sequence[Permutation] | None = None,
-        prune_symmetric: bool = False,
-        canonical_seen: set[int] | None = None,
     ) -> None:
         self.protocol = protocol
         self.report = report
@@ -271,11 +228,6 @@ class _SearchCore:
         self.por = por
         self.compress = compress and por
         self.max_states = max_states
-        self.group = group
-        self.prune_symmetric = prune_symmetric
-        self.canonical_seen = (
-            canonical_seen if canonical_seen is not None else set()
-        )
         #: Fingerprints of quiescent states (parallel merge dedups on it).
         self.terminal_fps: set[int] = set()
 
@@ -340,10 +292,6 @@ class _SearchCore:
         max_states = self.max_states
         por = self.por
         compress = self.compress
-        group = self.group
-        prune = self.prune_symmetric
-        census = group is not None and not prune
-        canonical_seen = self.canonical_seen
         push = stack.append if spill is None else spill.append
         # Every world of one search shares its root's topology and memos.
         origin = world if world is not None else stack[0].world
@@ -501,10 +449,9 @@ class _SearchCore:
                             fp ^= hash((2, link, column))
             world._fp = fp
             # -- memoisation ----------------------------------------------------
-            state_key = hash(canonical_state(world, group)) if prune else fp
             # One probe finds the state's slot: its entry on a revisit, the
             # empty slot to insert at otherwise (see FingerprintTable.get).
-            key = state_key if state_key != _EMPTY else _ZERO_ALIAS
+            key = fp if fp != _EMPTY else _ZERO_ALIAS
             keys = visited._keys
             slot_mask = visited._mask
             slot = key & slot_mask
@@ -528,33 +475,23 @@ class _SearchCore:
             # send starts a link.  The stored mask is the sleep set
             # restricted to it; the candidates are the enabled actions not
             # asleep, restricted on a revisit to those the stored mask
-            # slept.  An orbit-keyed table shares its masks between orbit
-            # members, whose actions have different bits, so prune modes
-            # store them packed over the positions of the enabled actions.
+            # slept.
             mask = sleep & enabled
             candidates = enabled ^ mask
             if stored is not None:
-                if prune:
-                    stored = _from_positions(stored, enabled)
                 candidates &= stored
                 if candidates:
                     mask &= stored
-                    visited.put_at(
-                        slot, key, _to_positions(mask, enabled) if prune else mask
-                    )
+                    visited.put_at(slot, key, mask)
                     push(_Frame(arrived, candidates, sleep, enabled))
                 continue
             report.states_explored += 1
-            if census:
-                canonical_seen.add(hash(canonical_state(arrived, group)))
             if not enabled:
                 visited.put_at(slot, key, 0)
-                self.terminal_fps.add(state_key)
+                self.terminal_fps.add(fp)
                 _check_terminal(arrived, self.protocol, report)
             else:
-                visited.put_at(
-                    slot, key, _to_positions(mask, enabled) if prune else mask
-                )
+                visited.put_at(slot, key, mask)
                 if candidates:
                     push(_Frame(arrived, candidates, sleep, enabled))
             if len(visited) > max_states:
@@ -570,7 +507,6 @@ def explore_protocol(
     max_states: int = 200_000,
     por: bool = True,
     compress: bool | None = None,
-    symmetry: str | bool | None = None,
     workers: int | None = None,
 ) -> ExplorationReport:
     """Exhaustively check every interleaving of one election instance.
@@ -584,18 +520,7 @@ def explore_protocol(
     ``por=False`` disables partial-order reduction (same verdict, many
     more states); ``compress=False`` keeps sleep sets but disables
     inert-delivery compression (the PR 1 behaviour — used by the
-    cross-validation tests as the reference search).  ``symmetry`` is
-    ``None``/``False`` (off), ``"census"`` (count distinct states modulo
-    the topology's relabelling group, exploration unchanged),
-    ``"prune"`` (memoise on orbit representatives — gated: refused with
-    :class:`~repro.core.errors.ConfigurationError` unless the
-    linter-derived capability table proves the protocol equivariant
-    under the topology's group, see
-    :func:`repro.verification.symmetry.ensure_prune_sound`) or
-    ``"prune-unsound"`` (the ungated orbit memoisation — a bug-hunting
-    mode; see :mod:`repro.verification.symmetry` for why it does not
-    promise outcome completeness for id-comparing protocols).
-    ``workers``
+    cross-validation tests as the reference search).  ``workers``
     fans top-level strata across a fork pool; ``None`` or ``<= 1`` runs
     the serial search, byte-identical to previous releases, and pool
     degradation (no ``fork``, restricted sandbox, ``REPRO_PARALLEL=0``)
@@ -604,21 +529,6 @@ def explore_protocol(
     """
     if base_positions is None:
         base_positions = tuple(range(topology.n))
-    if symmetry is True:
-        symmetry = "prune"
-    if symmetry not in (None, False, "census", "prune", "prune-unsound"):
-        raise ValueError(f"unknown symmetry mode: {symmetry!r}")
-    if symmetry == "prune":
-        ensure_prune_sound(protocol, topology)
-    group = None
-    if symmetry:
-        if topology.n > 6 and not topology.sense_of_direction:
-            raise ValueError(
-                "symmetry reduction over the full symmetric group is "
-                f"infeasible at n={topology.n} (n! permutations per state)"
-            )
-        group = symmetry_group(topology)
-
     root = LockStepWorld(protocol, topology, tuple(base_positions))
     report = ExplorationReport(states_explored=0, terminal_states=0, por=por)
     core = _SearchCore(
@@ -628,26 +538,14 @@ def explore_protocol(
         por=por,
         compress=por if compress is None else compress,
         max_states=max_states,
-        group=group,
-        prune_symmetric=symmetry in ("prune", "prune-unsound"),
     )
 
     workers = int(workers) if workers else 1
     if workers <= 1:
         core.run(root, [])
         report.terminal_states = len(core.terminal_fps)
-        _finish_report(report, core)
         return report
     return _explore_parallel(core, root, workers)
-
-
-def _finish_report(report: ExplorationReport, core: _SearchCore) -> None:
-    if core.group is not None:
-        report.canonical_states = (
-            report.states_explored
-            if core.prune_symmetric
-            else len(core.canonical_seen)
-        )
 
 
 def _explore_parallel(
@@ -679,7 +577,6 @@ def _explore_parallel(
     if len(core.visited) > core.max_states:
         report.complete = False
         report.terminal_states = len(core.terminal_fps)
-        _finish_report(report, core)
         return report
 
     strata = list(frontier)
@@ -700,9 +597,6 @@ def _explore_parallel(
                 por=core.por,
                 compress=core.compress,
                 max_states=core.max_states,
-                group=core.group,
-                prune_symmetric=core.prune_symmetric,
-                canonical_seen=set(core.canonical_seen),
             )
             violation = None
             try:
@@ -714,7 +608,6 @@ def _explore_parallel(
                 worker.terminal_fps,
                 worker_report.leaders_seen,
                 worker_report.quiescent_outcomes,
-                worker.canonical_seen,
                 worker_report.transitions,
                 worker_report.max_messages_sent,
                 worker_report.compressed_steps,
@@ -736,7 +629,6 @@ def _explore_parallel(
         worker_terminals,
         leaders,
         outcomes,
-        canonical,
         transitions,
         max_msgs,
         compressed,
@@ -749,14 +641,12 @@ def _explore_parallel(
         terminal_fps |= worker_terminals
         report.leaders_seen |= leaders
         report.quiescent_outcomes |= outcomes
-        core.canonical_seen |= canonical
         report.transitions += transitions
         report.max_messages_sent = max(report.max_messages_sent, max_msgs)
         report.compressed_steps += compressed
         report.complete = report.complete and complete
     report.states_explored = len(core.visited)
     report.terminal_states = len(terminal_fps)
-    _finish_report(report, core)
     return report
 
 

@@ -14,10 +14,7 @@ rule as a bitmask over the search's action order
 ``p`` and the ``n·(n−1)`` links follow in sorted order, so a complete
 network at N=6 needs ``6 + 30 = 36`` bits, comfortably inside 63.  From
 N ≥ 8 on (``n² > 63`` action bits) a mask may not fit; such a mask spills
-into a small overflow dict rather than corrupting the column.  The
-orbit-keyed tables of the symmetry-pruning modes pack their masks over
-the positions of the state's enabled actions instead, because orbit
-members number their actions differently.
+into a small overflow dict rather than corrupting the column.
 
 Masks are stored intersected with the *currently enabled* action set —
 sound because the stored sleep set is only ever (a) intersected with

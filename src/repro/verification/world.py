@@ -66,20 +66,19 @@ here) for roughly 5× less resident memory per visited state.  Fork-started
 workers inherit the interpreter's hash seed and its intern table, so
 fingerprints are comparable across the parallel explorer's worker pool.
 
-**A permutation-apply primitive.**  :meth:`LockStepWorld.state_tuple`
-returns the frozen structural state, optionally relabelled through a node
-permutation (positions, identities and — for hidden-wiring networks —
-per-node port renumberings).  :mod:`repro.verification.symmetry` builds
-automorphism-group candidates on top of it to canonicalise fingerprints
-modulo rotation (sense of direction) or arbitrary relabelling (no sense
-of direction).
+**No relabelling.**  Every protocol here settles its contests by
+comparing identities, so no node relabelling is an automorphism of the
+checked system, and the encoding keeps identities and port numbers as
+they are (``docs/verification.md``, "Why the checker has no symmetry
+reduction").  :meth:`LockStepWorld.state_tuple` returns the whole frozen
+structural state, for comparing worlds in tests.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.errors import ProtocolViolation
 from repro.core.messages import Message, message_bits
@@ -156,60 +155,6 @@ _DROP_ACTIONS = _Interned("drop")
 # history-order-sensitive containers — dicts keyed by token/port and sets —
 # are sorted.
 
-#: Field names whose ``int`` values are node *identities* (relabelled by a
-#: permutation's identity map).  ``node_id`` covers ``Strength.node_id``.
-ID_FIELDS = frozenset({"cand", "max_seen", "node_id"})
-
-#: Field names whose ``int`` values are *port numbers* of the holding node.
-PORT_FIELDS = frozenset({"owner_port", "reply_port", "_next_port"})
-
-#: Fields holding sequences of ports.
-PORT_SEQ_FIELDS = frozenset({"_fp_proceed_ports", "_check_queue"})
-
-#: Fields holding ``(port, payload)`` pairs (or one such pair).
-PORT_PAIR_FIELDS = frozenset({"_retry_ports", "_buffered"})
-
-#: Fields holding dicts keyed by port.
-PORT_KEYED_FIELDS = frozenset({"_in_flight"})
-
-
-class Relabeling:
-    """How one node's frozen state is rewritten under a permutation.
-
-    ``id_map[old_id] -> new_id`` relabels identity-valued fields;
-    ``port_map[old_port] -> new_port`` relabels port-valued fields of this
-    particular node (``None`` means ports keep their numbers, as they do
-    under rotations of the canonical cyclic wiring).  Values outside the
-    maps' domains (sentinels like ``-1``, exhausted port counters equal to
-    ``num_ports``) pass through unchanged.
-    """
-
-    __slots__ = ("id_map", "port_map")
-
-    def __init__(
-        self,
-        id_map: dict[int, int] | None,
-        port_map: Sequence[int] | None,
-    ) -> None:
-        self.id_map = id_map
-        self.port_map = port_map
-
-    def ident(self, value: int) -> int:
-        """Relabel an identity-valued field (out-of-map values pass through)."""
-        if self.id_map is None:
-            return value
-        return self.id_map.get(value, value)
-
-    def port(self, value: int) -> int:
-        """Relabel a port-valued field (out-of-range values pass through)."""
-        pm = self.port_map
-        if pm is None or not 0 <= value < len(pm):
-            return value
-        return pm[value]
-
-
-_IDENTITY = Relabeling(None, None)
-
 #: Types a copy-on-write node clone can share with the original outright.
 _SHAREABLE = (int, float, str, bytes, frozenset, enum.Enum)
 
@@ -256,70 +201,40 @@ def _copy_state_value(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def freeze_value(value: Any, relabel: Relabeling = _IDENTITY, field: str = ""):
+def freeze_value(value: Any):
     """A hashable structural encoding of one protocol-state value.
 
     Handles the value shapes protocol nodes and messages actually use:
     scalars, named tuples (``Strength``), frozen dataclasses (messages),
     dicts, lists/tuples, sets and plain records with a ``__dict__``.
-    ``field`` is the attribute name the value was reached through; the
-    ``*_FIELDS`` registries use it to decide identity/port relabelling.
     """
     if value is None or value is True or value is False:
         return value
-    if type(value) is int:
-        if field in ID_FIELDS:
-            return relabel.ident(value)
-        if field in PORT_FIELDS or field in PORT_SEQ_FIELDS:
-            return relabel.port(value)
-        return value
-    if type(value) is str or type(value) is float or type(value) is bytes:
+    if type(value) in (int, str, float, bytes):
         return value
     if isinstance(value, enum.Enum):
         # Encode by name+value, not object identity.
         return (type(value).__name__, value.value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        # Named tuple (Strength): relabel field-wise, tag with the type.
-        return (type(value).__name__,) + tuple(
-            freeze_value(v, relabel, name)
-            for name, v in zip(value._fields, value)
-        )
+        # Named tuple (Strength): tag with the type.
+        return (type(value).__name__,) + tuple(map(freeze_value, value))
     if isinstance(value, (list, tuple)):
-        if field in PORT_PAIR_FIELDS and value and type(value[0]) is int:
-            # one (port, payload) pair, e.g. protocol E's ``_buffered``
-            return (relabel.port(value[0]),) + tuple(
-                freeze_value(v, relabel) for v in value[1:]
-            )
-        if field in PORT_PAIR_FIELDS:
-            return tuple(
-                freeze_value(v, relabel, field) for v in value
-            )
-        return tuple(freeze_value(v, relabel, field) for v in value)
+        return tuple(map(freeze_value, value))
     if isinstance(value, dict):
-        if field in PORT_KEYED_FIELDS:
-            return tuple(
-                sorted(
-                    (relabel.port(k), freeze_value(v, relabel))
-                    for k, v in value.items()
-                )
-            )
-        return tuple(
-            sorted((k, freeze_value(v, relabel)) for k, v in value.items())
-        )
+        return tuple(sorted((k, freeze_value(v)) for k, v in value.items()))
     if isinstance(value, (set, frozenset)):
-        return tuple(sorted(freeze_value(v, relabel, field) for v in value))
+        return tuple(sorted(map(freeze_value, value)))
     if hasattr(value, "__dataclass_fields__"):
         # Frozen message dataclasses; tag with the type so two message
         # types with identical field values cannot collide structurally.
         return (type(value).__name__,) + tuple(
-            freeze_value(getattr(value, name), relabel, name)
+            freeze_value(getattr(value, name))
             for name in value.__dataclass_fields__
         )
     if hasattr(value, "__dict__"):
         # Plain record (e.g. a pending-challenge entry).
         return (type(value).__name__,) + tuple(
-            (k, freeze_value(v, relabel, k))
-            for k, v in value.__dict__.items()
+            (k, freeze_value(v)) for k, v in value.__dict__.items()
         )
     return value
 
@@ -410,7 +325,7 @@ def _clone_node(node: Node, ctx: NodeContext) -> Node:
     return clone
 
 
-def _freeze_node(node: Node, relabel: Relabeling = _IDENTITY):
+def _freeze_node(node: Node):
     """Frozen structural state of one node (type-tagged nested tuples).
 
     Node attributes are created in ``__init__`` for every protocol in the
@@ -419,14 +334,13 @@ def _freeze_node(node: Node, relabel: Relabeling = _IDENTITY):
     """
     items: list = [type(node).__name__]
     append = items.append
-    identity = relabel is _IDENTITY
     for key, value in node.__dict__.items():
         if key == "ctx":
             continue
-        if identity and (type(value) is int or value is None):
+        if type(value) is int or value is None:
             append(value)
         else:
-            append(freeze_value(value, relabel, key))
+            append(freeze_value(value))
     return tuple(items)
 
 
@@ -720,11 +634,9 @@ class LockStepWorld:
 
     # -- identity -------------------------------------------------------------
 
-    def node_state(
-        self, position: int, relabel: Relabeling = _IDENTITY
-    ):
+    def node_state(self, position: int):
         """Frozen structural state of one node (see :func:`_freeze_node`)."""
-        return _freeze_node(self.nodes[position], relabel)
+        return _freeze_node(self.nodes[position])
 
     def node_hash(self, position: int) -> int:
         """The maintained 64-bit structural hash of one node's state."""
@@ -741,45 +653,20 @@ class LockStepWorld:
         """
         return self._fp
 
-    # -- permutation-apply primitive -----------------------------------------
-
-    def state_tuple(
-        self,
-        positions: Sequence[int] | None = None,
-        id_map: dict[int, int] | None = None,
-        port_maps: Sequence[Sequence[int] | None] | None = None,
-    ):
-        """The frozen structural world state, optionally permuted.
-
-        ``positions[p]`` is where the node at position ``p`` lands (``None``
-        = identity).  ``id_map`` relabels identity-valued fields and
-        ``port_maps[p]`` renumbers node ``p``'s ports — rotations of the
-        canonical cyclic wiring need neither, arbitrary relabellings of a
-        hidden wiring need both (see :mod:`repro.verification.symmetry`).
+    def state_tuple(self):
+        """The frozen structural world state.
 
         The encoding covers exactly what :meth:`fingerprint` covers — node
         states, channel contents, pending wake-ups — so two worlds with
-        equal ``state_tuple()`` are behaviourally identical, and a world's
-        orbit under a group of permutations is the set of its permuted
-        tuples.
+        equal ``state_tuple()`` are behaviourally identical.
         """
         n = self.topology.n
-        if positions is None:
-            positions = range(n)
-        relabels = [
-            Relabeling(id_map, port_maps[p] if port_maps else None)
-            for p in range(n)
-        ]
-        nodes = [None] * n
-        for p in range(n):
-            nodes[positions[p]] = self.node_state(p, relabels[p])
-        queues = []
-        for link, column in self.hashes.items():
-            src, dst = divmod(link, n)
-            queues.append((
-                (positions[src], positions[dst]),
-                tuple(freeze_value(_MESSAGES[h], relabels[src]) for h in column),
-            ))
-        queues.sort()
-        wakes = tuple(sorted(positions[p] for p in self.pending_wakes))
-        return (tuple(nodes), tuple(queues), wakes)
+        queues = sorted(
+            (divmod(link, n), tuple(freeze_value(_MESSAGES[h]) for h in column))
+            for link, column in self.hashes.items()
+        )
+        return (
+            tuple(map(self.node_state, range(n))),
+            tuple(queues),
+            tuple(sorted(self.pending_wakes)),
+        )

@@ -1,11 +1,9 @@
 """A deliberately id-oblivious fixture protocol: zero RPL020/RPL021 sites.
 
 Loaded (not just parsed) by the capability tests: the linter derives
-``relabelling_equivariant=True`` for it, so it is the one protocol the
-``--symmetry prune`` gate *allows* — proving the gate decides from the
-capability table rather than refusing unconditionally.  The protocol
-does nothing, so exploring it trips the no-leader check; the tests use
-that ProtocolViolation as evidence the gate let exploration start.
+``relabelling_equivariant=True`` for it, the one protocol it does —
+proving the derivation reads the code rather than answering False for
+everything.  The protocol does nothing.
 """
 
 from __future__ import annotations

@@ -3,9 +3,7 @@
 Module-level ``random``/``secrets``/``uuid`` escape the seeded
 simulation RNG, so the flow analysis marks the protocol ``uses_rng`` and
 the deterministic pipelines refuse it: matrix rows at load time
-(:func:`repro.matrix.spec._ensure_deterministic_capability`), orbit
-pruning at gate time
-(:func:`repro.verification.symmetry.ensure_prune_sound`), and the
+(:func:`repro.matrix.spec._ensure_deterministic_capability`) and the
 sharded kernel at construction time.
 """
 

@@ -10,7 +10,7 @@ Four contracts from the analyzer's acceptance criteria are pinned here:
    fourteen protocols, consistent with the paper's message table;
 3. the v2 capability fields actually gate their consumers — timered
    protocols are refused by the sharded kernel, entropy-importing ones
-   by the matrix loader and the orbit-prune gate;
+   by the matrix loader;
 4. the runtime probe refutes a static bound the code evades
    (``getattr(ctx, "se" + "nd")``), and confirms all fourteen shipped
    protocols within their bounds.
@@ -189,14 +189,6 @@ class TestCapabilityConsumers:
         )
         with pytest.raises(ConfigurationError, match="uses_rng"):
             validate_spec(spec)
-
-    def test_prune_gate_refuses_rng_protocols(self):
-        from repro.topology.complete import complete_without_sense
-        from repro.verification import ensure_prune_sound
-
-        protocol = _load_fixture("flow_rng").RngProtocol()
-        with pytest.raises(ConfigurationError, match="uses_rng"):
-            ensure_prune_sound(protocol, complete_without_sense(4, seed=0))
 
 
 class TestConformanceProbe:

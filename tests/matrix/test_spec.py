@@ -52,10 +52,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="duplicates"):
             validate_spec(spec(ns=(8, 8)))
 
-    def test_symmetry_requires_verify_ns(self):
-        with pytest.raises(ConfigurationError, match="verify_ns"):
-            validate_spec(spec(symmetry="census"))
-
     def test_fuzz_schedules_requires_fuzz_ns(self):
         with pytest.raises(ConfigurationError, match="fuzz_ns"):
             validate_spec(spec(fuzz_schedules=10))
@@ -67,29 +63,6 @@ class TestValidation:
     def test_tiny_network_sizes_are_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 2"):
             validate_spec(spec(ns=(1,)))
-
-
-class TestCapabilityGate:
-    """`symmetry = "prune"` is refused at spec load for every protocol the
-    linter-derived capability table cannot prove equivariant — all
-    fourteen paper protocols compare identities, so prune is a spec bug
-    here, caught before a single cell runs."""
-
-    @pytest.mark.parametrize("protocol", ["A", "C", "E", "G", "FT"])
-    def test_prune_is_rejected_for_id_comparing_protocols(self, protocol):
-        with pytest.raises(ConfigurationError, match="not\\s+outcome-sound"):
-            validate_spec(
-                spec(
-                    protocols=(protocol,), symmetry="prune", verify_ns=(3,)
-                )
-            )
-
-    def test_census_is_always_allowed(self):
-        validate_spec(spec(symmetry="census", verify_ns=(3,)))
-
-    def test_unknown_symmetry_mode_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="symmetry must be"):
-            validate_spec(spec(symmetry="orbit", verify_ns=(3,)))
 
 
 class TestExpansion:
@@ -208,7 +181,7 @@ class TestSeedFamily:
         with pytest.raises(ConfigurationError, match="verify --stat"):
             validate_spec(
                 spec(protocols=("RS",), ns=(16,), seed_family="fam",
-                     symmetry="census", verify_ns=(3,))
+                     verify_ns=(3,))
             )
 
     def test_fuzz_ns_is_refused_for_ctx_rng_protocols(self):
@@ -216,15 +189,6 @@ class TestSeedFamily:
             validate_spec(
                 spec(protocols=("RT",), ns=(16,), seed_family="fam",
                      fuzz_ns=(4,), fuzz_schedules=8)
-            )
-
-    def test_prune_is_refused_for_ctx_rng_protocols(self):
-        # Per-node streams are seeded by identity, so relabelling
-        # changes future coin flips — prune cannot be outcome-sound.
-        with pytest.raises(ConfigurationError, match="not sound"):
-            validate_spec(
-                spec(protocols=("RS",), ns=(16,), seed_family="fam",
-                     symmetry="prune", verify_ns=(3,))
             )
 
     def test_round_trips_preserve_the_family(self):
@@ -261,10 +225,17 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="spec"):
             parse_toml("x = 1")
 
-    def test_unknown_toml_field_is_rejected(self):
+    # ``symmetry`` is the field of the removed checker symmetry modes: an
+    # old spec file naming it fails loudly instead of running without it.
+    @pytest.mark.parametrize(
+        "field, line",
+        [("bogus", "bogus = 1"), ("symmetry", 'symmetry = "census"')],
+        ids=["bogus", "symmetry"],
+    )
+    def test_unknown_toml_field_is_rejected(self, field, line):
         text = '[[spec]]\ntag = "t"\nprotocols = ["E"]\n' \
-               'scenarios = ["benign"]\nns = [8]\nbogus = 1\n'
-        with pytest.raises(ConfigurationError, match="bogus"):
+               f'scenarios = ["benign"]\nns = [8]\n{line}\n'
+        with pytest.raises(ConfigurationError, match=field):
             parse_toml(text)
 
     def test_load_specs_reads_a_toml_file(self, tmp_path):

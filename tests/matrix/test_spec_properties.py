@@ -55,7 +55,7 @@ def _int_axis(lo, hi, min_size=1, max_size=3):
 @st.composite
 def scenario_specs(draw) -> ScenarioSpec:
     fuzz_schedules = draw(st.sampled_from([0, 8, 50]))
-    symmetry = draw(st.sampled_from([None, "census"]))
+    exhaustive = draw(st.booleans())
     return ScenarioSpec(
         tag=draw(_tags),
         protocols=draw(_axis(_PROTOCOLS)),
@@ -63,8 +63,7 @@ def scenario_specs(draw) -> ScenarioSpec:
         ns=draw(_int_axis(2, 128)),
         seeds=draw(_int_axis(0, 99)),
         ks=draw(_int_axis(1, 16, min_size=0, max_size=3)),
-        symmetry=symmetry,
-        verify_ns=draw(_int_axis(2, 6)) if symmetry else (),
+        verify_ns=draw(_int_axis(2, 6)) if exhaustive else (),
         fuzz_ns=draw(_int_axis(2, 16)) if fuzz_schedules else (),
         fuzz_schedules=fuzz_schedules,
         fault_budget=draw(st.integers(0, 4)) if fuzz_schedules else 0,

@@ -347,11 +347,17 @@ class TestCommands:
         assert "shard_smoke" in jobs["smoke"]["strategy"]["matrix"]["marker"]
 
     def test_matrix_job_runs_the_quick_curated_cross_check(self, jobs):
+        # The quick campaign runs, and its report carries the pinned
+        # digest: a changed verdict, state count or outcome set fails CI.
         lines = [line.strip() for line in _run_lines(jobs["matrix"])]
-        assert (
-            "python -m repro check --all --quick --outdir matrix_out"
-            in lines
+        check = "python -m repro check --all --quick --outdir matrix_out"
+        assert check in lines
+        pin = (
+            "grep -qxF -e '- digest: "
+            "`3f741e1cf50bcfece7a324346696d0b79920bd2623fc373b5f43a4a5395882ae`' "
+            "matrix_out/check_report.md"
         )
+        assert lines.index(pin) == lines.index(check) + 1
 
     def test_matrix_failure_uploads_the_aggregate_report(self, jobs):
         uploads = [

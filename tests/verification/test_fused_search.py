@@ -43,7 +43,6 @@ from repro.verification.explore import (
     explore_protocol,
 )
 from repro.verification.store import FingerprintTable
-from repro.verification.symmetry import canonical_state, symmetry_group
 from repro.verification.world import _MESSAGES, LockStepWorld, independent
 from tests.verification.conftest import deterministic_protocols
 
@@ -52,8 +51,6 @@ _MODES = {
     "default": {},
     "no-compress": {"compress": False},
     "no-por": {"por": False},
-    "census": {"symmetry": "census"},
-    "prune-unsound": {"symmetry": "prune-unsound"},
 }
 
 
@@ -64,16 +61,12 @@ class _Reference:
         self.protocol = protocol
         self.por = mode.get("por", True)
         self.compress = mode.get("compress", self.por) and self.por
-        symmetry = mode.get("symmetry")
-        self.group = symmetry_group(topology) if symmetry else None
-        self.prune = symmetry == "prune-unsound"
         self.max_states = max_states
         self.n = topology.n
         self.table = FingerprintTable()
         self.report = ExplorationReport(
             states_explored=0, terminal_states=0, por=self.por
         )
-        self.canonical: set[int] = set()
         self.terminals: set[int] = set()
         self.root = LockStepWorld(protocol, topology, tuple(range(topology.n)))
 
@@ -100,20 +93,15 @@ class _Reference:
         report = self.report
         if self.por:
             self.compress_state(world)
-        if self.prune:
-            key = hash(canonical_state(world, self.group))
-        else:
-            key = world.fingerprint()
+        key = world.fingerprint()
         stored = self.table.get(key)
         if stored == 0:
             return None
         actions = world.enabled_actions()
         allowed = -1 if stored is None else stored
         mask, candidates = 0, []
-        for position, action in enumerate(actions):
-            # Masks pack over the search's action bits; an orbit-keyed
-            # table packs them over the enabled actions' positions.
-            bit = 1 << (position if self.prune else action_bit(action, self.n))
+        for action in actions:
+            bit = 1 << action_bit(action, self.n)
             if action in sleep:
                 mask |= bit
             elif allowed & bit:
@@ -124,8 +112,6 @@ class _Reference:
             self.table.put(key, stored & mask)
             return [world, candidates, 0, sleep]
         report.states_explored += 1
-        if self.group is not None and not self.prune:
-            self.canonical.add(hash(canonical_state(world, self.group)))
         if not actions:
             self.table.put(key, 0)
             self.terminals.add(key)
@@ -161,10 +147,6 @@ class _Reference:
             if child_frame:
                 stack.append(child_frame)
         report.terminal_states = len(self.terminals)
-        if self.group is not None:
-            report.canonical_states = (
-                report.states_explored if self.prune else len(self.canonical)
-            )
         return report
 
 

@@ -76,16 +76,6 @@ def test_truncated_parallel_search_reports_incomplete():
     assert not report.complete
 
 
-def test_census_survives_the_parallel_merge():
-    topology = complete_with_sense_of_direction(4)
-    serial = explore_protocol(ProtocolB(), topology, symmetry="census")
-    parallel = explore_protocol(
-        ProtocolB(), topology, symmetry="census", workers=2
-    )
-    assert parallel.canonical_states == serial.canonical_states
-    _assert_same_search(serial, parallel)
-
-
 def test_parallel_report_does_not_depend_on_scheduling(monkeypatch):
     # Which worker runs which stratum, and after which other strata, is up
     # to the pool; every stratum must search from the same frontier table

@@ -19,11 +19,7 @@ shrinks them.)  The layers, each against the one below it:
   whose stale-monotonicity assumption is exactly what this exhaustive
   per-protocol comparison validates;
 * ``workers=K`` vs serial — the stratified parallel search (further
-  covered in ``test_parallel_explore.py``);
-* ``symmetry="census"`` vs off — the census must observe the search, not
-  change it.  (``symmetry="prune"`` is deliberately absent: it is a
-  bug-hunting mode that does *not* promise outcome completeness — the
-  boundary ``test_symmetry.py`` pins.)
+  covered in ``test_parallel_explore.py``).
 """
 
 from __future__ import annotations
@@ -102,20 +98,6 @@ def test_parallel_strata_preserve_all_outcomes(name):
     assert parallel.quiescent_outcomes == serial.quiescent_outcomes
     assert parallel.leaders_seen == serial.leaders_seen
     assert parallel.terminal_states == serial.terminal_states
-
-
-@pytest.mark.parametrize(
-    "name", deterministic_protocols(), ids=str
-)
-def test_census_observes_without_changing_the_search(name):
-    protocol, topology = _instance(name, registered_protocols()[name])
-    plain = explore_protocol(protocol, topology)
-    census = explore_protocol(protocol, topology, symmetry="census")
-    assert census.states_explored == plain.states_explored
-    assert census.quiescent_outcomes == plain.quiescent_outcomes
-    assert census.terminal_states == plain.terminal_states
-    assert census.canonical_states is not None
-    assert 0 < census.canonical_states <= census.states_explored
 
 
 def test_por_preserves_outcomes_with_partial_wakeups():
