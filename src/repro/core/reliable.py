@@ -111,7 +111,8 @@ class ReliableNode(Node):
         self._rto = config.rto
         self._rto_cap = config.rto_cap
         self._max_retries = config.max_retries
-        # Sender side, per port.
+        # Sender side, per port.  A port is in ``_unacked`` only while it
+        # has packets in flight, so the timer visits no idle port.
         self._next_seq: dict[int, int] = {}
         self._unacked: dict[int, dict[int, Message]] = {}
         self._acked: dict[int, int] = {}
@@ -148,7 +149,7 @@ class ReliableNode(Node):
         progress_possible = False
         for port in sorted(self._unacked):
             buffer = self._unacked[port]
-            if not buffer or port in self._dead_ports:
+            if port in self._dead_ports:
                 continue
             attempts = self._attempts.get(port, 0) + 1
             if attempts > self._max_retries:
@@ -159,7 +160,7 @@ class ReliableNode(Node):
                 self._dead_ports.add(port)
                 self.ctx.count("packets_abandoned", len(buffer))
                 self.ctx.trace("rel_abandon", port=port, pending=len(buffer))
-                buffer.clear()
+                del self._unacked[port]
                 continue
             self._attempts[port] = attempts
             oldest = min(buffer)
@@ -181,6 +182,8 @@ class ReliableNode(Node):
         if buffer:
             for seq in [s for s in buffer if s <= ack]:
                 del buffer[seq]
+            if not buffer:
+                del self._unacked[port]
         # Forward progress: restart the backoff ladder for this port.
         self._attempts[port] = 0
         self._backoff_exp = 0

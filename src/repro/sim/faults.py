@@ -19,11 +19,16 @@ Design constraints, in order:
 * **Small per-link state.**  A link keeps its stream, not a generator: its
   state is a :class:`~repro.sim.rng.LinkStream`, a batch of the stream's
   ``random()`` values that the bound plan refills from its one scratch
-  generator, re-seeded with the link's string.  The per-link mode of
+  generator.  Each refill re-seeds that generator, through the C
+  ``seed``, with the int ``random.Random`` derives from the link's string
+  (:func:`~repro.sim.rng.str_seed`).  The per-link mode of
   :class:`~repro.sim.delays.UniformDelay` keeps its streams the same way.
   A verdict reads the batch through a cursor and refills it first when
   fewer draws are left than one verdict can read.  The values, and their
-  order, are those of a per-link ``random.Random``.
+  order, are those of a per-link ``random.Random``.  A link whose rates
+  are all zero (a partition-only plan, a quiet ``per_link`` entry) reads
+  no draw, so it is never seeded: its batch is one that no verdict reads
+  or refills.
 
 * **Zero cost when off.**  With no plan installed the compiled send
   carries no verdict code at all, and the pipeline tests
@@ -52,7 +57,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.errors import SimulationError
-from repro.sim.rng import LinkStream
+from repro.sim.rng import LinkStream, str_seed
 
 #: ``judge`` verdict reasons for a dropped message (trace detail).
 DROP_LOSS = "loss"
@@ -211,6 +216,10 @@ class FaultPlan:
 #: duplicate's jitter.  A batch with fewer left is refilled first.
 _VERDICT_DRAWS = 4
 
+#: The batch of a link whose rates are all zero: a verdict on it reads
+#: nothing, so its cursor stays at 0 and the refill test never fires.
+_UNREAD = array("d", [0.0]) * _VERDICT_DRAWS
+
 
 class _LinkState(LinkStream):
     """Runtime fault state for one directed link: its stream and rates."""
@@ -260,18 +269,23 @@ class ActiveFaultPlan:
         state = self._links.get(key)
         if state is None:
             plan = self.plan
+            rates = plan.per_link.get(key) or plan
             state = _LinkState(
-                key, plan.per_link.get(key) or plan,
-                self._windows_by_link.get(key, ()),
+                key, rates, self._windows_by_link.get(key, ())
             )
-            self._refill(state)
+            if rates.drop or rates.duplicate or rates.jitter:
+                self._refill(state)
+            else:
+                # A verdict on this link reads no draw: it is never seeded.
+                state.draws = _UNREAD
             self._links[key] = state
         return state
 
     def _refill(self, state: _LinkState) -> array:
         """Give ``state`` the next batch of its stream and return it."""
         src, dst = state.key
-        return state.refill(self._scratch, f"{self.plan.seed}:{src}:{dst}")
+        seed = str_seed(f"{self.plan.seed}:{src}:{dst}")
+        return state.refill(self._scratch, seed)
 
     def judge(
         self, src: int, dst: int, now: float

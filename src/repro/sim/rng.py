@@ -32,6 +32,8 @@ import random
 from array import array
 from itertools import islice, repeat, starmap
 
+from _random import Random as _CRandom
+
 __all__ = ["LinkStream", "link_stream_seed", "node_stream", "node_stream_seed"]
 
 #: Domain-separation tags, so no two stream families can share a seed
@@ -66,9 +68,27 @@ def node_stream(run_seed: int, node_id: int) -> random.Random:
     return random.Random(node_stream_seed(run_seed, node_id))
 
 
+def str_seed(text: str) -> int:
+    """The int ``random.Random(text)`` seeds its generator with.
+
+    CPython's version-2 ``seed`` turns a ``str`` into
+    ``int.from_bytes(b + sha512(b).digest())`` over its UTF-8 bytes ``b``
+    before the C seeding.
+    """
+    data = text.encode()
+    return int.from_bytes(data + hashlib.sha512(data).digest(), "big")
+
+
 #: Draws in a link's first batch; about 99% of the benchmark's lossy
 #: links read at most 24 fault draws.
 _BATCH = 24
+
+#: The batch of a stream not yet filled.
+_UNFILLED = array("d")
+
+#: The C ``seed`` under ``random.Random.seed``: an int seed needs none
+#: of the Python wrapper's type dispatch.
+_c_seed = _CRandom.seed
 
 
 class LinkStream:
@@ -76,25 +96,31 @@ class LinkStream:
     as a batch of its ``random()`` values rather than as a generator.
 
     ``draws[at:]`` are the stream's next values and ``skip`` of them came
-    before ``draws[0]``; the owner derives the seed from ``key``.
+    before ``draws[0]``; the owner derives the seed from ``key`` for each
+    batch (refills are rare, and a fault link's 608-bit key held per link
+    would cost about 100 bytes).  A new stream starts with one shared
+    empty batch, so its first refill allocates its first batch.
     """
 
     __slots__ = ("key", "draws", "at", "skip")
 
     def __init__(self, key: tuple[int, int]) -> None:
         self.key = key
-        self.draws = array("d")
+        self.draws = _UNFILLED
         self.at = 0
         self.skip = 0
 
-    def refill(self, scratch: random.Random, seed: int | str) -> array:
+    def refill(self, scratch: random.Random, seed: int) -> array:
         """Load and return the next batch, twice the last (first
-        :data:`_BATCH`): re-seed the shared ``scratch`` and discard the
-        draws already used, so the values are ``random.Random(seed)``'s.
+        :data:`_BATCH`): seed the shared ``scratch`` with the int ``seed``
+        through the C ``seed`` and discard the draws already used, so the
+        values are those of ``random.Random(seed)``, and of
+        ``random.Random(text)`` when ``seed`` is :func:`str_seed` of
+        ``text``.
         """
         skip = self.skip + self.at
         size = 2 * len(self.draws) or _BATCH
-        scratch.seed(seed)
+        _c_seed(scratch, seed)
         # ``starmap`` calls ``random()`` with no Python frame per draw.
         stream = starmap(scratch.random, repeat((), skip + size))
         self.draws = draws = array("d", list(islice(stream, skip, None)))

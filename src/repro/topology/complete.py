@@ -21,14 +21,18 @@ Storage is sized for the N≈10⁴ scaling benches:
 * Explicit wirings keep the forward table as compact ``array('i')`` rows
   (4 bytes/entry instead of a pointer to a boxed int) and build each node's
   inverse row (neighbour → port) lazily on first use, since most runs of a
-  message-optimal protocol never look at most nodes' reverse wiring.
+  message-optimal protocol never look at most nodes' reverse wiring.  The
+  rows arrive as any iterable -- :func:`complete_without_sense` passes a
+  generator -- and each is validated while it is still the list of ints
+  its strategy returned, then packed once, so only one row's list exists
+  at a time.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Sized
 
 from repro.core.errors import ConfigurationError
 from repro.topology.ports import PortStrategy, RandomPorts, validate_port_map
@@ -41,7 +45,7 @@ class CompleteTopology:
         self,
         n: int,
         ids: Sequence[int],
-        port_neighbor: Sequence[Sequence[int]] | None,
+        port_neighbor: Iterable[Sequence[int]] | None,
         *,
         sense_of_direction: bool,
     ) -> None:
@@ -59,13 +63,20 @@ class CompleteTopology:
             self._port_neighbor: tuple[array, ...] = ()
             self._inverse_rows: list[array | None] = []
         else:
-            if len(port_neighbor) != n:
-                raise ConfigurationError(
-                    "port_neighbor must have one row per node"
-                )
-            for position, row in enumerate(port_neighbor):
-                validate_port_map(n, position, row)
-            self._port_neighbor = tuple(array("i", row) for row in port_neighbor)
+            # A table's row count is checked before its rows, a
+            # generator's once it is drained.
+            miscounted = "port_neighbor must have one row per node"
+            if isinstance(port_neighbor, Sized) and len(port_neighbor) != n:
+                raise ConfigurationError(miscounted)
+            positions = set(range(n))
+            rows = iter(port_neighbor)
+            packed = []
+            for position, row in zip(range(n), rows):
+                validate_port_map(n, position, row, positions)
+                packed.append(array("i", row))
+            if len(packed) != n or next(rows, None) is not None:
+                raise ConfigurationError(miscounted)
+            self._port_neighbor = tuple(packed)
             self._inverse_rows = [None] * n
         self._position_of_id = {identity: p for p, identity in enumerate(self.ids)}
 
@@ -179,10 +190,9 @@ def complete_without_sense(
         ids = list(range(n))
     strategy = port_strategy if port_strategy is not None else RandomPorts()
     rng = random.Random(seed)
-    # Each row is packed as soon as it is drawn, so the n lists of boxed
-    # ints (about 30 MB at n = 1024) never all exist at once.
-    port_neighbor = [
-        array("i", strategy.assign(n, position, ids, rng))
-        for position in range(n)
-    ]
+    # A generator: each row is validated and packed as soon as it is
+    # drawn, so the n row lists never all exist at once.
+    port_neighbor = (
+        strategy.assign(n, position, ids, rng) for position in range(n)
+    )
     return CompleteTopology(n, ids, port_neighbor, sense_of_direction=False)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Sequence, Set
+from functools import lru_cache
 
 
 class PortStrategy(ABC):
@@ -36,9 +37,21 @@ class PortStrategy(ABC):
         """
 
 
+@lru_cache(maxsize=4)
+def _positions(n: int) -> tuple[int, ...]:
+    """``tuple(range(n))``, built once per ``n``."""
+    return tuple(range(n))
+
+
 def _others(n: int, position: int) -> list[int]:
-    """Every position but ``position``, in increasing order."""
-    return [*range(position), *range(position + 1, n)]
+    """Every position but ``position``, in increasing order.
+
+    A copy of one shared ``range(n)`` tuple: the n rows of a wiring hold
+    the same int objects instead of n fresh ones each.
+    """
+    others = list(_positions(n))
+    del others[position]
+    return others
 
 
 def shuffle(items: list, rng: random.Random) -> None:
@@ -155,13 +168,20 @@ class HotspotPorts(PortStrategy):
         return neighbours
 
 
-def validate_port_map(n: int, position: int, port_map: Sequence[int]) -> None:
+def validate_port_map(
+    n: int,
+    position: int,
+    port_map: Sequence[int],
+    positions: Set[int] | None = None,
+) -> None:
     """Assert that a port map is a permutation of the other positions.
 
-    Runs in O(n) with C-level set operations (not a sort or a Python
-    loop): validation is on the topology-construction path, which the
-    scaling benches hit with n in the thousands — n rows of n entries
-    each.
+    Runs in O(n) as one ``set`` over the row and a subset test against
+    ``positions`` (``set(range(n))``, which a caller checking all n rows
+    builds once and passes in): validation is on the topology-construction
+    path, which the scaling benches hit with n in the thousands — n rows
+    of n entries each.  A row still held as a list of ints is the cheap
+    case; a packed ``array`` row boxes every entry again.
     """
     if len(port_map) != n - 1:
         raise ValueError(
@@ -169,11 +189,9 @@ def validate_port_map(n: int, position: int, port_map: Sequence[int]) -> None:
             f"expected {n - 1}: {port_map!r}"
         )
     seen = set(port_map)
-    if (
-        len(seen) != n - 1
-        or position in seen
-        or (seen and not (0 <= min(seen) and max(seen) < n))
-    ):
+    if positions is None:
+        positions = set(range(n))
+    if len(seen) != n - 1 or position in seen or not seen <= positions:
         raise ValueError(
             f"port map for position {position} is not a permutation of "
             f"the remaining {n - 1} positions: {port_map!r}"

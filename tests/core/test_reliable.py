@@ -224,7 +224,7 @@ class TestAbandonmentEdgeCases:
         ctx.fire_timer()
         assert ctx.counters["packets_abandoned"] == 1
         assert ctx.counters["retransmissions"] == 3
-        assert node._unacked[0] == {}
+        assert 0 not in node._unacked
         assert 0 in node._dead_ports
         assert not ctx.timers
 
@@ -251,7 +251,7 @@ class TestAbandonmentEdgeCases:
         ctx.fire_timer()
         ctx.fire_timer()
         assert node._dead_ports == {0}
-        assert node._unacked[1] == {}
+        assert 1 not in node._unacked
 
 
 class TestResequencingBuffer:
@@ -346,7 +346,7 @@ class TestAcksOnAbandonedPorts:
         node.send_reliable(0, Token(1))
         node.send_reliable(0, Token(2))
         node.receive(0, Ack(2))
-        assert node._unacked[0] == {}
+        assert 0 not in node._unacked
         ctx.fire_timer()  # nothing pending: ladder resets quietly
         node.receive(0, Ack(1))  # reordered stale cumulative ack
         assert node._acked[0] == 2

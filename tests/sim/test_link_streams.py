@@ -67,6 +67,13 @@ def test_delay_batches_are_the_links_random_draws(stream_seed):
     )
 
 
+class _Untouchable(random.Random):
+    """A scratch generator that fails the test if a link draws from it."""
+
+    def random(self):
+        raise AssertionError("a zero-rate link drew")
+
+
 class TestZeroRateLinks:
     def test_a_partition_only_link_reads_no_draw(self):
         plan = FaultPlan(seed=4, partitions=(Partition(0, 1, 2.0, 4.0),))
@@ -91,6 +98,17 @@ class TestZeroRateLinks:
         quiet = active._links[2, 5]
         assert (quiet.at, quiet.skip) == (0, 0)
 
+    def test_a_zero_rate_link_is_never_seeded(self):
+        plan = FaultPlan(
+            seed=2, per_link={(1, 0): LinkFaults()},
+            partitions=(Partition(0, 1, 0.0, 1.0),),
+        )
+        active = plan.bind()
+        active._scratch = _Untouchable()
+        for t in range(3 * _BATCH):
+            active.judge(0, 1, t / 10)
+            active.judge(1, 0, t / 10)
+
     def test_compiled_sends_on_cut_links_read_no_draw(self):
         topology = complete_without_sense(12, seed=3)
         victim = max(topology.ids)
@@ -108,6 +126,7 @@ class TestZeroRateLinks:
             faults=FaultPlan(seed=3, partitions=cuts), seed=3,
         )
         active = network._faults
+        active._scratch = _Untouchable()
         result = network.run()
         assert result.leader_id is not None and result.messages_dropped
         links = active._links
